@@ -18,6 +18,7 @@ settings, and per-suite / per-leg statistics including the raw trials.
 from __future__ import annotations
 
 import json
+import pathlib
 import statistics
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -230,8 +231,11 @@ class BenchReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def write(self, path) -> None:
-        with open(path, "w") as sink:
-            sink.write(self.to_json())
+        """Write the artifact to ``path``, creating missing parents."""
+
+        path = pathlib.Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(self.to_json())
 
 
 # ---------------------------------------------------------------------------

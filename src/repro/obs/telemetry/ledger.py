@@ -82,24 +82,13 @@ STABLE_COUNTERS = frozenset(
 def machine_fingerprint() -> dict:
     """Enough platform detail to tell two records apart."""
 
-    fingerprint = {
+    return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "cpus": os.cpu_count() or 1,
     }
-    # FM kernel availability travels with the machine: whether numpy was
-    # importable (and which kernel ran) is a property of this host's
-    # environment, not of the analysis configuration — and stable_view
-    # drops the whole machine dict, so diff gates stay kernel-blind.
-    try:
-        from ...omega.kernel import kernel_info
-
-        fingerprint["kernel"] = kernel_info()
-    except Exception:  # pragma: no cover - never block a run record
-        pass
-    return fingerprint
 
 
 def git_sha() -> str | None:

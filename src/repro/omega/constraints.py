@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gcd
+from operator import is_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import OmegaError
@@ -77,7 +77,13 @@ class Constraint:
         return (self,)
 
     def substitute(self, var: Variable, replacement: LinearExpr) -> "Constraint":
-        return Constraint(self.expr.substitute(var, replacement), self.relation)
+        """This constraint with ``var`` replaced; ``self`` when ``var`` is
+        absent, so the untouched constraint keeps its cached key."""
+
+        expr = self.expr.substitute(var, replacement)
+        if expr is self.expr:
+            return self
+        return Constraint(expr, self.relation)
 
     def is_satisfied_by(self, assignment: Mapping[Variable, int]) -> bool:
         value = self.expr.evaluate(assignment)
@@ -179,19 +185,37 @@ class Problem:
 
     Problems are lightweight mutable containers; the elimination algorithms
     copy them freely.  An empty Problem is the constraint ``True``.
+
+    :meth:`normalized` memoizes its answer in the ``_norm`` slot as
+    ``(snapshot, result, status)``: the constraint objects it read, the
+    constraints it produced and the status.  A later call reuses the answer
+    only while ``constraints`` holds exactly the snapshot's objects, so any
+    ``add``, ``extend`` or item replacement invalidates it.  Constraints are
+    immutable, which makes the identity check sufficient.  Pickling drops
+    the memo.
     """
 
-    __slots__ = ("constraints", "name")
+    __slots__ = ("constraints", "name", "_norm")
 
     def __init__(self, constraints: Iterable[Constraint] = (), name: str = ""):
         self.constraints: list[Constraint] = list(constraints)
         self.name = name
+        self._norm: tuple | None = None
+
+    def __getstate__(self) -> tuple:
+        return self.constraints, self.name
+
+    def __setstate__(self, state: tuple) -> None:
+        self.constraints, self.name = state
+        self._norm = None
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     def copy(self) -> "Problem":
-        return Problem(self.constraints, self.name)
+        duplicate = Problem(self.constraints, self.name)
+        duplicate._norm = self._norm
+        return duplicate
 
     def add(self, constraint: Constraint) -> "Problem":
         self.constraints.append(constraint)
@@ -283,108 +307,32 @@ class Problem:
           tightest constant; a matched pair of opposite inequalities
           becomes an equality; conflicting bounds or equalities are
           detected as unsatisfiable.
+
+        The answer is memoized (see the class docstring), and the returned
+        problem is marked as its own normal form, so normalizing it again
+        costs one identity check.  Each call returns a fresh ``Problem``
+        that the caller may mutate.
         """
 
-        ineqs: dict[tuple, int] = {}  # normal key -> tightest constant
-        ineq_exprs: dict[tuple, LinearExpr] = {}
-        eqs: dict[tuple, int] = {}
-        eq_exprs: dict[tuple, LinearExpr] = {}
-
-        for constraint in self.constraints:
-            expr = constraint.expr
-            g = expr.coefficients_gcd()
-            if g == 0:  # constant constraint
-                if constraint.is_equality:
-                    if expr.constant != 0:
-                        return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                else:
-                    if expr.constant < 0:
-                        return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                continue
-            if constraint.is_equality:
-                if expr.constant % g:
-                    return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                reduced = expr.exact_div(g)
-                # Canonical sign: make the lexicographically-first term positive.
-                first = min(reduced.terms.items(), key=lambda it: (it[0].kind, it[0].name))
-                if first[1] < 0:
-                    reduced = -reduced
-                key = reduced.key()
-                if key in eqs:
-                    if eqs[key] != reduced.constant:
-                        return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                else:
-                    eqs[key] = reduced.constant
-                    eq_exprs[key] = reduced
-            else:
-                if g > 1:
-                    reduced = expr.scale_and_floor(g)
-                else:
-                    reduced = expr
-                key = reduced.key()
-                if key in ineqs:
-                    # Same normal: a smaller constant is a tighter constraint.
-                    if reduced.constant < ineqs[key]:
-                        ineqs[key] = reduced.constant
-                        ineq_exprs[key] = reduced
-                else:
-                    ineqs[key] = reduced.constant
-                    ineq_exprs[key] = reduced
-
-        # Check opposite inequality pairs: a.x + c1 >= 0 and -a.x + c2 >= 0
-        # mean -c1 <= a.x <= c2, inconsistent when -c1 > c2, an equality when
-        # -c1 == c2.
-        result = Problem(name=self.name)
-        consumed: set[tuple] = set()
-        for key, constant in ineqs.items():
-            if key in consumed:
-                continue
-            expr = ineq_exprs[key]
-            neg_key = (-expr).key()
-            if neg_key in ineqs and neg_key not in consumed:
-                other_constant = ineqs[neg_key]
-                if -constant > other_constant:
-                    return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                if -constant == other_constant:
-                    consumed.add(key)
-                    consumed.add(neg_key)
-                    # a.x = -c1 as an equality with canonical sign.
-                    eq_expr = expr
-                    first = min(
-                        eq_expr.terms.items(), key=lambda it: (it[0].kind, it[0].name)
-                    )
-                    if first[1] < 0:
-                        eq_expr = -eq_expr
-                    ekey = eq_expr.key()
-                    if ekey in eqs and eqs[ekey] != eq_expr.constant:
-                        return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                    eqs[ekey] = eq_expr.constant
-                    eq_exprs[ekey] = eq_expr
-
-        for key, expr in eq_exprs.items():
-            result.add(Constraint(expr, Relation.EQ))
-        for key, expr in ineq_exprs.items():
-            if key in consumed:
-                continue
-            # An inequality implied by an equality with the same normal drops.
-            # The equality a.x + k = 0 says a.x = -k; the inequality
-            # a.x + c >= 0 says a.x >= -c, implied when k <= c.
-            if key in eqs:
-                if eqs[key] > expr.constant:
-                    return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                continue
-            neg_key = (-expr).key()
-            if neg_key in eqs:
-                # equality: -a.x + k = 0 => a.x = k; inequality a.x >= -c
-                # holds iff k >= -c i.e. k + c >= 0.
-                if eqs[neg_key] + expr.constant < 0:
-                    return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                continue
-            result.add(Constraint(expr, Relation.GE))
-
-        if not result.constraints:
-            return result, NormalizeStatus.TAUTOLOGY
-        return result, NormalizeStatus.NORMALIZED
+        constraints = self.constraints
+        memo = self._norm
+        if (
+            memo is not None
+            and len(memo[0]) == len(constraints)
+            and all(map(is_, memo[0], constraints))
+        ):
+            result, status = memo[1], memo[2]
+        else:
+            snapshot = tuple(constraints)
+            result, status = _normalize(snapshot)
+            self._norm = (snapshot, result, status)
+        normal = Problem(result, self.name)
+        normal._norm = (
+            result,
+            result,
+            NormalizeStatus.NORMALIZED if result else NormalizeStatus.TAUTOLOGY,
+        )
+        return normal, status
 
     # ------------------------------------------------------------------
     # Display
@@ -437,6 +385,125 @@ class Problem:
         """
 
         return canonicalize_problems([self]).narrow(0)
+
+
+_UNSATISFIABLE: tuple = ((), NormalizeStatus.UNSATISFIABLE)
+
+
+def _first_sign(expr: LinearExpr) -> int:
+    """The coefficient of ``expr``'s first term in (kind, name) order."""
+
+    return min(expr.terms.items(), key=lambda it: (it[0].kind, it[0].name))[1]
+
+
+def _normalize(
+    constraints: Sequence[Constraint],
+) -> tuple[tuple[Constraint, ...], NormalizeStatus]:
+    """The body of :meth:`Problem.normalized`: result constraints and status.
+
+    Constraints are collected by normal key (``LinearExpr.key()``, cached
+    on the expression); the constraint kept under a key carries the
+    tightest constant.  The key of ``-expr`` is the key with every
+    coefficient negated, in the same order (a term's ``(name, kind)`` is
+    unique within a key, so the sort never reaches the coefficient), so
+    ``-expr`` itself is built only for a matched pair that must flip sign
+    to become an equality.  A constraint that normalization leaves
+    unchanged is passed through as the same object.
+    """
+
+    EQ = Relation.EQ
+    ineqs: dict[tuple, Constraint] = {}
+    eqs: dict[tuple, Constraint] = {}
+
+    for constraint in constraints:
+        expr = constraint.expr
+        g = expr.coefficients_gcd()
+        if constraint.relation is EQ:
+            if g == 0:  # constant constraint
+                if expr.constant:
+                    return _UNSATISFIABLE
+                continue
+            if expr.constant % g:
+                return _UNSATISFIABLE
+            if g > 1:
+                expr = expr.exact_div(g)
+            # Canonical sign: make the lexicographically-first term positive.
+            if _first_sign(expr) < 0:
+                expr = -expr
+            key = expr.key()
+            known = eqs.get(key)
+            if known is None:
+                eqs[key] = (
+                    constraint if expr is constraint.expr else Constraint(expr, EQ)
+                )
+            elif known.expr.constant != expr.constant:
+                return _UNSATISFIABLE
+        else:
+            if g == 0:
+                if expr.constant < 0:
+                    return _UNSATISFIABLE
+                continue
+            if g > 1:
+                expr = expr.scale_and_floor(g)
+                constraint = Constraint(expr, Relation.GE)
+            key = expr.key()
+            known = ineqs.get(key)
+            # Same normal: a smaller constant is a tighter constraint.
+            if known is None or expr.constant < known.expr.constant:
+                ineqs[key] = constraint
+
+    # Check opposite inequality pairs: a.x + c1 >= 0 and -a.x + c2 >= 0
+    # mean -c1 <= a.x <= c2, inconsistent when -c1 > c2, an equality when
+    # -c1 == c2.
+    consumed: set[tuple] = set()
+    for key, constraint in ineqs.items():
+        if consumed and key in consumed:
+            continue
+        neg_key = tuple([(n, k, -c) for n, k, c in key])
+        other = ineqs.get(neg_key)
+        if other is None or (consumed and neg_key in consumed):
+            continue
+        expr = constraint.expr
+        if -expr.constant > other.expr.constant:
+            return _UNSATISFIABLE
+        if -expr.constant == other.expr.constant:
+            consumed.add(key)
+            consumed.add(neg_key)
+            # a.x = -c1 as an equality with canonical sign.
+            eq_key = key
+            if _first_sign(expr) < 0:
+                expr, eq_key = -expr, neg_key
+            known = eqs.get(eq_key)
+            if known is not None and known.expr.constant != expr.constant:
+                return _UNSATISFIABLE
+            eqs[eq_key] = Constraint(expr, EQ)
+
+    result = list(eqs.values())
+    for key, constraint in ineqs.items():
+        if consumed and key in consumed:
+            continue
+        if eqs:
+            constant = constraint.expr.constant
+            # An inequality implied by an equality with the same normal
+            # drops.  The equality a.x + k = 0 says a.x = -k; the
+            # inequality a.x + c >= 0 says a.x >= -c, implied when k <= c.
+            known = eqs.get(key)
+            if known is not None:
+                if known.expr.constant > constant:
+                    return _UNSATISFIABLE
+                continue
+            # equality: -a.x + k = 0 => a.x = k; inequality a.x >= -c
+            # holds iff k >= -c i.e. k + c >= 0.
+            known = eqs.get(tuple([(n, k, -c) for n, k, c in key]))
+            if known is not None:
+                if known.expr.constant + constant < 0:
+                    return _UNSATISFIABLE
+                continue
+        result.append(constraint)
+
+    if not result:
+        return (), NormalizeStatus.TAUTOLOGY
+    return tuple(result), NormalizeStatus.NORMALIZED
 
 
 #: Key marking a problem whose normalization proved it unsatisfiable.

@@ -339,8 +339,8 @@ def _fourier_motzkin(
         shadow = Problem(keep, problem.name)
         return FMResult(var, True, shadow, shadow.copy())
 
-    # The cross product runs on the row kernel (numpy when available,
-    # exact python otherwise; see repro.omega.kernel).  For each pair:
+    # The cross product runs on the row kernel (repro.omega.kernel).
+    # For each pair:
     # real shadow  a*beta <= b*alpha   =>  b*alpha - a*beta >= 0,
     # dark shadow additionally tightened by (a-1)*(b-1) when inexact.
     real_cs, dark_cs, exact = combine_shadows(lowers, uppers)

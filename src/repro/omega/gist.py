@@ -366,9 +366,18 @@ def _negation_satisfiable(e: Constraint, context: list[Constraint]) -> bool:
 
 
 def _positive_inner_product(e: Constraint, other: Constraint) -> bool:
+    """Can ``other`` help imply ``e`` (fast check 3's correlation test)?
+
+    An inequality correlates when its normal has a positive inner product
+    with ``e``'s.  An equality bounds its expression from both sides, so
+    it correlates whenever the inner product is non-zero.
+    """
+
     total = 0
     for v, coeff in e.expr.terms.items():
         total += coeff * other.expr.coeff(v)
+    if other.is_equality:
+        return total != 0
     return total > 0
 
 

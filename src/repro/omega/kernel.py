@@ -5,97 +5,24 @@ Eliminating a variable by Fourier-Motzkin crosses every lower bound
 real shadow ``b*up + a*lo >= 0`` (plus the dark-shadow tightening
 ``- (a-1)(b-1)`` on the constant when neither coefficient is 1).  That
 cross product is the elimination inner loop — pure integer row
-arithmetic, and the hottest pure-python code in the solver.
+arithmetic over python ints, which are arbitrary-precision, so
+coefficient growth can never overflow.
 
-This module is the **kernel seam**: both implementations share one dense
-row representation (one column per variable, sorted, plus the constant)
-and one constraint-reconstruction routine, so they produce *identical*
-:class:`~repro.omega.constraints.Constraint` lists — same values, same
-order, same term insertion order — and the solver's behavior is
-bit-identical whichever kernel ran.  The parity property tests in
-``tests/omega/test_kernel.py`` enforce this.
-
-``numpy``
-    Vectorized ``int64`` broadcasting over the full cross product.  Used
-    when numpy is importable, ``REPRO_KERNEL`` does not force the
-    fallback, and the coefficient magnitudes provably fit ``int64``
-    (Fourier-Motzkin multiplies coefficients together, and Omega
-    coefficients are arbitrary-precision; the kernel bounds the worst
-    combined magnitude *before* converting and falls back to exact
-    python arithmetic whenever ``int64`` could overflow).
-
-``python``
-    The portable exact path: the same dense rows combined with python
-    integers.  Always available; forced with ``REPRO_KERNEL=python``
-    (the CI no-numpy leg) or when numpy is absent.
-
-The kernel composes with the solver execution backends
-(:mod:`repro.solver.backends`): worker processes import this module
-afresh and make the same numpy-or-python decision, so a process-backed
-run is accelerated exactly like a serial one.
+The bounds are laid out as dense rows (one column per variable, sorted,
+plus the constant), combined pairwise, and rebuilt into
+:class:`~repro.omega.constraints.Constraint` objects in pair order with
+a fixed term insertion order, so the emitted constraint lists are
+deterministic.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from .constraints import Constraint, Relation
 from .terms import LinearExpr, Variable
 
-__all__ = [
-    "HAVE_NUMPY",
-    "active_kernel",
-    "combine_shadows",
-    "kernel_info",
-]
-
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy as _np
-except Exception:  # noqa: BLE001 - any import failure means "no numpy"
-    _np = None
-
-#: Whether numpy imported successfully in this process.
-HAVE_NUMPY = _np is not None
-
-#: Combined coefficients must stay strictly below this magnitude for the
-#: int64 path (one bit of headroom under 2**63 keeps every intermediate
-#: product and sum representable).
-_INT64_LIMIT = 1 << 62
-
-
-def _override() -> str | None:
-    """The ``REPRO_KERNEL`` override: "numpy", "python", or None."""
-
-    raw = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    return raw if raw in ("numpy", "python") else None
-
-
-def active_kernel() -> str:
-    """The kernel the next elimination will try: "numpy" or "python".
-
-    The numpy kernel still falls back to python per call when a combined
-    coefficient could overflow ``int64``.
-    """
-
-    if _override() == "python" or not HAVE_NUMPY:
-        return "python"
-    return "numpy"
-
-
-def kernel_info() -> dict:
-    """Kernel availability/selection, for stats and the run ledger."""
-
-    return {
-        "numpy": HAVE_NUMPY,
-        "active": active_kernel(),
-        "forced": _override(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Shared dense row representation
-# ---------------------------------------------------------------------------
+__all__ = ["combine_shadows"]
 
 
 def _columns(
@@ -142,67 +69,6 @@ def _emit(
     return real, Constraint(LinearExpr(terms, row[-1] - adjust), Relation.GE)
 
 
-# ---------------------------------------------------------------------------
-# Implementations
-# ---------------------------------------------------------------------------
-
-
-def _combine_python(
-    coeffs_lo: Sequence[int],
-    coeffs_up: Sequence[int],
-    rows_lo: Sequence[Sequence[int]],
-    rows_up: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Exact python cross product: combined rows and dark adjustments."""
-
-    combined: list[list[int]] = []
-    adjusts: list[list[int]] = []
-    for b, lo in zip(coeffs_lo, rows_lo):
-        row_adjust = []
-        for a, up in zip(coeffs_up, rows_up):
-            combined.append([u * b + l * a for u, l in zip(up, lo)])
-            row_adjust.append((a - 1) * (b - 1))
-        adjusts.append(row_adjust)
-    return combined, adjusts
-
-
-def _fits_int64(
-    coeffs_lo: Sequence[int],
-    coeffs_up: Sequence[int],
-    rows_lo: Sequence[Sequence[int]],
-    rows_up: Sequence[Sequence[int]],
-) -> bool:
-    """Can every combined entry be formed without leaving int64 range?"""
-
-    max_lo = max((abs(e) for row in rows_lo for e in row), default=0)
-    max_up = max((abs(e) for row in rows_up for e in row), default=0)
-    max_b = max(coeffs_lo)
-    max_a = max(coeffs_up)
-    bound = max_b * max_up + max_a * max_lo + max_a * max_b
-    return bound < _INT64_LIMIT
-
-
-def _combine_numpy(
-    coeffs_lo: Sequence[int],
-    coeffs_up: Sequence[int],
-    rows_lo: Sequence[Sequence[int]],
-    rows_up: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Vectorized int64 cross product (caller checked the range)."""
-
-    lo = _np.asarray(rows_lo, dtype=_np.int64)
-    up = _np.asarray(rows_up, dtype=_np.int64)
-    bs = _np.asarray(coeffs_lo, dtype=_np.int64)
-    As = _np.asarray(coeffs_up, dtype=_np.int64)
-    # combined[i, j, :] = b_i * up[j, :] + a_j * lo[i, :]
-    combined = (
-        bs[:, None, None] * up[None, :, :] + As[None, :, None] * lo[:, None, :]
-    )
-    adjust = (bs - 1)[:, None] * (As - 1)[None, :]
-    pairs = combined.reshape(len(coeffs_lo) * len(coeffs_up), -1)
-    return pairs.tolist(), adjust.tolist()
-
-
 def combine_shadows(
     lowers: Sequence[tuple[int, LinearExpr]],
     uppers: Sequence[tuple[int, LinearExpr]],
@@ -218,28 +84,15 @@ def combine_shadows(
     """
 
     columns = _columns(lowers, uppers)
-    rows_lo = _dense_rows(lowers, columns)
     rows_up = _dense_rows(uppers, columns)
-    coeffs_lo = [b for b, _ in lowers]
-    coeffs_up = [a for a, _ in uppers]
-    if active_kernel() == "numpy" and _fits_int64(
-        coeffs_lo, coeffs_up, rows_lo, rows_up
-    ):
-        combined, adjusts = _combine_numpy(
-            coeffs_lo, coeffs_up, rows_lo, rows_up
-        )
-    else:
-        combined, adjusts = _combine_python(
-            coeffs_lo, coeffs_up, rows_lo, rows_up
-        )
     real: list[Constraint] = []
     dark: list[Constraint] = []
     exact = True
-    width = len(coeffs_up)
-    for i in range(len(coeffs_lo)):
-        for j in range(width):
-            adjust = adjusts[i][j]
-            real_c, dark_c = _emit(columns, combined[i * width + j], adjust)
+    for (b, _), lo in zip(lowers, _dense_rows(lowers, columns)):
+        for (a, _), up in zip(uppers, rows_up):
+            adjust = (a - 1) * (b - 1)
+            combined = [u * b + l * a for u, l in zip(up, lo)]
+            real_c, dark_c = _emit(columns, combined, adjust)
             real.append(real_c)
             dark.append(dark_c)
             if adjust:

@@ -97,10 +97,12 @@ class LinearExpr:
 
     Coefficients and the constant are Python ints (arbitrary precision, which
     matters: Fourier-Motzkin combinations multiply coefficients together).
-    Zero-coefficient terms are never stored.
+    Zero-coefficient terms are never stored.  The hash, the sorted
+    :meth:`key` and :meth:`coefficients_gcd` are computed once and cached;
+    pickling drops the caches (string hashes differ between processes).
     """
 
-    __slots__ = ("_terms", "_const", "_hash")
+    __slots__ = ("_terms", "_const", "_hash", "_key", "_gcd")
 
     def __init__(self, terms: Mapping[Variable, int] | None = None, constant: int = 0):
         clean: dict[Variable, int] = {}
@@ -113,6 +115,15 @@ class LinearExpr:
         self._terms = clean
         self._const = int(constant)
         self._hash: int | None = None
+        self._key: tuple | None = None
+        self._gcd: int | None = None
+
+    def __getstate__(self) -> tuple:
+        return self._terms, self._const
+
+    def __setstate__(self, state: tuple) -> None:
+        self._terms, self._const = state
+        self._hash = self._key = self._gcd = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -143,9 +154,9 @@ class LinearExpr:
     def coefficients_gcd(self) -> int:
         """gcd of the variable coefficients (0 for a constant expression)."""
 
-        g = 0
-        for coeff in self._terms.values():
-            g = gcd(g, coeff)
+        g = self._gcd
+        if g is None:
+            g = self._gcd = gcd(*self._terms.values())
         return g
 
     # ------------------------------------------------------------------
@@ -261,7 +272,12 @@ class LinearExpr:
     def key(self) -> tuple:
         """A hashable key identifying the variable-coefficient part only."""
 
-        return tuple(sorted((v.name, v.kind, c) for v, c in self._terms.items()))
+        key = self._key
+        if key is None:
+            key = self._key = tuple(
+                sorted((v.name, v.kind, c) for v, c in self._terms.items())
+            )
+        return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearExpr):

@@ -1,6 +1,6 @@
 """Gist and implication tests (Section 3.3)."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.omega import (
     GistStats,
@@ -150,6 +150,16 @@ class TestImplies:
         p = Problem().add_le(x, z)
         assert implies(q, p)
 
+    def test_equalities_imply_their_sum(self):
+        # x = 0 and y = 0 bound -x-y >= 0 from both sides even though
+        # neither normal has a positive inner product with it: fast
+        # check 3 must not keep it as definitely in the gist.
+        q = Problem().add_eq(x).add_eq(y)
+        assert implies(q, Problem().add_eq(x + y))
+        assert implies(q, Problem().add_ge(-x - y))
+        assert gist(Problem().add_eq(x + y), q).is_trivially_true()
+        assert not implies(q, Problem().add_eq(x + y, 1))
+
 
 class TestImpliesUnion:
     def test_empty_union(self):
@@ -244,6 +254,7 @@ def test_gist_defining_property(case):
 
 @settings(max_examples=100, deadline=None)
 @given(gist_cases())
+@example((Problem().add_eq(x + y), Problem().add_eq(x).add_eq(y)))
 def test_implies_matches_brute_force(case):
     p, q = case
     radius = 5

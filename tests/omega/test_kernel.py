@@ -1,39 +1,18 @@
-"""Kernel parity: the numpy and python FM row kernels are bit-identical.
+"""The Fourier-Motzkin row kernel: dense rows, exact sparse results.
 
-``combine_shadows`` promises that whichever implementation runs — the
-vectorized int64 numpy path or the exact python fallback — the emitted
-constraint lists are *identical*: same values, same order, same shared
-real/dark objects on exact pairs.  These property tests fuzz the raw
-cross product over random dense matrices (including coefficients sized
-to force the int64 overflow pre-check into the python path), then check
-end-to-end solver parity over harvested dependence problems with the
-kernel forced each way, complexity failures included.
+``combine_shadows`` lays the bounds out as dense integer rows, combines
+every lower/upper pair and rebuilds the constraints.  These tests check
+it against the plain sparse ``LinearExpr`` arithmetic it stands for —
+same values, same order, same shared real/dark objects on exact pairs —
+and that arbitrary-precision coefficients come through exactly.
 """
 
 import random
 
-import pytest
-
 from repro.omega import Problem, Variable
-from repro.omega.errors import OmegaComplexityError
-from repro.omega.kernel import (
-    HAVE_NUMPY,
-    _INT64_LIMIT,
-    _combine_python,
-    _fits_int64,
-    active_kernel,
-    combine_shadows,
-    kernel_info,
-)
+from repro.omega.constraints import Constraint, Relation
+from repro.omega.kernel import combine_shadows
 from repro.omega.terms import LinearExpr
-from tests.analysis.test_cache_determinism import random_program
-from tests.solver.test_property_identity import (
-    fingerprint,
-    pair_problems,
-    query_suite,
-)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 VARS = [Variable(name) for name in ("i", "j", "k", "n")]
 
@@ -52,42 +31,25 @@ def random_bounds(rng, count, magnitude=9):
     return bounds
 
 
-class TestRawCrossProduct:
-    @needs_numpy
-    def test_numpy_matches_python_on_random_matrices(self):
-        from repro.omega.kernel import _combine_numpy
+def sparse_shadows(lowers, uppers):
+    """The real/dark shadows by sparse expression arithmetic."""
 
-        rng = random.Random(19920617)
-        for _ in range(50):
-            lowers = random_bounds(rng, rng.randint(1, 5))
-            uppers = random_bounds(rng, rng.randint(1, 5))
-            coeffs_lo = [b for b, _ in lowers]
-            coeffs_up = [a for a, _ in uppers]
-            columns = sorted(
-                {v for _, rest in lowers + uppers for v in rest.terms}
+    real, dark = [], []
+    for b, lo in lowers:
+        for a, up in uppers:
+            combined = up * b + lo * a
+            real.append(Constraint(combined, Relation.GE))
+            dark.append(
+                Constraint(combined - (a - 1) * (b - 1), Relation.GE)
             )
-            rows_lo = [
-                [rest.coeff(v) for v in columns] + [rest.constant]
-                for _, rest in lowers
-            ]
-            rows_up = [
-                [rest.coeff(v) for v in columns] + [rest.constant]
-                for _, rest in uppers
-            ]
-            assert _combine_numpy(
-                coeffs_lo, coeffs_up, rows_lo, rows_up
-            ) == _combine_python(coeffs_lo, coeffs_up, rows_lo, rows_up)
+    return real, dark
 
-    def test_fits_int64_rejects_overflow_range(self):
-        big = _INT64_LIMIT
-        assert not _fits_int64([1], [1], [[big, 0]], [[1, 0]])
-        assert _fits_int64([2], [3], [[5, 7]], [[11, 13]])
 
+class TestRawCrossProduct:
     def test_combine_shadows_exact_on_huge_coefficients(self):
-        # Coefficients too large for int64 must take the exact python
-        # path and still produce the mathematically exact combination.
+        # Coefficients far beyond 64 bits must come through exactly.
         x = Variable("x")
-        big = _INT64_LIMIT * 4
+        big = 1 << 64
         lowers = [(3, LinearExpr({x: big}, 1))]
         uppers = [(2, LinearExpr({x: -big}, 5))]
         real, dark, exact = combine_shadows(lowers, uppers)
@@ -100,90 +62,33 @@ class TestRawCrossProduct:
         assert tightened.expr.constant == constraint.expr.constant - 2
 
 
-class TestKernelSelection:
-    def test_override_forces_python(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert active_kernel() == "python"
-        info = kernel_info()
-        assert info["forced"] == "python"
-        assert info["active"] == "python"
-
-    def test_invalid_override_is_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fortran")
-        assert kernel_info()["forced"] is None
-        assert active_kernel() in ("numpy", "python")
-
-    @needs_numpy
-    def test_numpy_is_active_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert active_kernel() == "numpy"
-
-
-def shadow_snapshot(lowers, uppers):
-    real, dark, exact = combine_shadows(lowers, uppers)
-    shared = [r is d for r, d in zip(real, dark)]
-    return real, dark, exact, shared
-
-
 class TestCombineShadowsParity:
-    @needs_numpy
-    def test_kernels_emit_identical_constraints(self, monkeypatch):
+    def test_kernels_emit_identical_constraints(self):
+        # The dense row kernel and sparse arithmetic agree pair by pair,
+        # in lower-major, upper-minor order.
         rng = random.Random(425)
         for _ in range(40):
             lowers = random_bounds(rng, rng.randint(1, 4))
             uppers = random_bounds(rng, rng.randint(1, 4))
-            monkeypatch.setenv("REPRO_KERNEL", "numpy")
-            vectorized = shadow_snapshot(lowers, uppers)
-            monkeypatch.setenv("REPRO_KERNEL", "python")
-            portable = shadow_snapshot(lowers, uppers)
-            assert vectorized == portable
+            real, dark, exact = combine_shadows(lowers, uppers)
+            assert (real, dark) == sparse_shadows(lowers, uppers)
+            assert exact == all(
+                a == 1 or b == 1 for b, _ in lowers for a, _ in uppers
+            )
+            for r, d in zip(real, dark):
+                assert (r is d) == (r == d)
 
     def test_exact_pairs_share_the_constraint_object(self):
-        x, y = Variable("x"), Variable("y")
+        y = Variable("y")
         real, dark, exact = combine_shadows(
             [(1, LinearExpr({y: 1}, 0))], [(5, LinearExpr({y: -1}, 9))]
         )
         assert exact
         assert real[0] is dark[0]
-        del x
-
-
-def harvest(count=10):
-    rng = random.Random(19920617)
-    programs = [random_program(rng, index) for index in range(count)]
-    return [
-        query
-        for program in programs
-        for pair in pair_problems(program, limit=4)
-        for query in query_suite(pair)
-    ]
-
-
-def evaluate(query):
-    try:
-        return fingerprint(query.execute())
-    except OmegaComplexityError as failure:
-        return ("complexity", failure.site, failure.budget)
 
 
 class TestEndToEndParity:
-    @needs_numpy
-    def test_solver_answers_identical_across_kernels(self, monkeypatch):
-        # Full eliminate/project parity over harvested dependence
-        # problems: answers and OmegaComplexityError sites must match
-        # whichever kernel ran.
-        queries = harvest()
-        assert queries
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        portable = [evaluate(query) for query in queries]
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        vectorized = [evaluate(query) for query in queries]
-        assert portable == vectorized
-
-    def test_python_kernel_answers_are_sane(self, monkeypatch):
-        # Even without numpy installed this leg runs: the forced python
-        # kernel must solve the whole harvest without crashing.
-        monkeypatch.setenv("REPRO_KERNEL", "python")
+    def test_python_kernel_answers_are_sane(self):
         problem = Problem().add_ge(2 * VARS[0] - 4).add_le(3 * VARS[0], 21)
         from repro.omega.cache import is_satisfiable
 

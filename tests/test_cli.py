@@ -810,3 +810,60 @@ class TestServeCommands:
         assert "identical" in captured.out
         artifact = json.loads(out_path.read_text())
         assert artifact["legs"]["warm_restart"]["store_hits"] > 0
+
+
+class TestOutFlagsCreateParents:
+    """Every output flag writes into a directory that does not exist yet.
+
+    ``--metrics-out`` and ``diff --out`` are covered by
+    ``test_metrics_out_creates_parent_directories`` and
+    ``test_diff_writes_report_file``.
+    """
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--trace-out",
+            "--prom-out",
+            "--otlp-out",
+            "--events-out",
+            "--ledger",
+        ],
+    )
+    def test_analyze_out_flag(self, flag, program_file, tmp_path):
+        out = tmp_path / "missing" / "dir" / "artifact"
+        assert main(["analyze", str(program_file), flag, str(out)]) == 0
+        assert out.read_text()
+
+    def test_trace_out(self, program_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "trace.json"
+        assert main(["trace", str(program_file), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["traceEvents"]
+
+    def test_audit_out(self, program_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "precision.json"
+        assert main(["audit", str(program_file), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())
+
+    def test_bench_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.json"
+        assert main(
+            [
+                "bench", "--suite", "symbolic", "--trials", "1",
+                "--warmup", "0", "--no-history", "--no-ledger",
+                "--out", str(out),
+                "--results-dir", str(tmp_path / "missing" / "results"),
+            ]
+        ) == 0
+        assert json.loads(out.read_text())["schema"] == "repro.bench/1"
+
+    def test_serve_bench_out_and_store_dir(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "serve_bench.json"
+        assert main(
+            [
+                "serve-bench", "--out", str(out), "--trials", "1",
+                "--clients", "1",
+                "--store-dir", str(tmp_path / "missing" / "stores"),
+            ]
+        ) == 0
+        assert json.loads(out.read_text())["legs"]
