@@ -166,7 +166,11 @@ def component_bounds(
     Projects the problem onto ``delta`` alone (eliminating symbolic
     constants too, so the bounds are absolute integers) and reads the
     interval off the real shadow — safe, since the real shadow is a
-    superset of the true projection.
+    superset of the true projection.  The real shadow keeps its
+    elimination path: it is the end of the projection's own walk (taken
+    from that walk's real shadow from the first inexact step on), so
+    the bounds depend on the problem it is given, not just on the
+    integer points it describes.
     """
 
     projection = project(problem, [delta])
@@ -220,8 +224,10 @@ def direction_vectors(
     conjunction per branch.  Answers — and therefore the enumerated
     combinations — are identical either way; the distance-refinement
     projections below deliberately keep using the full problem, since
-    :func:`component_bounds` reads bounds off a (path-dependent) real
-    shadow rather than an exact answer.
+    :func:`component_bounds` reads bounds off a real shadow rather than
+    an exact answer, and the real shadow keeps its elimination path: a
+    reduced core would walk a different path to a possibly looser
+    shadow.
     """
 
     if not deltas:

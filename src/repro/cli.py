@@ -94,6 +94,7 @@ suppresses it) — the cross-run layer ``diff`` consumes.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import pathlib
 import sys
@@ -108,7 +109,7 @@ from .analysis import (
     parse_assertion,
 )
 from .guard import BudgetExhausted, injecting, plan_from_env
-from .ir import parse
+from .ir import IRError, LexError, ParseError, parse
 from .obs import (
     EventBus,
     JsonlSink,
@@ -713,8 +714,41 @@ def _ledger_path(args) -> pathlib.Path | None:
     return DEFAULT_LEDGER
 
 
+class InputError(Exception):
+    """A file named on the command line that cannot be used.
+
+    :func:`main` reports it as ``repro: error: <path>: <reason>`` and
+    exits with status 2.
+    """
+
+
 def _load(path: pathlib.Path):
-    return parse(path.read_text(), path.stem)
+    """Read and parse a program file."""
+
+    try:
+        return parse(path.read_text(encoding="utf-8"), path.stem)
+    except OSError as failure:
+        raise InputError(f"{path}: {failure.strerror or failure}") from None
+    except UnicodeDecodeError as failure:
+        raise InputError(
+            f"{path}: not UTF-8 text ({failure.reason} at byte {failure.start})"
+        ) from None
+    except (ParseError, LexError, IRError) as failure:
+        raise InputError(f"{path}: {failure}") from None
+
+
+def _load_baseline(path: pathlib.Path, load, schema: str) -> dict:
+    """Read a JSON artifact with ``load`` and check its schema."""
+
+    try:
+        artifact = load(path)
+    except OSError as failure:
+        raise InputError(f"{path}: {failure.strerror or failure}") from None
+    except ValueError as failure:  # JSON and UTF-8 decoding errors
+        raise InputError(f"{path}: not a JSON artifact ({failure})") from None
+    if not isinstance(artifact, dict) or artifact.get("schema") != schema:
+        raise InputError(f"{path}: not a {schema} artifact")
+    return artifact
 
 
 def _cmd_analyze(args) -> int:
@@ -937,6 +971,7 @@ def _cmd_queries(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import (
         DEFAULT_THRESHOLD,
+        SCHEMA,
         SUITES,
         compare,
         guard_overhead_gate,
@@ -950,14 +985,20 @@ def _cmd_bench(args) -> int:
 
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
 
+    if args.against is not None and args.compare is None:
+        print("--against requires --compare OLD.json", file=sys.stderr)
+        return 2
+    # Load the baseline before the run, so a bad path costs nothing.
+    baseline = (
+        None
+        if args.compare is None
+        else _load_baseline(args.compare, load_artifact, SCHEMA)
+    )
     if args.against is not None:
         # Pure artifact-vs-artifact gate, no timing run.
-        if args.compare is None:
-            print("--against requires --compare OLD.json", file=sys.stderr)
-            return 2
         comparison = compare(
-            load_artifact(args.compare),
-            load_artifact(args.against),
+            baseline,
+            _load_baseline(args.against, load_artifact, SCHEMA),
             threshold=threshold,
         )
         print(comparison.render())
@@ -1022,18 +1063,14 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
 
-    if args.compare is not None:
-        comparison = compare(
-            load_artifact(args.compare), report.to_dict(), threshold=threshold
-        )
+    if baseline is not None:
+        comparison = compare(baseline, report.to_dict(), threshold=threshold)
         print(comparison.render())
         return 0 if (comparison.ok and gates_ok) else 1
     return 0 if gates_ok else 1
 
 
 def _cmd_audit(args) -> int:
-    import json as _json
-
     from .obs.audit import ProvenanceRecord
     from .reporting import (
         compare_precision,
@@ -1042,11 +1079,15 @@ def _cmd_audit(args) -> int:
         render_precision,
         why_records,
     )
+    from .reporting.precision import SCHEMA
+
+    def load_baseline(path):
+        return _load_baseline(path, load_precision, SCHEMA)
 
     if args.diff is not None:
         old_path, new_path = args.diff
         comparison = compare_precision(
-            load_precision(old_path), load_precision(new_path)
+            load_baseline(old_path), load_baseline(new_path)
         )
         print(comparison.render())
         return 0 if comparison.ok else 1
@@ -1088,11 +1129,13 @@ def _cmd_audit(args) -> int:
             if index:
                 print()
             replayed = ProvenanceRecord.from_dict(
-                _json.loads(_json.dumps(record.to_dict()))
+                json.loads(json.dumps(record.to_dict()))
             )
             print(replayed.describe())
         return 0
 
+    # Load the baseline before the run, so a bad path costs nothing.
+    baseline = None if args.gate is None else load_baseline(args.gate)
     workers = args.workers if args.workers is not None else 1
     cache = False if args.no_cache else None
     if args.file is not None:
@@ -1121,15 +1164,15 @@ def _cmd_audit(args) -> int:
             )
             print(f"run recorded in {ledger}", file=sys.stderr)
     if args.json:
-        print(_json.dumps(artifact, indent=2))
+        print(json.dumps(artifact, indent=2))
     else:
         print(render_precision(artifact))
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(_json.dumps(artifact, indent=2) + "\n")
+        out.write_text(json.dumps(artifact, indent=2) + "\n")
         print(f"artifact written to {out}", file=sys.stderr)
-    if args.gate is not None:
-        comparison = compare_precision(load_precision(args.gate), artifact)
+    if baseline is not None:
+        comparison = compare_precision(baseline, artifact)
         print(comparison.render())
         return 0 if comparison.ok else 1
     return 0
@@ -1175,8 +1218,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    import json as _json
-
     from .bench.serve import render_serve_bench, run_serve_bench
 
     artifact = run_serve_bench(
@@ -1186,7 +1227,7 @@ def _cmd_serve_bench(args) -> int:
         progress=lambda text: print(f"serve-bench: {text}", file=sys.stderr),
     )
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(_json.dumps(artifact, indent=2) + "\n")
+    args.out.write_text(json.dumps(artifact, indent=2) + "\n")
     print(f"artifact written to {args.out}", file=sys.stderr)
     ledger = _ledger_path(args)
     if ledger is not None:
@@ -1252,7 +1293,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve-bench": _cmd_serve_bench,
         "diff": _cmd_diff,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except InputError as failure:
+        print(f"repro: error: {failure}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -510,47 +510,44 @@ def _normalize(
 _UNSAT_KEY: tuple = ("UNSAT",)
 
 
-def _skeleton(constraint: Constraint, tag: int) -> tuple:
-    """A name-free fingerprint of one constraint within a problem group."""
-
-    return (
-        tag,
-        0 if constraint.is_equality else 1,
-        constraint.expr.constant,
-        tuple(
-            sorted(
-                (v.kind, coeff) for v, coeff in constraint.expr.terms.items()
-            )
-        ),
-    )
-
-
 class JointCanonical:
     """Canonical form of one or more problems over a shared variable order.
 
     Produced by :func:`canonicalize_problems`; ``keys[i]`` is the canonical
     key of the i-th problem, and ``key`` combines them all (plus the shared
-    variable-kind vector) into a single hashable value.  ``rename`` maps
-    every original variable to its canonical stand-in ``__c{index}`` (kind
-    preserved); ``indices`` gives the bare positional index.
+    variable-kind vector) into a single hashable value.  ``indices`` gives
+    every original variable's positional index; ``rename`` maps it to its
+    canonical stand-in ``__c{index}`` (kind preserved).  ``rename`` is
+    built on first access: a satisfiability query only needs the key.
     """
 
-    __slots__ = ("keys", "kinds", "rename", "indices", "statuses", "key")
+    __slots__ = ("keys", "kinds", "indices", "statuses", "key", "_rename")
 
     def __init__(
         self,
         keys: tuple[tuple, ...],
         kinds: tuple[str, ...],
-        rename: dict[Variable, Variable],
         indices: dict[Variable, int],
         statuses: tuple["NormalizeStatus", ...],
     ):
         self.keys = keys
         self.kinds = kinds
-        self.rename = rename
         self.indices = indices
         self.statuses = statuses
         self.key = (keys, kinds)
+        self._rename: dict[Variable, Variable] | None = None
+
+    @property
+    def rename(self) -> dict[Variable, Variable]:
+        """The original-to-canonical variable mapping (built once)."""
+
+        rename = self._rename
+        if rename is None:
+            rename = self._rename = {
+                var: Variable(f"__c{position}", var.kind)
+                for var, position in self.indices.items()
+            }
+        return rename
 
     def inverse(self) -> dict[Variable, Variable]:
         """The canonical-to-original variable mapping."""
@@ -561,10 +558,7 @@ class JointCanonical:
         """A single-problem :class:`CanonicalProblem` view of one group."""
 
         return CanonicalProblem(
-            (self.keys[index], self.kinds),
-            self.rename,
-            self.indices,
-            self.statuses[index],
+            (self.keys[index], self.kinds), self, self.statuses[index]
         )
 
 
@@ -574,29 +568,32 @@ class CanonicalProblem:
     Structural ``__eq__``/``__hash__`` compare only the canonical ``key``:
     alpha-equivalent problems (and problems whose constraints normalize to
     the same system) collide.  The original-to-canonical variable renaming
-    is retained for cache result translation.
+    is retained for cache result translation; ``indices`` and ``rename``
+    are the ones of the :class:`JointCanonical` it was narrowed from,
+    shared rather than copied.
     """
 
-    __slots__ = ("key", "rename", "indices", "status")
+    __slots__ = ("key", "_joint", "status")
 
-    def __init__(
-        self,
-        key: tuple,
-        rename: dict[Variable, Variable],
-        indices: dict[Variable, int],
-        status: "NormalizeStatus",
-    ):
+    def __init__(self, key: tuple, joint: JointCanonical, status: "NormalizeStatus"):
         self.key = key
-        self.rename = rename
-        self.indices = indices
+        self._joint = joint
         self.status = status
+
+    @property
+    def indices(self) -> dict[Variable, int]:
+        return self._joint.indices
+
+    @property
+    def rename(self) -> dict[Variable, Variable]:
+        return self._joint.rename
 
     @property
     def is_unsatisfiable(self) -> bool:
         return self.status is NormalizeStatus.UNSATISFIABLE
 
     def inverse(self) -> dict[Variable, Variable]:
-        return {canon: orig for orig, canon in self.rename.items()}
+        return self._joint.inverse()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanonicalProblem):
@@ -628,61 +625,63 @@ def canonicalize_problems(problems: Sequence[Problem]) -> JointCanonical:
     the dependence analysis re-issues.
     """
 
-    normalized: list[tuple[list[Constraint], NormalizeStatus]] = []
-    for problem in problems:
-        norm, status = problem.normalized()
-        if status is NormalizeStatus.UNSATISFIABLE:
-            normalized.append(([], status))
-        else:
-            normalized.append((norm.constraints, status))
-
+    EQ = Relation.EQ
+    UNSATISFIABLE = NormalizeStatus.UNSATISFIABLE
+    groups: list[Sequence[Constraint]] = []
+    statuses: list[NormalizeStatus] = []
     occurrences: dict[Variable, list[tuple]] = {}
-    for tag, (constraints, _status) in enumerate(normalized):
+    for tag, problem in enumerate(problems):
+        norm, status = problem.normalized()
+        statuses.append(status)
+        if status is UNSATISFIABLE:
+            groups.append(())
+            continue
+        constraints = norm.constraints
+        groups.append(constraints)
         for constraint in constraints:
-            fingerprint = _skeleton(constraint, tag)
-            for var, coeff in constraint.expr.terms.items():
-                occurrences.setdefault(var, []).append((fingerprint, coeff))
+            expr = constraint.expr
+            terms = expr.terms
+            # A name-free fingerprint of the constraint within the group.
+            fingerprint = (
+                tag,
+                0 if constraint.relation is EQ else 1,
+                expr.constant,
+                tuple(sorted([(v.kind, coeff) for v, coeff in terms.items()])),
+            )
+            for var, coeff in terms.items():
+                found = occurrences.get(var)
+                if found is None:
+                    occurrences[var] = [(fingerprint, coeff)]
+                else:
+                    found.append((fingerprint, coeff))
 
-    signatures = {
-        var: (var.kind, tuple(sorted(found)))
-        for var, found in occurrences.items()
-    }
+    for found in occurrences.values():
+        found.sort()
     ordered = sorted(
-        occurrences, key=lambda v: (signatures[v], v.kind, v.name)
+        occurrences,
+        key=lambda v: ((v.kind, occurrences[v]), v.kind, v.name),
     )
     indices = {var: position for position, var in enumerate(ordered)}
-    rename = {
-        var: Variable(f"__c{position}", var.kind)
-        for var, position in indices.items()
-    }
-    kinds = tuple(var.kind for var in ordered)
+    kinds = tuple([var.kind for var in ordered])
 
     keys: list[tuple] = []
-    for constraints, status in normalized:
-        if status is NormalizeStatus.UNSATISFIABLE:
+    for constraints, status in zip(groups, statuses):
+        if status is UNSATISFIABLE:
             keys.append(_UNSAT_KEY)
             continue
         entries = []
         for constraint in constraints:
-            terms = tuple(
-                sorted(
-                    (indices[v], coeff)
-                    for v, coeff in constraint.expr.terms.items()
-                )
-            )
+            expr = constraint.expr
             entries.append(
                 (
-                    0 if constraint.is_equality else 1,
-                    terms,
-                    constraint.expr.constant,
+                    0 if constraint.relation is EQ else 1,
+                    tuple(
+                        sorted([(indices[v], coeff) for v, coeff in expr.terms.items()])
+                    ),
+                    expr.constant,
                 )
             )
-        keys.append(tuple(sorted(entries)))
+        entries.sort()
+        keys.append(tuple(entries))
 
-    return JointCanonical(
-        tuple(keys),
-        kinds,
-        rename,
-        indices,
-        tuple(status for _constraints, status in normalized),
-    )
+    return JointCanonical(tuple(keys), kinds, indices, tuple(statuses))

@@ -34,6 +34,14 @@ _MAX_PIECES = 256
 _MAX_DEPTH = 200
 
 
+def _false() -> Problem:
+    """The unsatisfiable problem ``FALSE`` (``-1 >= 0``)."""
+
+    unsat = Problem(name="FALSE")
+    unsat.add_ge(-1)
+    return unsat
+
+
 @dataclass
 class Projection:
     """Result of projecting a problem onto a subset of its variables.
@@ -58,9 +66,7 @@ class Projection:
 
         if self.pieces:
             return self.pieces[0]
-        unsat = Problem(name="FALSE")
-        unsat.add_ge(-1)
-        return unsat
+        return _false()
 
     def is_empty(self) -> bool:
         """True iff the projection certainly has no integer points.
@@ -141,7 +147,7 @@ def _project(problem: Problem, kept: frozenset[Variable]) -> Projection:
     pieces: list[Problem] = []
     exact = True
     try:
-        _project_pieces(problem, kept, pieces, 0)
+        real = _project_pieces(problem, kept, pieces, 0)
     except BudgetExhausted:
         # A governed budget ran out: let the exhaustion propagate so the
         # solver service can apply its degradation policy (the dark-only
@@ -149,11 +155,12 @@ def _project(problem: Problem, kept: frozenset[Variable]) -> Projection:
         raise
     except OmegaComplexityError:
         # Give up on exactness: fall back to the dark-shadow-only track,
-        # which is still a sound under-approximation.
+        # which is still a sound under-approximation, and a real-shadow
+        # walk of its own.
         pieces = []
         _project_dark_only(problem, kept, pieces)
         exact = False
-    real = _project_real(problem, kept)
+        real = _project_real(problem, kept)
     splintered = len(pieces) > 1 or not exact
     return Projection(kept, pieces, real, exact_union=exact, splintered=splintered)
 
@@ -195,8 +202,17 @@ def _project_pieces(
     kept: frozenset[Variable],
     out: list[Problem],
     depth: int,
-) -> None:
-    """Append the exact union decomposition of the projection to ``out``."""
+) -> Problem | None:
+    """Append the exact union decomposition of the projection to ``out``.
+
+    The top-level call (``depth == 0``) also returns the Real Shadow T.
+    While every Fourier-Motzkin step is exact, the real and dark shadows
+    coincide, so T is this walk's own final problem; at the first inexact
+    step T continues from that step's real shadow alone.  Either way T is
+    what a separate real-shadow walk would reach along the same
+    elimination path, at the cost of one walk.  Recursive calls return
+    None.
+    """
 
     if depth > _MAX_DEPTH:
         raise OmegaComplexityError(
@@ -207,9 +223,10 @@ def _project_pieces(
             spent=depth,
         )
 
+    top = depth == 0
     outcome = eliminate_equalities(problem, protected=kept)
     if not outcome.satisfiable:
-        return
+        return _false() if top else None
     current = outcome.problem
 
     while True:
@@ -217,9 +234,9 @@ def _project_pieces(
         candidates = _eliminable(current, kept)
         if not candidates:
             normalized, status = current.normalized()
-            if status is not NormalizeStatus.UNSATISFIABLE and is_satisfiable(
-                normalized
-            ):
+            if status is NormalizeStatus.UNSATISFIABLE:
+                return _false() if top else None
+            if is_satisfiable(normalized):
                 if len(out) >= _MAX_PIECES:
                     raise OmegaComplexityError(
                         "projection piece budget exceeded",
@@ -230,24 +247,31 @@ def _project_pieces(
                     )
                 _guard.spend("dnf_size", site="omega.project")
                 out.append(normalized)
-            return
+            # A copy: callers must never share a mutable Problem between
+            # ``real`` and ``pieces[0]``.
+            return normalized.copy() if top else None
         var, _ = choose_variable(current, candidates)
         assert var is not None
         fm = fourier_motzkin(current, var)
         if fm.exact:
             current, status = fm.real.normalized()
             if status is NormalizeStatus.UNSATISFIABLE:
-                return
+                return _false() if top else None
             outcome = eliminate_equalities(current, protected=kept)
             if not outcome.satisfiable:
-                return
+                return _false() if top else None
             current = outcome.problem
             continue
         # pi_var(current) = dark UNION pieces-of-splinters, exactly.
         _project_pieces(fm.dark, kept, out, depth + 1)
         for splinter in fm.splinters:
             _project_pieces(splinter, kept, out, depth + 1)
-        return
+        if not top:
+            return None
+        current, status = fm.real.normalized()
+        if status is NormalizeStatus.UNSATISFIABLE:
+            return _false()
+        return _project_real(current, kept)
 
 
 def _project_dark_only(
@@ -284,9 +308,7 @@ def _project_real(problem: Problem, kept: frozenset[Variable]) -> Problem:
 
     outcome = eliminate_equalities(problem, protected=kept)
     if not outcome.satisfiable:
-        unsat = Problem(name="FALSE")
-        unsat.add_ge(-1)
-        return unsat
+        return _false()
     current = outcome.problem
     while True:
         _guard.checkpoint("omega.project")
@@ -294,21 +316,15 @@ def _project_real(problem: Problem, kept: frozenset[Variable]) -> Problem:
         if not candidates:
             normalized, status = current.normalized()
             if status is NormalizeStatus.UNSATISFIABLE:
-                unsat = Problem(name="FALSE")
-                unsat.add_ge(-1)
-                return unsat
+                return _false()
             return normalized
         var, _ = choose_variable(current, candidates)
         assert var is not None
         fm = fourier_motzkin(current, var, want_splinters=False)
         current, status = fm.real.normalized()
         if status is NormalizeStatus.UNSATISFIABLE:
-            unsat = Problem(name="FALSE")
-            unsat.add_ge(-1)
-            return unsat
+            return _false()
         outcome = eliminate_equalities(current, protected=kept)
         if not outcome.satisfiable:
-            unsat = Problem(name="FALSE")
-            unsat.add_ge(-1)
-            return unsat
+            return _false()
         current = outcome.problem

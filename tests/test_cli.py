@@ -1,7 +1,10 @@
 """CLI tests (python -m repro)."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -867,3 +870,141 @@ class TestOutFlagsCreateParents:
             ]
         ) == 0
         assert json.loads(out.read_text())["legs"]
+
+
+# -- unusable inputs fail cleanly -------------------------------------------
+
+#: Each way a program file can be unusable: (id, set-up returning the path,
+#: text the one-line error must contain).
+BAD_PROGRAMS = [
+    ("missing", lambda tmp: tmp / "nope.loop", "No such file or directory"),
+    ("directory", lambda tmp: tmp, "Is a directory"),
+    (
+        "not-utf8",
+        lambda tmp: _write_bytes(tmp / "latin1.loop", "a(i) := b(é)".encode("latin-1")),
+        "not UTF-8 text",
+    ),
+    (
+        "syntax",
+        lambda tmp: _write_bytes(tmp / "bad.loop", b"for i := 1 to do a(i) := b(i)"),
+        "unexpected DO",
+    ),
+    (
+        "character",
+        lambda tmp: _write_bytes(tmp / "lex.loop", b"for i := 1 to n do a(i) := $"),
+        "unexpected character",
+    ),
+]
+
+
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def assert_clean_error(capsys, path, reason):
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"repro: error: {path}: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1  # one line: no traceback
+    assert captured.out == ""
+
+
+class TestUnusableProgramFiles:
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["trace"], ["parallel"], ["queries"], ["audit"]],
+        ids=lambda command: command[0],
+    )
+    @pytest.mark.parametrize(
+        "make_path, reason",
+        [(make, reason) for _, make, reason in BAD_PROGRAMS],
+        ids=[kind for kind, _, _ in BAD_PROGRAMS],
+    )
+    def test_exits_2_with_one_line(
+        self, command, make_path, reason, tmp_path, capsys
+    ):
+        path = make_path(tmp_path)
+        assert main([*command, str(path)]) == 2
+        assert_clean_error(capsys, path, reason)
+
+    def test_audit_why_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.loop"
+        assert main(["audit", str(path), "--why", "s1", "s2"]) == 2
+        assert_clean_error(capsys, path, "No such file or directory")
+
+    def test_module_entry_point_exits_2(self, tmp_path):
+        path = tmp_path / "nope.loop"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=pathlib.Path(__file__).resolve().parent.parent,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr == (
+            f"repro: error: {path}: No such file or directory\n"
+        )
+
+
+class TestBaselinesLoadBeforeTheRun:
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        import repro.bench
+        import repro.reporting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started before the baseline loaded")
+
+        monkeypatch.setattr(repro.bench, "run_bench", refuse)
+        monkeypatch.setattr(repro.reporting, "precision_report", refuse)
+
+    @pytest.fixture(
+        params=["missing", "directory", "not-json", "wrong-schema", "not-object"]
+    )
+    def bad_baseline(self, request, tmp_path):
+        kind = request.param
+        if kind == "missing":
+            return tmp_path / "missing.json", "No such file or directory"
+        if kind == "directory":
+            return tmp_path, "Is a directory"
+        path = tmp_path / "baseline.json"
+        if kind == "not-json":
+            path.write_text("{not json")
+            return path, "not a JSON artifact"
+        if kind == "wrong-schema":
+            path.write_text(json.dumps({"schema": "repro.other/1"}))
+            return path, "artifact"
+        path.write_text("[1, 2]")
+        return path, "artifact"
+
+    def test_audit_gate(self, bad_baseline, no_runs, capsys):
+        path, reason = bad_baseline
+        assert main(["audit", "--gate", str(path)]) == 2
+        assert_clean_error(capsys, path, reason)
+
+    def test_audit_gate_with_file(self, bad_baseline, no_runs, program_file, capsys):
+        path, reason = bad_baseline
+        assert main(["audit", str(program_file), "--gate", str(path)]) == 2
+        assert_clean_error(capsys, path, reason)
+
+    def test_bench_compare(self, bad_baseline, no_runs, capsys):
+        path, reason = bad_baseline
+        assert main(["bench", "--compare", str(path)]) == 2
+        assert_clean_error(capsys, path, reason)
+
+    def test_bench_against(self, bad_baseline, tmp_path, capsys):
+        good = TestBenchCommand()._artifact(
+            tmp_path / "good.json", {"corpus": {"on": 1.0}}
+        )
+        path, reason = bad_baseline
+        assert main(["bench", "--compare", str(good), "--against", str(path)]) == 2
+        assert_clean_error(capsys, path, reason)
+
+    def test_wrong_schema_names_the_expected_one(self, tmp_path, no_runs, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"schema": "repro.bench/1", "suites": {}}))
+        assert main(["audit", "--gate", str(path)]) == 2
+        assert "not a repro.precision/1 artifact" in capsys.readouterr().err
