@@ -46,7 +46,6 @@ from ..solver import (
     current_service,
     default_cache_enabled,
     default_cache_size,
-    default_workers,
 )
 from .cover import cover_quick_reject, covers_destination, terminates_source
 from .dependences import (
@@ -73,18 +72,16 @@ def _subject(dep: Dependence) -> str:
 @dataclass
 class _ReadSink:
     """Per-read collection of side outputs (explain decisions, timing
-    records, provenance).  Each flow task writes only to its own sink, so
-    tasks can run concurrently; the engine merges sinks in read order
-    afterwards."""
+    records, provenance).  Each per-read task writes only to its own sink;
+    the engine merges sinks in read order afterwards."""
 
     explain: ExplainLog | None
     #: Audit mode only: provenance is collected per read, merged in read
     #: order (the bit-identity contract shared with explain mode).
     audit: bool = False
     #: Event-bus mode: lifecycle entries (kind, subject, stage, detail)
-    #: are *recorded* here on whatever thread runs the task and
-    #: *delivered* to the bus at the engine's read-order merge points,
-    #: so the event stream is bit-identical across worker counts.
+    #: are *recorded* here and *delivered* to the bus at the engine's
+    #: read-order merge points, so the event stream follows read order.
     publish: bool = False
     lifecycle: list[tuple] = field(default_factory=list)
     pair_records: list[PairRecord] = field(default_factory=list)
@@ -148,7 +145,7 @@ class AnalysisOptions:
     #: Record per-dependence provenance (deciding stage, query footprint,
     #: exactness, degradations) in ``result.provenance`` — the precision
     #: audit layer behind ``python -m repro audit``.  Records are
-    #: bit-identical across ``workers`` and cache settings.
+    #: bit-identical across cache and planner settings.
     audit: bool = False
     #: Memoize Omega queries on their canonical form for the duration of
     #: the analysis (bit-identical results either way).  Defaults to on
@@ -160,21 +157,9 @@ class AnalysisOptions:
     #: LRU capacity of the per-analysis cache (``REPRO_CACHE_SIZE`` or
     #: 4096 entries).
     cache_size: int = field(default_factory=default_cache_size)
-    #: Solver worker threads (``REPRO_WORKERS`` or 1).  With 1 the engine
-    #: runs today's exact serial pipeline; with more, independent per-read
-    #: flow tasks and solver batches overlap on a thread pool, merged back
-    #: deterministically in program order (results are identical).
-    workers: int = field(default_factory=default_workers)
-    #: Solver execution backend (``REPRO_BACKEND`` or "thread"): where
-    #: queries physically run.  "serial" pins everything inline, "thread"
-    #: overlaps batches on a dispatcher pool, "process" additionally
-    #: ships raw solver primitives to a process pool (true multi-core;
-    #: see repro.solver.backends).  Results are bit-identical across
-    #: backends.
-    backend: str | None = None
     #: An explicit :class:`repro.solver.SolverService` to use instead of
-    #: building one (advanced: lets callers share a service — and its memo
-    #: — across many ``analyze`` calls).
+    #: building one (advanced: lets callers share a service — and its
+    #: cache — across many ``analyze`` calls).
     solver: "SolverService | None" = None
     #: Wall-clock deadline for the whole analysis, in milliseconds (the
     #: CLI's ``--deadline-ms``).  Implies a governed run: when the
@@ -268,10 +253,7 @@ class Analyzer:
                 service = SolverService.for_options(
                     cache=self.options.cache,
                     cache_size=self.options.cache_size,
-                    workers=self.options.workers,
-                    backend=self.options.backend,
                 )
-                stack.callback(service.close)
             self.service = service
             stack.enter_context(service.activate())
             # Governed runs: an explicit budget/deadline, or an active
@@ -333,7 +315,6 @@ class Analyzer:
                 if stats is not None:
                     self.result.cache_stats = stats
                     _metrics.set_gauge("omega.cache.size", stats["size"])
-            self.result.backend_stats = dict(service.backend.info())
         return self.result
 
     # -- provenance assembly (audit mode) -------------------------------
@@ -448,9 +429,8 @@ class Analyzer:
     def _emit_run_end(self) -> None:
         """Deliver run-level terminal events, deterministically ordered.
 
-        Degradation events are sorted (the log's order depends on worker
-        scheduling under pipelined services) so the event stream stays
-        bit-identical across worker counts.
+        Degradation events are sorted by (subject, kind, answer), so the
+        stream does not depend on the order queries degraded in.
         """
 
         if self.result.degradations is not None:
@@ -687,11 +667,9 @@ class Analyzer:
         self, reads: Sequence[Access], writes: Sequence[Access]
     ) -> None:
         # Each read's pipeline (pairs -> cover -> terminators -> kills) is
-        # independent of every other read's, so the reads are fanned out as
-        # service tasks — concurrent when the service is pipelined, inline
-        # and in order when serial — and their sinks are merged back into
-        # the shared result strictly in program (read) order, keeping the
-        # output deterministic regardless of completion order.
+        # independent of every other read's; the reads run as counted
+        # service tasks and their sinks are merged back into the shared
+        # result in program (read) order.
         outcomes = self.service.map(
             lambda read: self._analyze_read(read, writes), reads
         )
@@ -744,7 +722,7 @@ class Analyzer:
             # Records are assembled from the dependences' *final* state —
             # after cover/terminator/kill elimination.  Independent pairs
             # come first (in write-scan order), then every dependence of
-            # this read, both deterministic at any workers setting.
+            # this read.
             for src, dst in sink.independents:
                 sink.provenance.append(
                     self._independent_record(DependenceKind.FLOW, src, dst)

@@ -123,21 +123,19 @@ def baseline_dependences(program: Program) -> BaselineResult:
     return result
 
 
-def compare_with_omega(program: Program, *, workers: int = 1) -> dict[str, int]:
+def compare_with_omega(program: Program) -> dict[str, int]:
     """Counts comparing the baselines against the Omega-based analysis.
 
     Returns counts of flow-dependence pairs reported by (a) the classical
     combined test, (b) the Omega test without kills ("standard"), and
-    (c) the Omega test with the paper's extended analysis ("live").  Both
-    Omega runs go through the solver service with ``workers`` threads
-    (counts are identical at any setting).
+    (c) the Omega test with the paper's extended analysis ("live").
     """
 
     from ..analysis import AnalysisOptions, analyze
 
     baseline = baseline_dependences(program)
-    standard = analyze(program, AnalysisOptions(extended=False, workers=workers))
-    extended = analyze(program, AnalysisOptions(workers=workers))
+    standard = analyze(program, AnalysisOptions(extended=False))
+    extended = analyze(program, AnalysisOptions())
     standard_pairs = {(d.src, d.dst) for d in standard.flow}
     live_pairs = {(d.src, d.dst) for d in extended.live_flow()}
     return {

@@ -32,7 +32,6 @@ from .harness import (
     HISTORY_SCHEMA,
     PLANNER_SPEEDUP_THRESHOLD,
     SCHEMA,
-    WORKERS_SPEEDUP_THRESHOLD,
     BenchReport,
     LegResult,
     SuiteResult,
@@ -44,7 +43,6 @@ from .harness import (
     profile_suites,
     render_report,
     run_bench,
-    workers_speedup_gate,
 )
 from .serve import (
     SERVE_BENCH_SCHEMA,
@@ -61,7 +59,6 @@ __all__ = [
     "HISTORY_SCHEMA",
     "PLANNER_SPEEDUP_THRESHOLD",
     "SCHEMA",
-    "WORKERS_SPEEDUP_THRESHOLD",
     "DEFAULT_THRESHOLD",
     "append_history",
     "history_entry",
@@ -81,5 +78,4 @@ __all__ = [
     "profile_suites",
     "render_report",
     "run_bench",
-    "workers_speedup_gate",
 ]

@@ -14,18 +14,12 @@ populations of the paper's timing study:
     under the ``50 <= n <= 100`` assertion and Example 8's index-array
     queries.
 
-A suite's ``run(cache, workers, planner, backend)`` callable performs one
-timed iteration.  The ``cache`` flag selects the solver-cache leg;
-``workers`` selects the solver-service worker count (the parallel leg);
-``planner`` selects the single-pass query planner (the ``legacy`` leg
-turns it off to time the per-pair path); ``backend`` selects the solver
-execution backend (the ``process`` leg runs Omega primitives on a
-process pool).  With ``workers > 1`` the
-corpus runs under one explicit :class:`repro.solver.SolverService` scope,
-so the service's dedup memo is shared across the corpus programs within
-the iteration — the state the parallel leg is designed to exploit.  State
-never leaks *between* iterations (the service, like the symbolic suite's
-cache scope, is rebuilt per call), so trials stay independent and cold.
+A suite's ``run(cache, planner)`` callable performs one timed
+iteration.  The ``cache`` flag selects the solver-cache leg; ``planner``
+selects the single-pass query planner (the ``legacy`` leg turns it off to
+time the per-pair path).  State never leaks *between* iterations (the
+symbolic suite's cache scope is rebuilt per call), so trials stay
+independent and cold.
 """
 
 from __future__ import annotations
@@ -38,14 +32,13 @@ from ..analysis import AnalysisOptions, DependenceKind, analyze
 from ..analysis.symbolic import dependence_conditions, generate_query
 from ..omega import SolverCache, Variable, caching, le
 from ..programs import cholsky, example7, example8, timing_corpus
-from ..solver import SolverService
 
 __all__ = ["SUITES", "Suite", "default_suites"]
 
 
 @dataclass(frozen=True)
 class Suite:
-    """One benchmarkable workload; ``run(cache, workers)`` is a single
+    """One benchmarkable workload; ``run(cache, planner)`` is a single
     iteration."""
 
     name: str
@@ -53,52 +46,20 @@ class Suite:
     run: Callable[..., None]
 
 
-def _run_corpus(
-    cache: bool,
-    workers: int = 1,
-    planner: bool = True,
-    backend: str | None = None,
-) -> None:
-    options = AnalysisOptions(
-        cache=cache, workers=workers, planner=planner, backend=backend
-    )
-    if workers > 1:
-        service = SolverService(workers=workers, cache=cache, backend=backend)
-        try:
-            with service.activate():
-                for program in timing_corpus():
-                    analyze(program, options)
-        finally:
-            service.close()
-        return
+def _run_corpus(cache: bool, planner: bool = True) -> None:
+    options = AnalysisOptions(cache=cache, planner=planner)
     for program in timing_corpus():
         analyze(program, options)
 
 
-def _run_cholsky(
-    cache: bool,
-    workers: int = 1,
-    planner: bool = True,
-    backend: str | None = None,
-) -> None:
-    analyze(
-        cholsky(),
-        AnalysisOptions(
-            cache=cache, workers=workers, planner=planner, backend=backend
-        ),
-    )
+def _run_cholsky(cache: bool, planner: bool = True) -> None:
+    analyze(cholsky(), AnalysisOptions(cache=cache, planner=planner))
 
 
-def _run_symbolic(
-    cache: bool,
-    workers: int = 1,
-    planner: bool = True,
-    backend: str | None = None,
-) -> None:
-    # ``planner`` and ``backend`` are accepted for leg-signature
-    # uniformity but have no effect: the symbolic suite drives the solver
-    # directly, without the analysis engine or a solver service, so there
-    # is no pair traversal to plan and no service to re-backend.
+def _run_symbolic(cache: bool, planner: bool = True) -> None:
+    # ``planner`` is accepted for leg-signature uniformity but has no
+    # effect: the symbolic suite drives the solver directly, without the
+    # analysis engine, so there is no pair traversal to plan.
     scope = caching(SolverCache()) if cache else nullcontext()
     with scope:
         program = example7()

@@ -16,8 +16,7 @@ Commands
     (``--event-sample`` keeps a deterministic fraction), ``--prom-out``
     writes a Prometheus text-format exposition and ``--otlp-out`` an
     OTLP-style span JSONL.  ``--no-cache`` disables the solver result
-    cache, ``--no-planner`` falls back to the per-pair analysis path,
-    and ``--workers N`` runs the solver service with N worker threads
+    cache and ``--no-planner`` falls back to the per-pair analysis path
     (identical results).
 
 ``trace FILE``
@@ -36,7 +35,7 @@ Commands
 
 ``bench``
     Run the benchmark harness over the paper corpus (cache on/off,
-    parallel, governed and per-pair "legacy" legs, warmup + trials,
+    governed and per-pair "legacy" legs, warmup + trials,
     median/IQR) and write the canonical
     ``BENCH_omega.json`` artifact plus a ``results/`` table, appending a
     one-line summary to ``results/bench_history.jsonl``.
@@ -95,6 +94,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
@@ -130,6 +130,37 @@ from .obs.telemetry.ledger import DEFAULT_LEDGER
 from .reporting import flow_tables
 
 __all__ = ["main", "build_parser"]
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}: {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (rejects nan and inf)."""
+
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number: {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,28 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     analyze_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "solver service worker threads (default: REPRO_WORKERS or 1; "
-            "results are identical at any setting)"
-        ),
-    )
-    analyze_cmd.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help=(
-            "solver execution backend (default: REPRO_BACKEND or thread); "
-            "process escapes the GIL by running Omega primitives on a "
-            "process pool — results are identical on every backend"
-        ),
-    )
-    analyze_cmd.add_argument(
         "--deadline-ms",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="MS",
         help=(
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_cmd.add_argument(
         "--trials",
-        type=int,
+        type=_int_at_least(1),
         default=5,
         help="timed trials per suite and cache leg (default: 5)",
     )
@@ -484,29 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     audit_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="solver worker threads (provenance is identical at any setting)",
-    )
-    audit_cmd.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help=(
-            "solver execution backend (default: REPRO_BACKEND or thread; "
-            "provenance is identical on every backend)"
-        ),
-    )
-    audit_cmd.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the solver cache (provenance is identical either way)",
     )
     audit_cmd.add_argument(
         "--deadline-ms",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="MS",
         help=(
@@ -566,28 +561,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--max-inflight",
-        type=int,
+        type=_int_at_least(1),
         default=4,
         metavar="N",
         help="concurrent requests in execution (default: 4)",
     )
     serve_cmd.add_argument(
         "--queue-depth",
-        type=int,
+        type=_int_at_least(0),
         default=16,
         metavar="N",
         help="requests allowed to wait for a slot (default: 16)",
     )
     serve_cmd.add_argument(
         "--queue-timeout-s",
-        type=float,
+        type=_positive_float,
         default=1.0,
         metavar="S",
         help="longest a request may wait before shedding (default: 1.0)",
     )
     serve_cmd.add_argument(
         "--default-deadline-ms",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="MS",
         help=(
@@ -597,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--max-deadline-ms",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="MS",
         help="hard cap on any requested deadline_ms",
@@ -620,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_bench_cmd.add_argument(
         "--trials",
-        type=int,
+        type=_int_at_least(1),
         default=3,
         help="timed submissions per corpus program and leg (default: 3)",
     )
@@ -764,10 +759,6 @@ def _cmd_analyze(args) -> int:
         options.cache = False
     if args.no_planner:
         options.planner = False
-    if args.workers is not None:
-        options.workers = args.workers
-    if args.backend is not None:
-        options.backend = args.backend
     if args.deadline_ms is not None:
         options.deadline_ms = args.deadline_ms
     if args.strict:
@@ -800,18 +791,11 @@ def _cmd_analyze(args) -> int:
 
             store = PersistentStore(args.store)
             stack.callback(store.close)
-            # Serial caching runs adopt the enclosing scope's cache, which
-            # is how the persistent tier reaches the solver; pipelined
-            # (--workers N) runs keep their own memo and skip the store.
+            # Caching runs adopt the enclosing scope's cache, which is
+            # how the persistent tier reaches the solver.
             stack.enter_context(
                 caching(SolverCache(options.cache_size, store=store))
             )
-            if (options.workers or 1) > 1:
-                print(
-                    "note: --store applies to serial runs; "
-                    f"--workers {options.workers} will not consult it",
-                    file=sys.stderr,
-                )
         try:
             result = analyze(program, options)
         except BudgetExhausted as failure:
@@ -884,22 +868,6 @@ def _cmd_analyze(args) -> int:
                         f"{tier['writes']} writes, {tier['errors']} errors "
                         f"({tier['path']})"
                         + (" DISABLED" if tier.get("disabled") else "")
-                    )
-            if result.backend_stats is not None:
-                backend = result.backend_stats
-                line = f"solver backend: {backend.get('name', '?')}"
-                if "dispatched" in backend:
-                    line += f", {backend['dispatched']} dispatched"
-                if backend.get("inline_fallbacks"):
-                    line += (
-                        f", {backend['inline_fallbacks']} inline fallbacks"
-                    )
-                print(line)
-                if backend.get("broken"):
-                    print(
-                        "WARNING: the process pool broke during this run; "
-                        "remaining queries fell back to inline execution "
-                        "(results are still exact)."
                     )
     if args.trace_out and tracer is not None:
         args.trace_out.parent.mkdir(parents=True, exist_ok=True)
@@ -980,7 +948,6 @@ def _cmd_bench(args) -> int:
         profile_suites,
         render_report,
         run_bench,
-        workers_speedup_gate,
     )
 
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
@@ -1046,9 +1013,7 @@ def _cmd_bench(args) -> int:
     print(guard_message)
     planner_ok, planner_message = planner_speedup_gate(report)
     print(planner_message)
-    workers_ok, workers_message = workers_speedup_gate(report)
-    print(workers_message)
-    gates_ok = guard_ok and planner_ok and workers_ok
+    gates_ok = guard_ok and planner_ok
 
     if args.profile:
         profile = profile_suites(suites)
@@ -1100,10 +1065,6 @@ def _cmd_audit(args) -> int:
         options = AnalysisOptions(audit=True)
         if args.no_cache:
             options.cache = False
-        if args.workers is not None:
-            options.workers = args.workers
-        if args.backend is not None:
-            options.backend = args.backend
         if args.deadline_ms is not None:
             options.deadline_ms = args.deadline_ms
         if args.strict:
@@ -1136,7 +1097,6 @@ def _cmd_audit(args) -> int:
 
     # Load the baseline before the run, so a bad path costs nothing.
     baseline = None if args.gate is None else load_baseline(args.gate)
-    workers = args.workers if args.workers is not None else 1
     cache = False if args.no_cache else None
     if args.file is not None:
         programs = [_load(args.file)]
@@ -1152,9 +1112,7 @@ def _cmd_audit(args) -> int:
             stack.enter_context(collecting(registry))
         artifact = precision_report(
             programs,
-            workers=workers,
             cache=cache,
-            backend=args.backend,
             progress=lambda name: print(f"audit: {name}", file=sys.stderr),
         )
         if ledger is not None:

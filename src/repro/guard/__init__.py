@@ -35,14 +35,13 @@ from .budget import (
     spend,
     subject,
 )
-from .faults import FaultInjected, FaultPlan, injecting, plan_from_env, suppressed
+from .faults import FaultPlan, injecting, plan_from_env
 
 __all__ = [
     "Budget",
     "BudgetExhausted",
     "DegradationEvent",
     "DegradationLog",
-    "FaultInjected",
     "FaultPlan",
     "Governor",
     "OmegaComplexityError",
@@ -54,5 +53,4 @@ __all__ = [
     "plan_from_env",
     "spend",
     "subject",
-    "suppressed",
 ]

@@ -10,16 +10,15 @@ from the final analysis state plus that query footprint — which stage
 decided the pair, the deciding direction-vector node, whether the answer
 was exact, and every budget degradation that touched it.
 
-Two invariants keep the records **bit-identical** across ``workers`` 1
-vs N and cache on/off (an acceptance criterion, regression-tested):
+Two invariants keep the records **bit-identical** across cache on/off
+and planner on/off (an acceptance criterion, regression-tested):
 
 * Footprints are order-independent aggregates — per-kind query counters
-  and reason *sets* — because batch cells settle in nondeterministic
-  order on the worker pool.
+  and reason *sets* — so the order queries settle in cannot show.
 * Noting happens once per query *call* at the service result boundary,
-  whether the value was computed, replayed from the identity memo, or
-  awaited in flight — so memo hits leave the same footprint as misses
-  and cache configuration cannot change a record.
+  whether the value was computed or replayed from a cache — so cache
+  hits leave the same footprint as misses and cache configuration
+  cannot change a record.
 
 This module deliberately imports nothing above :mod:`repro.obs`; callers
 (the solver service, the analysis stages) pass the attribution subject
@@ -33,7 +32,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-from . import instrument as _instr
 
 __all__ = [
     "AuditLog",
@@ -89,14 +87,13 @@ class QueryFootprint:
 
 
 class AuditLog:
-    """Thread-safe collection of per-subject query footprints.
+    """Collection of per-subject query footprints.
 
-    One log spans one analysis run; the solver service feeds it from
-    whichever thread executes the query, so all mutation is lock-guarded.
+    One log spans one analysis run; the solver service feeds it as each
+    query settles.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.footprints: dict[str | None, QueryFootprint] = {}
 
     def note_query(
@@ -110,20 +107,18 @@ class AuditLog:
     ) -> None:
         """Record one query outcome against ``subject``."""
 
-        with self._lock:
-            footprint = self.footprints.setdefault(subject, QueryFootprint())
-            footprint.queries[kind] = footprint.queries.get(kind, 0) + 1
-            if splintered:
-                footprint.splintered += 1
-            if not exact:
-                footprint.inexact_reasons.add(reason or "inexact")
+        footprint = self.footprints.setdefault(subject, QueryFootprint())
+        footprint.queries[kind] = footprint.queries.get(kind, 0) + 1
+        if splintered:
+            footprint.splintered += 1
+        if not exact:
+            footprint.inexact_reasons.add(reason or "inexact")
 
     def note_conservative(self, subject: str | None, reason: str) -> None:
         """Record a conservative bail-out (no query counted)."""
 
-        with self._lock:
-            footprint = self.footprints.setdefault(subject, QueryFootprint())
-            footprint.inexact_reasons.add(reason)
+        footprint = self.footprints.setdefault(subject, QueryFootprint())
+        footprint.inexact_reasons.add(reason)
 
     def footprint_for(self, subject: str) -> QueryFootprint:
         """The merged footprint of ``subject`` and its kill sub-subjects.
@@ -134,10 +129,9 @@ class AuditLog:
 
         merged = QueryFootprint()
         prefix = f"kill: {subject} by "
-        with self._lock:
-            for key, footprint in self.footprints.items():
-                if key == subject or (key is not None and key.startswith(prefix)):
-                    merged.merge(footprint)
+        for key, footprint in self.footprints.items():
+            if key == subject or (key is not None and key.startswith(prefix)):
+                merged.merge(footprint)
         return merged
 
 
@@ -297,8 +291,7 @@ def current_audit() -> AuditLog | None:
 
 @contextmanager
 def auditing(log: AuditLog) -> Iterator[AuditLog]:
-    """Activate ``log`` for the enclosed calls on this thread.  The solver
-    service propagates the activation to its worker threads."""
+    """Activate ``log`` for the enclosed calls on this thread."""
 
     _active.stack.append(log)
     try:
@@ -318,22 +311,3 @@ def note_conservative(subject: str | None, reason: str) -> None:
     log = current_audit()
     if log is not None:
         log.note_conservative(subject, reason)
-
-
-# -- cross-thread propagation ------------------------------------------
-def _propagated_audit_stack():
-    stack = list(_active.stack)
-
-    @contextmanager
-    def install() -> Iterator[None]:
-        saved = _active.stack
-        _active.stack = list(stack)
-        try:
-            yield
-        finally:
-            _active.stack = saved
-
-    return install
-
-
-_instr.register_context(_propagated_audit_stack)

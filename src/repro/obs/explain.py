@@ -72,10 +72,10 @@ class ExplainLog:
     def merge(self, other: "ExplainLog") -> "ExplainLog":
         """Append another log's decisions, preserving their order.
 
-        This is the engine's determinism contract for parallel runs: each
-        per-read task records into its own private log, and the engine
-        merges the logs strictly in program (read) order — so the combined
-        trail is bit-identical at any ``workers`` setting.
+        This is the engine's determinism contract: each per-read task
+        records into its own private log, and the engine merges the logs
+        strictly in program (read) order — so the combined trail follows
+        read order on both the planned and the per-pair path.
         """
 
         self.decisions.extend(other.decisions)

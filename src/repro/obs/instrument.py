@@ -10,28 +10,13 @@ plus, in the engine, the tracer plumbing (``Tracer`` / ``tracing`` /
 ``metrics``, ``span`` (and friends) from here, so the boilerplate lives in
 exactly one place and the obs fast paths (:func:`repro.obs.off`) stay the
 single source of truth for "is anything collecting?".
-
-It also owns **cross-thread context propagation** for the solver service's
-worker pool.  Tracers, metrics registries and span stacks are thread-local
-by design; when :class:`repro.solver.SolverService` fans work out to a
-``concurrent.futures`` pool, the submitting thread calls :func:`capture`
-and each worker enters the returned context so spans and counters recorded
-on the worker land in the same tracers/registries as the rest of the run.
-Other thread-local stacks (the omega solver cache, the solver service
-stack) register themselves via :func:`register_context` to ride along
-without this module depending on those layers.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
-from typing import Callable, ContextManager, Iterator
-
 from . import off
 from . import metrics
-from .metrics import _registries as _metric_registries
 from .trace import Tracer, span, tracing
-from .trace import _state as _trace_state
 from .trace import active as tracing_active
 
 __all__ = [
@@ -41,53 +26,4 @@ __all__ = [
     "Tracer",
     "tracing",
     "tracing_active",
-    "capture",
-    "register_context",
 ]
-
-#: Extra thread-local contexts to propagate across worker threads.  Each
-#: provider is called on the *submitting* thread and returns a factory;
-#: the factory builds one context manager per worker entry that installs
-#: the captured state for the duration of the task.
-_providers: list[Callable[[], Callable[[], ContextManager]]] = []
-
-
-def register_context(
-    provider: Callable[[], Callable[[], ContextManager]]
-) -> None:
-    """Register a thread-local context to propagate to worker threads."""
-
-    _providers.append(provider)
-
-
-def capture() -> Callable[[], ContextManager]:
-    """Snapshot this thread's observability context for a worker task.
-
-    Returns a context-manager factory: entering it on another thread makes
-    the submitting thread's tracers and metrics registries (plus any
-    :func:`register_context` extras) active there, and restores that
-    thread's own state on exit.  Span *stacks* are deliberately not
-    propagated — spans recorded on a worker start a fresh tree on that
-    thread, which keeps per-thread span-tree reconstruction well-formed.
-    """
-
-    tracers = list(_trace_state.tracers)
-    registries = list(_metric_registries.stack)
-    extras = [provider() for provider in _providers]
-
-    @contextmanager
-    def enter() -> Iterator[None]:
-        saved_tracers = _trace_state.tracers
-        saved_registries = _metric_registries.stack
-        _trace_state.tracers = tracers
-        _metric_registries.stack = registries
-        try:
-            with ExitStack() as stack:
-                for factory in extras:
-                    stack.enter_context(factory())
-                yield
-        finally:
-            _trace_state.tracers = saved_tracers
-            _metric_registries.stack = saved_registries
-
-    return enter

@@ -79,14 +79,7 @@ CATALOG: tuple[str, ...] = (
     "solver.batches",
     "solver.batch.queries",
     "solver.batch.dedup_hits",
-    "solver.batch.inflight_hits",
-    "solver.memo.hits",
-    "solver.memo.misses",
-    "solver.memo.evictions",
     "solver.tasks",
-    # Execution backends (repro.solver.backends).
-    "solver.backend.dispatched",
-    "solver.backend.fallbacks",
     # Query planner (repro.analysis.plan / repro.solver.plan).
     "solver.plan.groups",
     "solver.plan.pairs_planned",
@@ -101,10 +94,6 @@ CATALOG: tuple[str, ...] = (
     "guard.budget_exhausted",
     "guard.degradations",
     "guard.faults_injected",
-    "guard.worker_failures",
-    "guard.worker_retries",
-    "guard.worker_restarts",
-    "guard.batch_crashes",
     # Analysis pipeline.
     "analysis.pairs_analyzed",
     "analysis.dependences_found",
@@ -278,8 +267,9 @@ class MetricsRegistry:
         self.counters: dict[str, int] = dict.fromkeys(catalog, 0)
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
-        # A registry propagated to solver worker threads receives records
-        # from several threads at once; the lock keeps updates atomic.
+        # A registry shared by the serve daemon's handler threads receives
+        # records from several threads at once; the lock keeps updates
+        # atomic.
         self._lock = threading.Lock()
 
     # -- recording ------------------------------------------------------
@@ -335,7 +325,7 @@ class MetricsRegistry:
 
         Ordering is a contract: counters, then gauges, then histograms,
         each section sorted by name — so ``--stats`` output, run-record
-        snapshots and diffs are stable across worker counts and runs.
+        snapshots and diffs are stable across runs.
         """
 
         width = max(

@@ -5,12 +5,12 @@ per-run artifacts): everything needed to reason about analysis runs
 *across* invocations —
 
 :mod:`repro.obs.telemetry.context`
-    :class:`RunContext` (run_id / request_id), propagated through solver
-    worker threads like tracers and registries.
+    :class:`RunContext` (run_id / request_id), activated per thread like
+    tracers and registries.
 :mod:`repro.obs.telemetry.ledger`
     ``repro.run/1`` run records appended to ``results/runs.jsonl`` by
     every CLI invocation, with a :func:`stable_view` projection that is
-    bit-identical across worker counts and cache settings.
+    bit-identical across cache settings.
 :mod:`repro.obs.telemetry.events`
     The live :class:`EventBus`: per-pair lifecycle events with
     deterministic content-hash sampling, delivered in read-merge order.

@@ -8,15 +8,6 @@ makes it visible to the ledger (run records carry the id), the event bus
 (every event is stamped) and the exporters (the OTLP trace id derives
 from it).
 
-The context rides the same cross-thread propagation as tracers and
-metrics registries: this module registers a provider with
-:func:`repro.obs.instrument.register_context`, so when the
-:class:`repro.solver.SolverService` fans work out to its thread pool the
-submitting thread's context is installed on each worker for the duration
-of the task.  Spans, counters and events recorded on a worker are
-therefore attributable to the originating request without any plumbing
-in the solver itself.
-
 Like every other obs stack, the context stack is thread-local and the
 fast path is one list check: :func:`current_run` returns ``None``
 immediately when nothing is active.
@@ -30,7 +21,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from .. import instrument as _instr
 
 __all__ = [
     "RunContext",
@@ -80,7 +70,6 @@ def run_context(context: RunContext | None = None) -> Iterator[RunContext]:
     """Activate a run context for the enclosed calls (on this thread).
 
     Without an argument a fresh ``RunContext(new_run_id())`` is built.
-    The context propagates to solver worker threads automatically.
     """
 
     context = context if context is not None else RunContext(new_run_id())
@@ -89,23 +78,3 @@ def run_context(context: RunContext | None = None) -> Iterator[RunContext]:
         yield context
     finally:
         _contexts.stack.pop()
-
-
-def _propagated_context():
-    """Context provider: carry the run-context stack to worker threads."""
-
-    stack = list(_contexts.stack)
-
-    @contextmanager
-    def install() -> Iterator[None]:
-        saved = _contexts.stack
-        _contexts.stack = stack
-        try:
-            yield
-        finally:
-            _contexts.stack = saved
-
-    return install
-
-
-_instr.register_context(_propagated_context)

@@ -43,7 +43,7 @@ _COUNTER_FLOOR = 0.5
 #: drown the report); ``obs.*`` counters measure the telemetry pipeline
 #: itself and shift with the flags a run was invoked with, never with
 #: the analysis under comparison.
-_CACHE_COUNTERS = ("omega.cache.", "solver.memo.", "obs.")
+_CACHE_COUNTERS = ("omega.cache.", "obs.")
 
 #: Per-layer weights for generic counter log-ratio scoring.
 _COUNTER_WEIGHTS = (
@@ -203,12 +203,8 @@ def _quantile_sums(record: dict) -> dict:
 
 
 def _hit_rate(counters: dict) -> float | None:
-    hits = counters.get("omega.cache.hits", 0) + counters.get(
-        "solver.memo.hits", 0
-    )
-    misses = counters.get("omega.cache.misses", 0) + counters.get(
-        "solver.memo.misses", 0
-    )
+    hits = counters.get("omega.cache.hits", 0)
+    misses = counters.get("omega.cache.misses", 0)
     total = hits + misses
     if total == 0:
         return 0.0
@@ -374,8 +370,6 @@ def _diff_bench_timing(
             )
         for ratio, better_high in (
             ("cache_speedup", True),
-            ("workers_speedup", True),
-            ("process_speedup", True),
             ("planner_speedup", True),
             ("guard_overhead", False),
         ):

@@ -9,20 +9,18 @@ user callback or a JSONL sink (:class:`JsonlSink`), ready for tailing,
 
 Determinism contract — the property regression tests pin down:
 
-* Events are *recorded* wherever the work runs (possibly a solver worker
-  thread) but *delivered* at the engine's read-order merge points, so
-  the stream is bit-identical across worker counts.
+* Pair events are *recorded* per read and *delivered* at the engine's
+  read-order merge points, so the stream is bit-identical across cache
+  and planner settings.
 * Sequence numbers are assigned at delivery, and the default payload
   carries no wall-clock timestamps.
 * Sampling is content-hashed (CRC-32 of the pair subject), never
-  random: the same pairs are kept at the same rate on every run and
-  every worker count.  Run-level events (``run.*``, ``degradation``,
+  random: the same pairs are kept at the same rate on every run.  Run-level events (``run.*``, ``degradation``,
   ``planner.fallback``) are always delivered.
 
 Activate a bus with :func:`publishing`; instrumented code finds it via
 :func:`current_bus` (one thread-local list check when disabled, keeping
-the obs-off fast path intact).  The bus stack propagates to solver
-worker threads like every other obs context.
+the obs-off fast path intact).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import zlib
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-from .. import instrument as _instr
 from ..instrument import metrics as _metrics
 from .context import current_run
 
@@ -146,12 +143,11 @@ class EventBus:
             self.sink(event)
 
     def emit_pending(self, pending: list[tuple]) -> None:
-        """Deliver events recorded off-thread, in their recorded order.
+        """Deliver events recorded per read, in their recorded order.
 
         Each entry is ``(kind, subject, stage, detail)`` — the shape
-        :class:`repro.analysis.engine._ReadSink` accumulates — so worker
-        threads never touch the bus and delivery order is the engine's
-        deterministic merge order.
+        :class:`repro.analysis.engine._ReadSink` accumulates — so delivery
+        order is the engine's deterministic merge order.
         """
 
         for kind, subject, stage, detail in pending:
@@ -183,23 +179,3 @@ def publishing(bus: EventBus | None = None) -> Iterator[EventBus]:
         yield bus
     finally:
         _buses.stack.pop()
-
-
-def _propagated_bus():
-    """Context provider: carry the bus stack to worker threads."""
-
-    stack = list(_buses.stack)
-
-    @contextmanager
-    def install() -> Iterator[None]:
-        saved = _buses.stack
-        _buses.stack = stack
-        try:
-            yield
-        finally:
-            _buses.stack = saved
-
-    return install
-
-
-_instr.register_context(_propagated_bus)

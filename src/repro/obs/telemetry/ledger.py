@@ -18,11 +18,11 @@ for backward compatibility.
 **Stable vs volatile fields.**  A record is one run's honest snapshot,
 so most of it is volatile by nature: timestamps, machine details,
 latency quantiles, and any counter whose value depends on the cache
-layer or worker count (``omega.cache.*`` exists only in serial mode,
-``solver.memo.*`` only pipelined, ``solver.plan.cores_*`` settle in
-racy order).  :func:`stable_view` projects out the *stable* subset —
-the analysis-semantics counters and summaries that are bit-identical
-across workers {1, 4} and cache on/off — which is what the determinism
+layer (``omega.cache.*`` counts only when caching is on,
+``solver.plan.cores_*`` depend on what the cache already answered).
+:func:`stable_view` projects out the *stable* subset — the
+analysis-semantics counters and summaries that are bit-identical across
+cache on/off — which is what the determinism
 regression tests compare and what ``diff --gate`` judges without a
 tolerance threshold.
 """
@@ -58,13 +58,13 @@ RUN_SCHEMA = "repro.run/1"
 #: Default ledger location (relative to the invocation directory).
 DEFAULT_LEDGER = pathlib.Path("results/runs.jsonl")
 
-#: Counter prefixes that are bit-identical across worker counts and
-#: cache settings: pure analysis semantics and audited precision.
+#: Counter prefixes that are bit-identical across cache settings: pure
+#: analysis semantics and audited precision.
 STABLE_COUNTER_PREFIXES = ("analysis.", "omega.precision.")
 
 #: Individual stable counters: call-site-driven service/planner totals
-#: (every query submission and plan construction happens on the main
-#: thread in deterministic order, whatever executes it).
+#: (every query submission and plan construction happens in
+#: deterministic order, whatever answers it).
 STABLE_COUNTERS = frozenset(
     {
         "solver.queries",
@@ -123,8 +123,6 @@ _OPTION_FIELDS = (
     "audit",
     "cache",
     "cache_size",
-    "workers",
-    "backend",
     "deadline_ms",
     "policy",
     "planner",
@@ -217,8 +215,6 @@ def _bench_summary(artifact: dict) -> tuple[dict, dict]:
         }
         for ratio in (
             "cache_speedup",
-            "workers_speedup",
-            "process_speedup",
             "guard_overhead",
             "planner_speedup",
         ):
@@ -283,15 +279,6 @@ def run_record(
     }
     if result is not None:
         record["summary"] = _result_summary(result)
-        # The execution backend's counters (dispatch totals, the process
-        # pool's broken latch, inline fallbacks) ride at the top level,
-        # NOT inside summary: stable_view keeps summary, and backend
-        # behavior is precisely the configuration-dependent detail the
-        # stable projection must drop.  This is where a silent
-        # broken-pool fallback becomes visible in production ledgers.
-        backend = getattr(result, "backend_stats", None)
-        if backend is not None:
-            record["backend"] = backend
     if artifact is not None:
         schema = artifact.get("schema", "")
         if schema.startswith("repro.bench/"):
@@ -305,13 +292,13 @@ def run_record(
 
 
 def stable_view(record: dict) -> dict:
-    """The worker/cache-independent projection of one run record.
+    """The cache-independent projection of one run record.
 
     Keeps the kind, program, summary and the stable counter subset
     (:data:`STABLE_COUNTER_PREFIXES` / :data:`STABLE_COUNTERS`); drops
     identity, timing, machine and every configuration-dependent series.
-    The ``workers``, ``cache`` and ``backend`` options are elided too —
-    they *are* the configuration under comparison.
+    The ``cache`` and ``cache_size`` options are elided too — they *are*
+    the configuration under comparison.
     """
 
     options = record.get("options")
@@ -319,7 +306,7 @@ def stable_view(record: dict) -> dict:
         options = {
             key: value
             for key, value in sorted(options.items())
-            if key not in ("workers", "cache", "cache_size", "backend")
+            if key not in ("cache", "cache_size")
         }
     counters = {}
     metrics = record.get("metrics")

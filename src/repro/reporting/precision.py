@@ -13,8 +13,8 @@ from the provenance records.
 :func:`compare_precision` is the CI gate, in :mod:`repro.bench.compare`
 style: it fails when the elimination rate drops (more live pairs than the
 committed artifact) or when any exact answer becomes inexact.  Counts are
-integers and the audit layer is bit-identical across workers/cache
-settings, so the gate needs no tolerance threshold.
+integers and the audit layer is bit-identical across cache settings, so
+the gate needs no tolerance threshold.
 """
 
 from __future__ import annotations
@@ -98,9 +98,7 @@ def _pair_key(record: ProvenanceRecord) -> tuple[str, str]:
 def audit_program(
     program: Program,
     *,
-    workers: int = 1,
     cache: bool | None = None,
-    backend: str | None = None,
 ) -> tuple[dict, AnalysisResult]:
     """One program's precision section, plus the audited analysis result.
 
@@ -109,7 +107,7 @@ def audit_program(
     record-level verdict/exactness breakdown rides alongside.
     """
 
-    options = AnalysisOptions(audit=True, workers=workers, backend=backend)
+    options = AnalysisOptions(audit=True)
     if cache is not None:
         options.cache = cache
     result = analyze(program, options)
@@ -168,16 +166,16 @@ def _rate(eliminated: int, total: int) -> float:
 def precision_report(
     programs: Sequence[Program] | None = None,
     *,
-    workers: int = 1,
     cache: bool | None = None,
-    backend: str | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
     """The full ``repro.precision/1`` artifact over ``programs``.
 
     Defaults to the whole paper corpus.  Deliberately free of timestamps
     and machine fingerprints: the artifact is bit-stable for one source
-    tree, so CI can diff it against the committed copy.
+    tree, so CI can diff it against the committed copy.  ``settings``
+    keeps its historical ``"workers": 1`` entry so the artifact stays
+    byte-identical.
     """
 
     if programs is None:
@@ -189,9 +187,7 @@ def precision_report(
     for program in programs:
         if progress is not None:
             progress(program.name)
-        section, _ = audit_program(
-            program, workers=workers, cache=cache, backend=backend
-        )
+        section, _ = audit_program(program, cache=cache)
         sections.append(section)
 
     totals = {
@@ -225,7 +221,7 @@ def precision_report(
 
     return {
         "schema": SCHEMA,
-        "settings": {"workers": workers, "extended": True},
+        "settings": {"workers": 1, "extended": True},
         "programs": sections,
         "totals": totals,
     }

@@ -67,7 +67,7 @@ __all__ = ["ServeApp", "DEFAULT_DEADLINE_MS"]
 #: Per-request wall-clock budget when the request names none.  Generous
 #: for the corpus (whole-program analyses run in tens of milliseconds)
 #: yet bounded, so a pathological submission degrades instead of
-#: wedging a worker slot.
+#: wedging an admission slot.
 DEFAULT_DEADLINE_MS = 10_000.0
 
 #: Injected ``slow-client`` stall, seconds (bounded: chaos must never
@@ -95,12 +95,12 @@ class ServeApp:
             PersistentStore(store_path) if store_path is not None else None
         )
         self.cache = SolverCache(cache_size, store=self.store)
-        # One *serial* service: the canonical-form cache is the layer the
-        # persistent tier hangs off, and serial mode is the one that
-        # consults it.  Concurrency comes from handler threads sharing
-        # the service (the cache is lock-protected); request isolation
-        # comes from per-request governors, not per-request services.
-        self.service = SolverService(workers=1, cache=True, shared_cache=self.cache)
+        # One service: the canonical-form cache is the layer the
+        # persistent tier hangs off.  Concurrency comes from handler
+        # threads sharing the service (the cache is lock-protected);
+        # request isolation comes from per-request governors, not
+        # per-request services.
+        self.service = SolverService(cache=True, shared_cache=self.cache)
         self.registry = MetricsRegistry()
         self.admission = AdmissionController(
             max_inflight=max_inflight,
@@ -141,7 +141,6 @@ class ServeApp:
         return not self.draining.is_set()
 
     def close(self) -> None:
-        self.service.close()
         if self.store is not None:
             self.store.close()
 
@@ -463,7 +462,6 @@ class ServeApp:
                 "admission": self.admission.stats(),
                 "store": self.store.stats() if self.store else None,
             }
-            record["backend"] = dict(self.service.backend.info())
             append_run(record, self.ledger_path)
         except Exception:  # noqa: BLE001 - telemetry must not kill serving
             pass

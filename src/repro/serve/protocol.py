@@ -27,6 +27,7 @@ reasons.  The response ``status`` carries the outcome in-band:
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 __all__ = [
@@ -43,7 +44,7 @@ __all__ = [
 PROTOCOL = "repro.serve/1"
 
 #: Analysis option fields a request may set.  Execution configuration
-#: (workers, backend, cache sizing) belongs to the server, not the
+#: (cache sizing) belongs to the server, not the
 #: request; the degradation policy is pinned to "degrade" because a
 #: raise-policy service would 500 — the one thing this daemon never does.
 ANALYZE_OPTION_FIELDS = frozenset(
@@ -100,9 +101,8 @@ def validate_request(payload: Any) -> dict:
             raise ProtocolError("name must be a string")
         normalized["name"] = name
         deadline = payload.get("deadline_ms")
-        if deadline is not None:
-            if not isinstance(deadline, (int, float)) or deadline <= 0:
-                raise ProtocolError("deadline_ms must be a positive number")
+        if deadline is not None and not _positive_finite(deadline):
+            raise ProtocolError("deadline_ms must be a positive finite number")
         normalized["deadline_ms"] = deadline
         normalized["options"] = _validate_options(payload.get("options"))
     if op == "query":
@@ -115,6 +115,18 @@ def validate_request(payload: Any) -> dict:
             raise ProtocolError("op 'query' needs a pair: [SRC, DST]")
         normalized["pair"] = tuple(pair)
     return normalized
+
+
+def _positive_finite(value: Any) -> bool:
+    """A JSON number that is finite and > 0 (``json.loads`` accepts NaN
+    and Infinity; bools are ints in Python but not numbers here)."""
+
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 def _validate_options(options: Any) -> dict:

@@ -6,14 +6,13 @@ names one such primitive application as *data*: what to decide, over which
 problem, keeping which variables, under which options.  Queries are what
 analysis code hands to :meth:`repro.solver.SolverService.submit_batch`, and
 they give the service everything it needs to deduplicate work (two queries
-with equal :meth:`key` are the same computation) and to execute batches in
-any order or thread.
+with equal :meth:`key` are the same computation).
 
 Keys are **identity keys**: tuples over the problems' frozen
 :class:`~repro.omega.constraints.Constraint` objects, not canonical forms.
 Building one costs a tuple of already-hashed dataclasses — orders of
-magnitude cheaper than canonicalization — so the service's dedup layer can
-sit in front of (or instead of) the canonical-form LRU without paying the
+magnitude cheaper than canonicalization — so the service's batch dedup
+sits in front of the canonical-form LRU without paying the
 canonicalization toll on every lookup.  Alpha-equivalent problems built
 from *different* constraint objects get different keys; catching those is
 the canonical cache's job, not this layer's.

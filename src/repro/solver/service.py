@@ -2,105 +2,38 @@
 
 Every Omega query the analysis layers issue — satisfiability, projection,
 gist, implication — goes through one :class:`SolverService`.  The service
-is the seam the ROADMAP's scaling work needs: it sees *all* queries, so it
-can deduplicate them, batch them, cache them and (on multi-core hosts)
-overlap independent batches on a ``concurrent.futures`` thread pool.
+sees *all* queries, so it can deduplicate batches, cache answers, enforce
+the active resource budget and note every outcome on the audit log.
 
-Two operating modes, selected by ``workers``:
-
-``workers == 1`` (serial, the default)
-    The service is a pass-through to the existing memoizing facade
-    (:mod:`repro.omega.cache`): queries execute inline, in submission
-    order, against the canonical-form LRU the service owns and activates.
-    Behavior — results, cache hits, spans — is bit-identical to calling
-    the omega facade directly, which keeps today's tests and artifacts
-    valid byte for byte.
-
-``workers > 1`` (pipelined)
-    The service swaps the canonical-form LRU for its own **identity memo**
-    — a bounded LRU keyed on :meth:`SolverQuery.key` identity tuples with
-    single-flight de-duplication — and executes misses against the raw
-    solver.  The identity key costs a tuple build instead of a full
-    canonicalization, which is the dominant win on repetitive dependence
-    workloads: the analysis re-issues the same problem objects (direction
-    probes, kill cases, refinement contexts) many times, and a hit skips
-    canonicalize + solve entirely while a miss no longer pays the
-    canonicalization toll at all.  Distinct queries in a batch run
-    concurrently on the worker pool; batches submitted *from* a worker
-    thread execute inline (no pool-starvation deadlocks).  On a
-    single-core host the pool itself is skipped (``threads`` auto-gates
-    on ``os.cpu_count()``): context switches cannot overlap compute
-    there, so the memo runs inline and parallelism degrades gracefully
-    to its cheap component.  Results are identical to serial mode
-    because every primitive is pure and the memo replays complexity
-    failures (:class:`repro.omega.cache.Raised`) exactly like the
-    canonical cache does.
-
-Observability context (tracers, metrics registries, the active cache and
-service stacks) is captured per task via :func:`repro.obs.instrument` so
-spans and counters recorded on workers land in the caller's collectors.
-
-*Where* work runs is delegated to a pluggable execution backend
-(:mod:`repro.solver.backends`): ``serial`` pins everything inline,
-``thread`` is the historical dispatcher pool, and ``process`` ships raw
-primitives to a process pool over the picklable wire format
-(:mod:`repro.solver.wire`) for true multi-core scaling.  The service
-keeps all policy — memo, retries, budgets, audit — backend-independent,
-which is what keeps results bit-identical across backends.
+The service is serial: queries execute inline, in submission order, on the
+calling thread.  With caching on, the service owns (or adopts, see
+:meth:`SolverService.for_options`) the canonical-form LRU of
+:mod:`repro.omega.cache` and activates it, so the omega facade it calls
+answers repeated queries from that cache — and, when a
+:class:`repro.omega.store.PersistentStore` backs it, from disk.  Results,
+cache hits and spans are bit-identical to calling the omega facade
+directly.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
-from collections import OrderedDict
-from concurrent.futures import Executor, Future
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..guard import budget as _guard
-from ..guard import faults as _faults
-from ..guard.faults import FaultInjected
-from ..obs import instrument as _instr
 from ..obs import off as _obs_off
 from ..obs.audit import current_audit as _current_audit
 from ..obs.instrument import metrics as _metrics
 from ..obs.instrument import span as _span
 from ..omega.project import Projection
 from ..omega import cache as _ocache
-from ..omega.cache import MISSING, Raised, SolverCache, unwrap
+from ..omega.cache import Raised, SolverCache
 from ..omega.constraints import Problem
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
-from .backends import create_backend, resolve_backend
 from .queries import SolverQuery, degraded_projection
-from .wire import gist_call, union_call
 
-__all__ = [
-    "DEFAULT_MEMO_SIZE",
-    "DEFAULT_WORKER_RETRIES",
-    "SolverService",
-    "current_service",
-    "default_workers",
-]
-
-#: Identity-memo capacity (pipelined mode).  Sized so a full corpus pass
-#: (~10k distinct queries) fits without evictions.
-DEFAULT_MEMO_SIZE = 65536
-
-#: Bounded retry budget for unexpected worker-task exceptions (the task is
-#: re-run with exponential backoff; Omega complexity/budget failures are
-#: never retried — they are deterministic).
-DEFAULT_WORKER_RETRIES = 2
-
-#: Base backoff between worker retries, in seconds.
-DEFAULT_RETRY_BACKOFF_S = 0.001
-
-#: A batch cell whose worker task crashed past its retry budget; the
-#: first such crash (in submission order) is re-raised after every other
-#: cell has settled, so one poisoned task cannot discard its batch-mates'
-#: finished (and memoized) work.
-_CRASHED = object()
+__all__ = ["SolverService", "current_service"]
 
 
 def _assume_sat() -> bool:
@@ -115,13 +48,16 @@ def _not_proven() -> bool:
     return False
 
 
-def default_workers() -> int:
-    """Worker count from ``REPRO_WORKERS`` (default 1: serial)."""
+def gist_call(problem: Problem, given: Problem, options: tuple) -> Problem:
+    """``gist`` with its keyword options flattened to a sorted tuple."""
 
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return 1
+    return _ocache.gist(problem, given, **dict(options))
+
+
+def union_call(problem: Problem, pieces: tuple, options: tuple) -> bool:
+    """``implies_union`` with options flattened to a sorted tuple."""
+
+    return _ocache.implies_union(problem, list(pieces), **dict(options))
 
 
 class _ActiveServices(threading.local):
@@ -139,131 +75,43 @@ def current_service() -> "SolverService | None":
     return stack[-1] if stack else None
 
 
-class _WorkerState(threading.local):
-    """True while executing a service task, so nested fan-out stays inline
-    (a worker waiting on its own pool would deadlock it)."""
-
-    def __init__(self) -> None:
-        self.inside = False
-
-
-_worker = _WorkerState()
-
-
-def _propagated_stacks() -> Callable[[], object]:
-    """Context provider: carry the cache + service stacks to workers."""
-
-    cache_stack = list(_ocache._active.stack)
-    service_stack = list(_active.stack)
-
-    @contextmanager
-    def install() -> Iterator[None]:
-        saved_cache = _ocache._active.stack
-        saved_service = _active.stack
-        _ocache._active.stack = cache_stack
-        _active.stack = service_stack
-        try:
-            yield
-        finally:
-            _ocache._active.stack = saved_cache
-            _active.stack = saved_service
-
-    return install
-
-
-_instr.register_context(_propagated_stacks)
-
-
 class SolverService:
-    """Batching, deduplicating, optionally parallel Omega query broker."""
+    """Serial, batch-deduplicating, cached Omega query broker."""
 
     def __init__(
         self,
         *,
-        workers: int = 1,
         cache: bool = True,
         cache_size: int | None = None,
-        memo_size: int = DEFAULT_MEMO_SIZE,
         shared_cache: SolverCache | None = None,
-        threads: bool | None = None,
-        worker_retries: int = DEFAULT_WORKER_RETRIES,
-        retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-        backend: str | None = None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if memo_size < 1:
-            raise ValueError("memo_size must be >= 1")
-        if worker_retries < 0:
-            raise ValueError("worker_retries must be >= 0")
-        self.worker_retries = worker_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.workers = workers
-        self.pipelined = workers > 1
-        self.cache_enabled = bool(cache)
-        self.backend_name = resolve_backend(backend)
-        self.backend = create_backend(self.backend_name, self)
-        # Whether fan-out actually uses the worker pool.  None = auto:
-        # only when the host has a second core (threads on a single core
-        # add switch overhead without overlapping any compute).  A
-        # pool-less backend (serial) forces everything inline.
-        if threads is None:
-            threads = (os.cpu_count() or 1) > 1
-        self.threaded = self.pipelined and threads and self.backend.pools
-        self.memo_size = memo_size
-        #: The canonical-form LRU (serial mode with caching only); the
-        #: service activates it so the omega entry points see it.
+        #: The canonical-form LRU (None when caching is off); the service
+        #: activates it so the omega entry points see it.
         self.cache: SolverCache | None = None
-        self._memo: OrderedDict | None = None
         if cache:
-            if self.pipelined:
-                self._memo = OrderedDict()
-            else:
-                self.cache = (
-                    shared_cache
-                    if shared_cache is not None
-                    else SolverCache(cache_size)
-                )
-        self._lock = threading.Lock()
-        self._inflight: dict = {}
-        # Counters (approximate under concurrency; exact when serial).
+            self.cache = (
+                shared_cache if shared_cache is not None else SolverCache(cache_size)
+            )
         self.queries = 0
         self.batches = 0
         self.batch_dedup = 0
         self.tasks = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.inflight_waits = 0
         self.degraded = 0
-        self.worker_failures = 0
-        self.worker_restarts = 0
 
     # -- construction / lifecycle --------------------------------------
     @classmethod
     def for_options(
-        cls,
-        *,
-        cache: bool = True,
-        cache_size: int | None = None,
-        workers: int = 1,
-        backend: str | None = None,
+        cls, *, cache: bool = True, cache_size: int | None = None
     ) -> "SolverService":
         """Build a service for analysis options.
 
-        Serial caching services adopt an enclosing ``caching(...)`` scope's
-        cache when one is active on this thread, preserving the engine's
+        Caching services adopt an enclosing ``caching(...)`` scope's cache
+        when one is active on this thread, preserving the engine's
         historical cache-sharing behavior across programs.
         """
 
-        shared = _ocache.current_cache() if (cache and workers <= 1) else None
-        return cls(
-            workers=workers,
-            cache=cache,
-            cache_size=cache_size,
-            shared_cache=shared,
-            backend=backend,
-        )
+        shared = _ocache.current_cache() if cache else None
+        return cls(cache=cache, cache_size=cache_size, shared_cache=shared)
 
     @contextmanager
     def activate(self) -> Iterator["SolverService"]:
@@ -279,146 +127,7 @@ class SolverService:
         finally:
             _active.stack.pop()
 
-    def close(self) -> None:
-        """Shut the backend's pools down (idempotent; memo survives)."""
-
-        self.backend.close()
-
-    @property
-    def _executor(self) -> Executor | None:
-        """The backend's live pool, if any (introspection/tests)."""
-
-        return self.backend.executor
-
-    def _spawn(self, fn: Callable, *args):
-        """Submit ``fn(*args)`` to the backend under the caller's context."""
-
-        enter = _instr.capture()
-
-        def call():
-            was_inside = _worker.inside
-            _worker.inside = True
-            try:
-                with enter():
-                    return self._attempt(fn, args)
-            finally:
-                _worker.inside = was_inside
-
-        future = self.backend.submit(call)
-        if future is None:
-            # Pool-less backend: settle the task inline, but keep the
-            # Future shape so batch settlement code stays uniform.
-            future = Future()
-            try:
-                future.set_result(call())
-            except BaseException as error:  # noqa: BLE001 - re-raised
-                future.set_exception(error)
-        return future
-
-    def _attempt(self, fn: Callable, args: tuple):
-        """One worker task: crash injection, bounded retry, restart.
-
-        Omega complexity and budget failures are deterministic, so they
-        are never retried.  Any other exception — injected worker crashes
-        included — is retried up to ``worker_retries`` times with
-        exponential backoff.  Once the retry budget is spent, an
-        *injected* crash under the ``degrade`` policy gets one final
-        fault-suppressed attempt (modelling a clean worker restart), so a
-        chaos run degrades instead of raising.
-        """
-
-        attempt = 0
-        while True:
-            try:
-                plan = _faults.current_plan()
-                if plan is not None:
-                    plan.maybe_crash("solver.worker")
-                return fn(*args)
-            except (OmegaComplexityError, KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as error:  # noqa: BLE001 - bounded retry
-                self.worker_failures += 1
-                _metrics.inc("guard.worker_failures")
-                attempt += 1
-                if attempt > self.worker_retries:
-                    gov = _guard.active()
-                    if (
-                        isinstance(error, FaultInjected)
-                        and gov is not None
-                        and gov.policy == "degrade"
-                    ):
-                        self.worker_restarts += 1
-                        _metrics.inc("guard.worker_restarts")
-                        with _faults.suppressed():
-                            return fn(*args)
-                    raise
-                _metrics.inc("guard.worker_retries")
-                time.sleep(self.retry_backoff_s * (2 ** (attempt - 1)))
-
-    # -- the identity memo (pipelined mode) ----------------------------
-    def _memoized(self, key, fn: Callable, *args):
-        """Single-flight memoization; replays complexity failures."""
-
-        with self._lock:
-            memo = self._memo
-            entry = memo.get(key, MISSING)
-            if entry is not MISSING:
-                memo.move_to_end(key)
-                self.hits += 1
-                _metrics.inc("solver.memo.hits")
-                return unwrap(entry)
-            pending = self._inflight.get(key)
-            if pending is None:
-                self._inflight[key] = pending = Future()
-                owner = True
-                self.misses += 1
-                _metrics.inc("solver.memo.misses")
-            else:
-                owner = False
-        if not owner:
-            self.inflight_waits += 1
-            _metrics.inc("solver.batch.inflight_hits")
-            return unwrap(pending.result())
-        try:
-            value = self.backend.evaluate(fn, args)
-            stored = value
-        except BudgetExhausted as failure:
-            # Deadline/budget exhaustion describes *this run*, not the
-            # problem, so it must never be memoized — but waiters on the
-            # in-flight future still get the structured failure replayed.
-            resolved = Raised.from_exception(failure)
-            with self._lock:
-                self._inflight.pop(key, None)
-            pending.set_result(resolved)
-            raise
-        except OmegaComplexityError as failure:
-            stored = Raised.from_exception(failure)
-        except BaseException as error:
-            # A crashed computation may not strand its waiters: release
-            # the in-flight future with the error before propagating.
-            with self._lock:
-                self._inflight.pop(key, None)
-            pending.set_exception(error)
-            raise
-        with self._lock:
-            memo = self._memo
-            memo[key] = stored
-            while len(memo) > self.memo_size:
-                memo.popitem(last=False)
-                self.evictions += 1
-                _metrics.inc("solver.memo.evictions")
-            self._inflight.pop(key, None)
-        pending.set_result(stored)
-        return unwrap(stored)
-
-    def _evaluate(self, key, fn: Callable, *args):
-        """One query: memoized when pipelined caching is on, else direct."""
-
-        if self._memo is None:
-            return self.backend.evaluate(fn, args)
-        return self._memoized(key, fn, *args)
-
-    def _governed_evaluate(self, key, fn: Callable, args: tuple):
+    def _evaluate(self, fn: Callable, args: tuple):
         """Evaluate one top-level query under the active governor.
 
         The ``solver.query`` checkpoint fires the deadline check (and any
@@ -430,20 +139,19 @@ class SolverService:
         _guard.checkpoint("solver.query")
         gov = _guard.active()
         if gov is None:
-            return self._evaluate(key, fn, *args)
+            return fn(*args)
         with gov.fresh_query():
-            return self._evaluate(key, fn, *args)
+            return fn(*args)
 
     @staticmethod
     def _note_audit(kind: str, value) -> None:
         """Note one settled query outcome on the active audit log.
 
         Fires once per query *call* — after the value materialized,
-        whether it was computed, replayed from the memo or awaited in
-        flight — keyed on the guard subject active at the call site.
-        That placement is what makes audit footprints identical across
-        worker counts and cache configurations: hit patterns change,
-        call sites do not.
+        whether it was computed or replayed from a cache — keyed on the
+        guard subject active at the call site.  That placement is what
+        makes audit footprints identical across cache configurations: hit
+        patterns change, call sites do not.
         """
 
         log = _current_audit()
@@ -470,7 +178,7 @@ class SolverService:
         substituted and the event is recorded with full provenance; under
         ``raise`` (``--strict``) — or with no governor at all — the
         structured :class:`BudgetExhausted` propagates unchanged.
-        Degraded answers are never memoized.
+        Degraded answers are never cached.
         """
 
         gov = _guard.active()
@@ -495,13 +203,13 @@ class SolverService:
         return value
 
     def _shielded(
-        self, key, fn: Callable, args: tuple, kind: str, fallback: Callable,
+        self, fn: Callable, args: tuple, kind: str, fallback: Callable,
         answer: str,
     ):
         """A scalar query with the degradation shield around it."""
 
         try:
-            value = self._governed_evaluate(key, fn, args)
+            value = self._evaluate(fn, args)
         except BudgetExhausted as failure:
             return self._degrade(kind, fallback, answer, failure)
         except OmegaComplexityError:
@@ -519,7 +227,6 @@ class SolverService:
 
     def _protected(
         self,
-        key,
         fn: Callable,
         args: tuple,
         kind: str = "query",
@@ -529,7 +236,7 @@ class SolverService:
         """Batch cell: a value, a degraded answer, or a :class:`Raised`."""
 
         try:
-            return self._governed_evaluate(key, fn, args)
+            return self._evaluate(fn, args)
         except BudgetExhausted as failure:
             gov = _guard.active()
             if fallback is not None and gov is not None and gov.policy == "degrade":
@@ -543,7 +250,6 @@ class SolverService:
         self.queries += 1
         _metrics.inc("solver.queries")
         return self._shielded(
-            ("sat", tuple(problem.constraints)),
             _ocache.is_satisfiable,
             (problem,),
             "sat",
@@ -555,7 +261,6 @@ class SolverService:
         self.queries += 1
         _metrics.inc("solver.queries")
         return self._shielded(
-            ("project", tuple(problem.constraints), frozenset(keep)),
             _ocache.project,
             (problem, keep),
             "project",
@@ -566,16 +271,9 @@ class SolverService:
     def gist(self, problem: Problem, given: Problem, **options):
         self.queries += 1
         _metrics.inc("solver.queries")
-        opts = tuple(sorted(options.items()))
         return self._shielded(
-            (
-                "gist",
-                tuple(problem.constraints),
-                tuple(given.constraints),
-                opts,
-            ),
             gist_call,
-            (problem, given, opts),
+            (problem, given, tuple(sorted(options.items()))),
             "gist",
             problem.copy,
             "left unsimplified",
@@ -585,11 +283,6 @@ class SolverService:
         self.queries += 1
         _metrics.inc("solver.queries")
         return self._shielded(
-            (
-                "implies",
-                tuple(problem.constraints),
-                tuple(given.constraints),
-            ),
             _ocache.implies,
             (problem, given),
             "implies",
@@ -602,16 +295,9 @@ class SolverService:
     ) -> bool:
         self.queries += 1
         _metrics.inc("solver.queries")
-        opts = tuple(sorted(options.items()))
         return self._shielded(
-            (
-                "implies-union",
-                tuple(problem.constraints),
-                tuple(tuple(piece.constraints) for piece in pieces),
-                opts,
-            ),
             union_call,
-            (problem, tuple(pieces), opts),
+            (problem, tuple(pieces), tuple(sorted(options.items()))),
             "implies-union",
             _not_proven,
             "implication not proven",
@@ -624,7 +310,6 @@ class SolverService:
         _metrics.inc("solver.queries")
         with _span("solver.query", kind=query.kind.value):
             return self._shielded(
-                query.key(),
                 query.execute,
                 (),
                 query.kind.value,
@@ -636,13 +321,11 @@ class SolverService:
     def _run_batch(self, keyed: list) -> list:
         """Execute ``(key, fn, args, kind, fallback, answer)`` cells.
 
-        Duplicate keys compute once.  Distinct cells run on the worker
-        pool in pipelined mode (inline from worker threads); results come
-        back in submission order, and the first complexity failure (in
-        submission order) is re-raised — with its structured fields —
-        exactly as serial execution would.  Budget exhaustion is degraded
-        per cell (see :meth:`_protected`) before it can become a batch
-        failure.
+        Duplicate keys compute once.  Results come back in submission
+        order, and the first complexity failure (in submission order) is
+        re-raised — with its structured fields — after every cell has
+        settled.  Budget exhaustion is degraded per cell (see
+        :meth:`_protected`) before it can become a batch failure.
         """
 
         self.batches += 1
@@ -659,55 +342,21 @@ class SolverService:
             self.batch_dedup += duplicates
             _metrics.inc("solver.batch.dedup_hits", duplicates)
         with _span("solver.batch", size=len(keyed), distinct=len(order)):
-            if not self.threaded or _worker.inside or len(order) <= 1:
-                computed = [self._protected(*cell) for cell in order]
-            else:
-                futures = [
-                    self._spawn(self._protected, *cell) for cell in order
-                ]
-                computed = self._settle(futures)
+            computed = [self._protected(*cell[1:]) for cell in order]
         results: list = []
         failure: Raised | None = None
         for cell in keyed:
             entry = computed[index_of[cell[0]]]
-            # Audit noting happens here, per submitted cell (duplicates
-            # included) on the submitting thread — the same set of notes a
-            # serial run of the same calls would leave.
-            self._note_audit(cell[3] if len(cell) > 3 else "query", entry)
+            # Audit noting happens per submitted cell, duplicates
+            # included — the same set of notes the equivalent scalar
+            # calls would leave.
+            self._note_audit(cell[3], entry)
             if isinstance(entry, Raised) and failure is None:
                 failure = entry
             results.append(entry)
         if failure is not None:
             raise failure.rebuild()
         return results
-
-    def _settle(self, futures: list) -> list:
-        """Settle every batch future; re-raise the first crash afterwards.
-
-        Crash isolation: a task that dies past its retry budget no longer
-        poisons the batch — every other cell still runs to completion (and
-        is memoized) before the first crash, in submission order, is
-        re-raised.  KeyboardInterrupt cancels the outstanding futures
-        immediately instead of draining the batch.
-        """
-
-        computed: list = []
-        crash: BaseException | None = None
-        for future in futures:
-            try:
-                computed.append(future.result())
-            except (KeyboardInterrupt, SystemExit):
-                for rest in futures:
-                    rest.cancel()
-                raise
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                _metrics.inc("guard.batch_crashes")
-                computed.append(_CRASHED)
-                if crash is None:
-                    crash = error
-        if crash is not None:
-            raise crash
-        return computed
 
     def submit_batch(self, queries: Sequence[SolverQuery]) -> list:
         """Execute declarative queries; results in submission order."""
@@ -753,85 +402,28 @@ class SolverService:
             ]
         )
 
-    # -- task fan-out -----------------------------------------------------
     def map(self, fn: Callable, items: Iterable) -> list:
-        """Apply ``fn`` to every item; results in item order.
-
-        Pipelined services run items concurrently on the worker pool (the
-        engine uses this for independent per-read dependence tasks whose
-        solver batches then overlap).  Serial and single-core services —
-        and calls made from inside a worker task — run inline, preserving
-        exact serial execution order.  The first hard failure (in item
-        order) cancels every outstanding future instead of draining the
-        whole batch, then re-raises; KeyboardInterrupt cancels and
-        propagates immediately.
-        """
+        """Apply ``fn`` to every item, in order (counted as tasks)."""
 
         items = list(items)
         self.tasks += len(items)
         _metrics.inc("solver.tasks", len(items))
-        if not self.threaded or _worker.inside or len(items) <= 1:
-            return [fn(item) for item in items]
-        futures = [self._spawn(fn, item) for item in items]
-        results: list = []
-        failure: BaseException | None = None
-        for index, future in enumerate(futures):
-            if failure is not None:
-                future.cancel()
-                results.append(None)
-                continue
-            try:
-                results.append(future.result())
-            except (KeyboardInterrupt, SystemExit):
-                for rest in futures[index:]:
-                    rest.cancel()
-                raise
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                failure = error
-                results.append(None)
-        if failure is not None:
-            raise failure
-        return results
+        return [fn(item) for item in items]
 
     # -- introspection ----------------------------------------------------
-    def memo_stats(self) -> dict | None:
-        """Identity-memo counters (pipelined caching mode only)."""
-
-        if self._memo is None:
-            return None
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._memo),
-            "maxsize": self.memo_size,
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
     def cache_stats(self) -> dict | None:
-        """The active cache layer's counters: the canonical LRU in serial
-        mode, the identity memo in pipelined mode, None when uncached."""
+        """The canonical LRU's counters, or None when uncached."""
 
-        if self.cache is not None:
-            return self.cache.stats()
-        return self.memo_stats()
+        return self.cache.stats() if self.cache is not None else None
 
     def stats(self) -> dict:
         """A snapshot of the service counters (for ``--stats`` etc.)."""
 
         return {
-            "workers": self.workers,
-            "pipelined": self.pipelined,
-            "threaded": self.threaded,
-            "backend": self.backend.info(),
             "queries": self.queries,
             "batches": self.batches,
             "batch_dedup": self.batch_dedup,
-            "inflight_waits": self.inflight_waits,
             "tasks": self.tasks,
             "degraded": self.degraded,
-            "worker_failures": self.worker_failures,
-            "worker_restarts": self.worker_restarts,
             "cache": self.cache_stats(),
         }

@@ -20,16 +20,15 @@ from repro.bench import (
     profile_suites,
     render_report,
     run_bench,
-    workers_speedup_gate,
 )
 from repro.guard import active as guard_active
 
 
 def _micro_suite(log=None):
-    def run(cache, workers=1, planner=True, backend=None):
+    def run(cache, planner=True):
         total = sum(range(200 if cache else 400))
         if log is not None:
-            log.append((cache, workers, planner, backend, total))
+            log.append((cache, planner, total))
 
     return Suite("micro", "synthetic micro workload", run)
 
@@ -38,47 +37,41 @@ class TestRunner:
     def test_runs_warmup_and_trials_in_every_leg(self):
         log = []
         run_bench([_micro_suite(log)], warmup=2, trials=3)
-        # Leg order: cache-on, cache-off, workers4, process, guard,
-        # legacy — 2 warmup + 3 timed each (the guard and legacy legs
-        # reuse the serial cached config with the planner off).
-        configs = [entry[:4] for entry in log]
+        # Leg order: cache-on, cache-off, guard, legacy — 2 warmup + 3
+        # timed each (the guard and legacy legs reuse the cached config
+        # with the planner off).
+        configs = [entry[:2] for entry in log]
         assert configs == (
-            [(True, 1, True, None)] * 5
-            + [(False, 1, True, None)] * 5
-            + [(True, 4, True, "thread")] * 5
-            + [(True, 4, True, "process")] * 5
-            + [(True, 1, False, None)] * 5
-            + [(True, 1, False, None)] * 5
+            [(True, True)] * 5
+            + [(False, True)] * 5
+            + [(True, False)] * 5
+            + [(True, False)] * 5
         )
 
     def test_guard_leg_runs_governed(self):
         seen = []
 
-        def run(cache, workers=1, planner=True, backend=None):
-            seen.append((cache, workers, planner, guard_active() is not None))
+        def run(cache, planner=True):
+            seen.append((cache, planner, guard_active() is not None))
 
         run_bench([Suite("micro", "governed probe", run)], warmup=0, trials=1)
         assert seen == [
-            (True, 1, True, False),
-            (False, 1, True, False),
-            (True, 4, True, False),
-            (True, 4, True, False),  # process: ungoverned like workers4
-            (True, 1, False, True),  # only the guard leg activates a governor
-            (True, 1, False, False),  # legacy: planner off, ungoverned
+            (True, True, False),
+            (False, True, False),
+            (True, False, True),  # only the guard leg activates a governor
+            (True, False, False),  # legacy: planner off, ungoverned
         ]
 
     def test_report_statistics(self):
         report = run_bench([_micro_suite()], warmup=0, trials=5)
         result = report.suites["micro"]
-        for leg in ("on", "off", "workers4", "process", "guard", "legacy"):
+        for leg in ("on", "off", "guard", "legacy"):
             stats = result.legs[leg]
             assert len(stats.trials) == 5
             assert stats.median_s > 0
             assert min(stats.trials) <= stats.median_s <= max(stats.trials)
             assert stats.iqr_s >= 0
         assert result.speedup > 0
-        assert result.workers_speedup > 0
-        assert result.process_speedup > 0
         assert result.guard_overhead > 0
         assert result.planner_speedup > 0
 
@@ -110,15 +103,12 @@ class TestArtifact:
         for key in ("platform", "python", "implementation", "cpus"):
             assert key in payload["machine"]
         legs = payload["suites"]["micro"]["legs"]
-        assert set(legs) == {
-            "on", "off", "workers4", "process", "guard", "legacy",
-        }
+        assert set(legs) == {"on", "off", "guard", "legacy"}
         for leg in legs.values():
             assert {"median_s", "iqr_s", "min_s", "max_s", "trials_s"} <= set(leg)
             assert len(leg["trials_s"]) == 2
         assert payload["suites"]["micro"]["cache_speedup"] > 0
-        assert payload["suites"]["micro"]["workers_speedup"] > 0
-        assert payload["suites"]["micro"]["process_speedup"] > 0
+        assert "workers_speedup" not in payload["suites"]["micro"]
         assert payload["suites"]["micro"]["guard_overhead"] > 0
         assert payload["suites"]["micro"]["planner_speedup"] > 0
 
@@ -130,8 +120,7 @@ class TestArtifact:
         table = render_report(report)
         assert "micro" in table
         assert "cache speedup" in table
-        assert "workers speedup" in table
-        assert "process speedup" in table
+        assert "workers speedup" not in table
         assert "guard overhead" in table
         assert "planner speedup" in table
         assert "median" in table and "iqr" in table
@@ -207,60 +196,6 @@ class TestPlannerSpeedupGate:
 
     def test_skips_when_nothing_benchmarked(self):
         ok, message = planner_speedup_gate(BenchReport({}, {}, 0, 1))
-        assert ok
-        assert "skipped" in message
-
-
-class TestWorkersSpeedupGate:
-    @staticmethod
-    def _report(pairs, cpus):
-        suites = {}
-        for name, (on, process) in pairs.items():
-            result = SuiteResult(name, "synthetic")
-            result.legs["on"] = LegResult(name, "on", [on])
-            if process is not None:
-                result.legs["process"] = LegResult(name, "process", [process])
-            suites[name] = result
-        return BenchReport(suites, {"cpus": cpus}, 0, 1)
-
-    def test_passes_when_best_suite_clears_the_floor(self):
-        report = self._report(
-            {"corpus": (2.0, 0.9), "cholsky": (2.0, 1.5)}, cpus=8
-        )
-        ok, message = workers_speedup_gate(report)
-        assert ok
-        assert "PASS" in message
-        assert "corpus 2.22x" in message and "cholsky 1.33x" in message
-
-    def test_fails_when_no_suite_scales(self):
-        report = self._report({"corpus": (1.0, 0.9)}, cpus=8)
-        ok, message = workers_speedup_gate(report)
-        assert not ok
-        assert "FAIL" in message
-
-    def test_skips_with_reason_on_single_cpu(self):
-        # BENCH_omega.json was once recorded with cpus: 1, where the
-        # parallel legs measure pure overhead — the gate must skip
-        # loudly, never pass (or fail) vacuously.
-        report = self._report({"corpus": (1.0, 2.0)}, cpus=1)
-        ok, message = workers_speedup_gate(report)
-        assert ok
-        assert "SKIPPED" in message
-        assert "1 cpu" in message
-
-    def test_records_cpus_in_the_decision(self):
-        report = self._report({"corpus": (2.0, 0.9)}, cpus=16)
-        _, message = workers_speedup_gate(report)
-        assert "16 cpus" in message
-
-    def test_threshold_override(self):
-        report = self._report({"corpus": (1.3, 1.0)}, cpus=4)
-        ok, _ = workers_speedup_gate(report, threshold=1.2)
-        assert ok
-
-    def test_skips_when_no_process_leg(self):
-        report = self._report({"corpus": (1.0, None)}, cpus=4)
-        ok, message = workers_speedup_gate(report)
         assert ok
         assert "skipped" in message
 

@@ -27,12 +27,10 @@ def _artifact():
                 "legs": {
                     "on": leg(0.5),
                     "off": leg(1.0),
-                    "workers4": leg(0.25),
                     "guard": leg(0.51),
                     "legacy": leg(0.75),
                 },
                 "cache_speedup": 2.0,
-                "workers_speedup": 2.0,
                 "guard_overhead": 1.02,
                 "planner_speedup": 1.5,
             },
@@ -40,7 +38,6 @@ def _artifact():
                 "description": "the kernel",
                 "legs": {"on": leg(0.1), "off": leg(0.3)},
                 "cache_speedup": 3.0,
-                "workers_speedup": 1.0,
                 "guard_overhead": 1.0,
             },
         },
@@ -64,7 +61,6 @@ class TestHistoryEntry:
             "legacy": 0.75,
             "off": 1.0,
             "on": 0.5,
-            "workers4": 0.25,
         }
         assert corpus["cache_speedup"] == 2.0
         assert corpus["guard_overhead"] == 1.02

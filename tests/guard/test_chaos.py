@@ -6,10 +6,9 @@ never raises under the default ``degrade`` policy, and the dependences it
 reports are a *superset* of the fault-free run's — degradation may keep a
 false dependence alive, but can never lose a true one.
 
-The CI ``chaos`` legs re-run this file with ``REPRO_FAULTS`` set (and
-``REPRO_WORKERS=4`` for the parallel leg, where crash faults exercise the
-solver service's retry/restart machinery); the seed and rate below are the
-local defaults when the environment does not choose.
+The CI ``chaos`` leg re-runs this file with ``REPRO_FAULTS`` set; the
+seed and rate below are the local defaults when the environment does not
+choose.
 """
 
 import random
@@ -26,7 +25,7 @@ from tests.analysis.test_cache_determinism import random_program
 _ENV_PLAN = plan_from_env()
 BASE_SEED = _ENV_PLAN.seed if _ENV_PLAN is not None else 20260806
 RATE = _ENV_PLAN.rate if _ENV_PLAN is not None else 0.05
-KINDS = _ENV_PLAN.kinds if _ENV_PLAN is not None else ("timeout", "budget", "crash")
+KINDS = _ENV_PLAN.kinds if _ENV_PLAN is not None else ("timeout", "budget")
 
 
 def chaos_plan(offset=0):

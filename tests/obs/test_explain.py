@@ -98,32 +98,18 @@ class TestMergeDeterminism:
         log.merge(ExplainLog())
         assert [d.reason for d in log] == ["why"]
 
-    @staticmethod
-    def _trail(workers):
-        result = analyze(
-            parse(KILL_PROGRAM, "kill"),
-            AnalysisOptions(explain=True, workers=workers),
-        )
-        return [
-            (d.subject, d.action, d.reason, d.by, d.used_omega)
-            for d in result.explain
-        ]
-
-    def test_trail_identical_across_worker_counts(self):
-        assert self._trail(1) == self._trail(4)
-
     def test_trail_identical_on_corpus_program(self):
         from repro.programs import corpus_programs
 
         program = corpus_programs()[0]
 
-        def trail(workers):
+        def trail(cache):
             result = analyze(
-                program, AnalysisOptions(explain=True, workers=workers)
+                program, AnalysisOptions(explain=True, cache=cache)
             )
             return [
                 (d.subject, d.action, d.reason, d.by, d.used_omega)
                 for d in result.explain
             ]
 
-        assert trail(1) == trail(4)
+        assert trail(True) == trail(False)

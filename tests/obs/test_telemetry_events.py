@@ -130,12 +130,12 @@ class TestEngineIntegration:
         assert "kill" in stages  # example1's dead dependence
 
     @pytest.mark.parametrize("planner", [True, False])
-    def test_stream_bit_identical_across_worker_counts(self, planner):
+    def test_stream_bit_identical_across_cache_settings(self, planner):
         options = {"extended": True, "planner": planner}
-        one = run_events(cholsky(), AnalysisOptions(workers=1, **options))
-        four = run_events(cholsky(), AnalysisOptions(workers=4, **options))
-        assert one == four
-        assert len(one) > 10
+        cached = run_events(cholsky(), AnalysisOptions(cache=True, **options))
+        uncached = run_events(cholsky(), AnalysisOptions(cache=False, **options))
+        assert cached == uncached
+        assert len(cached) > 10
 
     def test_no_wall_clock_in_payloads(self):
         first = run_events(example1(), AnalysisOptions(extended=True))

@@ -286,8 +286,7 @@ class TestMemoDoesNotTravel:
         assert hash(restored) == hash(expr)
 
     def test_wire_payload_does_not_grow(self):
-        # The process backend pickles SolverQuery objects across the
-        # process boundary.
+        # A pickled query carries its constraints, never the memo.
         problem = Problem(name="p").add_ge(2 * x - 4).add_le(x, 9)
         query = SolverQuery.sat(problem)
         before = pickle.dumps(query)

@@ -82,10 +82,30 @@ def test_malformed_requests_raise_protocol_errors(payload, fragment):
         validate_request(payload)
 
 
+@pytest.mark.parametrize(
+    "deadline", [float("nan"), float("inf"), float("-inf"), True, False]
+)
+def test_non_finite_and_boolean_deadlines_are_rejected(deadline):
+    # json.loads accepts NaN and Infinity, and bools are ints in Python:
+    # none of them is a deadline (a NaN one would never fire).
+    with pytest.raises(ProtocolError, match="deadline_ms"):
+        validate_request(
+            {"op": "analyze", "program": PROGRAM, "deadline_ms": deadline}
+        )
+
+
+def test_finite_deadlines_pass_through():
+    for deadline in (1, 0.5, 250.0):
+        request = validate_request(
+            {"op": "analyze", "program": PROGRAM, "deadline_ms": deadline}
+        )
+        assert request["deadline_ms"] == deadline
+
+
 def test_execution_configuration_is_not_a_request_option():
-    # The degradation policy and execution layout belong to the server;
-    # a client must not be able to switch the service to a raise policy
-    # (which would 500) or resize its worker pool.
+    # The degradation policy and execution configuration belong to the
+    # server; a client must not be able to switch the service to a raise
+    # policy (which would 500) or reconfigure it.
     for forbidden in ("workers", "backend", "policy", "deadline_ms", "cache"):
         assert forbidden not in ANALYZE_OPTION_FIELDS
 

@@ -1,15 +1,14 @@
 """Property: the SolverService answers exactly like the omega facade.
 
-The service is a router, not a solver — whatever combination of identity
-memo, batch de-duplication and worker pool it uses internally, every
-answer it returns must be bit-identical to calling ``repro.omega.cache``
-directly.  This test harvests real dependence problems from the paper
-examples, CHOLSKY and a fuzzed corpus, runs the four primitives through
-services spanning every execution backend (serial, thread pool, process
-pool) with the canonical cache on and off (scalar *and* batched), and
-compares every answer against the direct facade, fingerprinting
-Problem-valued results by canonical form so wildcard numbering cannot
-mask or fake a difference.
+The service is a router, not a solver — whatever combination of canonical
+cache and batch de-duplication it uses internally, every answer it returns
+must be bit-identical to calling ``repro.omega.cache`` directly.  This
+test harvests real dependence problems from the paper examples, CHOLSKY
+and a fuzzed corpus, runs the four primitives through services with the
+canonical cache on and off (scalar *and* batched), and compares every
+answer against the direct facade, fingerprinting Problem-valued results
+by canonical form so wildcard numbering cannot mask or fake a
+difference.
 """
 
 import random
@@ -25,29 +24,9 @@ from repro.programs import PAPER_EXAMPLES, cholsky
 from repro.solver import SolverQuery, SolverService
 from tests.analysis.test_cache_determinism import random_program
 
-# (workers, backend, cache) triples covering the backend x cache matrix
-# from the acceptance criteria.  ``threads=True`` is forced when building
-# each service so the thread and process backends really dispatch even on
-# a single-core CI host (where ``threads`` would otherwise auto-gate off
-# and every backend would collapse to inline execution).
-SERVICE_CONFIGS = (
-    (1, "serial", True),
-    (1, "serial", False),
-    (4, "thread", True),
-    (4, "thread", False),
-    (4, "process", True),
-    (4, "process", False),
-)
-
-
 def config_services():
-    for workers, backend, cache in SERVICE_CONFIGS:
-        yield (
-            f"workers={workers} backend={backend} cache={cache}",
-            SolverService(
-                workers=workers, backend=backend, cache=cache, threads=True
-            ),
-        )
+    for cache in (True, False):
+        yield f"cache={cache}", SolverService(cache=cache)
 
 
 def fingerprint(value):
@@ -128,18 +107,15 @@ def assert_service_matches_direct(programs):
     assert queries, "harvest produced no queries"
     expected = [evaluate_direct(query) for query in queries]
     for label, service in config_services():
-        try:
-            with service.activate():
-                scalar = [
-                    evaluate_via(service, query, batched=False)
-                    for query in queries
-                ]
-                batched = [
-                    evaluate_via(service, query, batched=True)
-                    for query in queries
-                ]
-        finally:
-            service.close()
+        with service.activate():
+            scalar = [
+                evaluate_via(service, query, batched=False)
+                for query in queries
+            ]
+            batched = [
+                evaluate_via(service, query, batched=True)
+                for query in queries
+            ]
         assert scalar == expected, f"scalar mismatch at {label}"
         assert batched == expected, f"batch mismatch at {label}"
 
@@ -164,7 +140,7 @@ def test_fuzzed_corpus():
 
 
 def test_whole_batch_round_trip():
-    """All harvested queries in a single batch, every backend config."""
+    """All harvested queries in a single batch, cache on and off."""
 
     program = cholsky()
     queries = [
@@ -174,34 +150,9 @@ def test_whole_batch_round_trip():
     ]
     expected = [evaluate_direct(query) for query in queries]
     for label, service in config_services():
-        try:
-            with service.activate():
-                answers = [
-                    fingerprint(answer)
-                    for answer in service.submit_batch(queries)
-                ]
-        finally:
-            service.close()
-        assert answers == expected, label
-
-
-def test_process_backend_really_dispatches():
-    """The parity above must not pass because process fell back inline."""
-
-    program = cholsky()
-    queries = [
-        query
-        for pair in pair_problems(program, limit=4)
-        for query in query_suite(pair)
-    ]
-    service = SolverService(workers=4, backend="process", threads=True)
-    try:
         with service.activate():
-            for query in queries:
-                service.run(query)
-        info = service.stats()["backend"]
-    finally:
-        service.close()
-    assert info["name"] == "process"
-    if not info["broken"]:
-        assert info["dispatched"] > 0
+            answers = [
+                fingerprint(answer)
+                for answer in service.submit_batch(queries)
+            ]
+        assert answers == expected, label
