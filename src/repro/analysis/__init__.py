@@ -21,7 +21,7 @@ from .graph import (
     vectorizable_statements,
 )
 from .kills import KillTester, kill_quick_reject
-from .plan import QueryPlan, default_planner_enabled
+from .plan import QueryPlan
 from .problem import (
     PairProblem,
     SymbolTable,
@@ -77,7 +77,6 @@ __all__ = [
     "KillTester",
     "kill_quick_reject",
     "QueryPlan",
-    "default_planner_enabled",
     "PairProblem",
     "SymbolTable",
     "build_pair_problem",

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from ..ir.ast import Access
 from ..omega import Constraint, Problem, Variable
 from ..solver import is_satisfiable, satisfiable_batch
+from ..solver.plan import PlanSpace
 from .problem import PairProblem, SymbolTable, build_pair_problem
 from .vectors import (
     DirectionVector,
@@ -154,23 +155,26 @@ def compute_dependences(
     forward solutions — i.e. there is no dependence.
 
     ``plan`` (a :class:`repro.analysis.plan.QueryPlan`) supplies shared
-    instance contexts and an exactly-reduced elimination prefix for the
-    satisfiability probes.  The questions asked — count, kind and order —
-    and their answers are identical with or without a plan; only the
-    submitted problems shrink.  The :class:`Dependence` objects always
-    carry the *full* constrained problems, since downstream refinement,
-    cover and kill tests project them.
+    instance contexts and the memo of exactly-reduced elimination
+    prefixes for the satisfiability probes; without one the pair gets a
+    throwaway :class:`repro.solver.plan.PlanSpace`.  The questions asked
+    — count, kind and order — and their answers do not depend on the
+    plan; only the submitted problems shrink.  The :class:`Dependence`
+    objects always carry the *full* constrained problems, since
+    downstream refinement, cover and kill tests project them.
     """
 
     if plan is not None:
         pair = plan.pair_problem(src, dst)
+        space = plan.space
     else:
         pair = build_pair_problem(
             src, dst, symbols, assertions=assertions, array_bounds=array_bounds
         )
+        space = PlanSpace()
     base = pair.full()
-    state = None if plan is None else plan.prepare(base, pair.delta_vars)
-    if not is_satisfiable(base if state is None else state.probe()):
+    state = space.base_state(base, pair.delta_vars)
+    if not is_satisfiable(state.probe()):
         return []
 
     restraints = restraint_vectors(
@@ -183,14 +187,12 @@ def compute_dependences(
         )
         for restraint in restraints
     ]
-    if state is None:
-        probes = constrained_problems
-    else:
-        probes = [
+    feasible = satisfiable_batch(
+        [
             state.probe(restraint.constraints(pair.delta_vars))
             for restraint in restraints
         ]
-    feasible = satisfiable_batch(probes)
+    )
     found: list[Dependence] = []
     for restraint, constrained, satisfiable in zip(
         restraints, constrained_problems, feasible
@@ -199,15 +201,12 @@ def compute_dependences(
             continue
         directions: list[DirectionVector] = []
         if want_directions:
-            constrained_state = (
-                None
-                if state is None
-                else state.extend(restraint.constraints(pair.delta_vars))
-            )
             directions = [
                 v
                 for v in direction_vectors(
-                    constrained, pair.delta_vars, state=constrained_state
+                    constrained,
+                    pair.delta_vars,
+                    state=state.extend(restraint.constraints(pair.delta_vars)),
                 )
                 if _forward_vector(v, pair.forward)
             ]

@@ -11,6 +11,10 @@ Follows the paper's pipeline (Section 4):
    precede the coverer completely; check surviving dependences pairwise for
    kills.
 
+Every run is driven by one :class:`repro.analysis.plan.QueryPlan`, governed
+or not: pairs share base systems and exactly pre-reduced elimination cores,
+and steps 2 and 3 run fused, one task per read.
+
 Timing and classification per array pair is recorded for the Figure 6/7
 reproductions.  All timing is span-based (``repro.obs.trace``): the engine
 wraps its phases and per-pair work in ``span(...)`` blocks and derives
@@ -55,7 +59,7 @@ from .dependences import (
     compute_dependences,
 )
 from .kills import KillTester, kill_quick_reject
-from .plan import QueryPlan, default_planner_enabled
+from .plan import QueryPlan
 from .problem import SymbolTable, common_depth
 from .refine import refine_dependence
 from .results import AnalysisResult, KillTiming, PairCategory, PairRecord
@@ -87,9 +91,8 @@ class _ReadSink:
     pair_records: list[PairRecord] = field(default_factory=list)
     kill_timings: list[KillTiming] = field(default_factory=list)
     provenance: list[ProvenanceRecord] = field(default_factory=list)
-    #: Planned (fused) traversal only: this read's anti dependences and
-    #: their provenance, computed in the same task as the flow pipeline
-    #: and merged back read-major — the legacy anti-phase order.
+    #: This read's anti dependences and their provenance, computed in the
+    #: same task as the flow pipeline and merged back read-major.
     anti: list[Dependence] = field(default_factory=list)
     anti_provenance: list[ProvenanceRecord] = field(default_factory=list)
     #: Flow pairs the Omega test proved independent: (write, read).
@@ -145,7 +148,8 @@ class AnalysisOptions:
     #: Record per-dependence provenance (deciding stage, query footprint,
     #: exactness, degradations) in ``result.provenance`` — the precision
     #: audit layer behind ``python -m repro audit``.  Records are
-    #: bit-identical across cache and planner settings.
+    #: bit-identical across cache settings and governed runs whose
+    #: budget never runs out.
     audit: bool = False
     #: Memoize Omega queries on their canonical form for the duration of
     #: the analysis (bit-identical results either way).  Defaults to on
@@ -174,14 +178,6 @@ class AnalysisOptions:
     #: ``result.degradations``; ``"raise"`` (the CLI's ``--strict``)
     #: propagates :class:`repro.omega.BudgetExhausted` to the caller.
     policy: str = "degrade"
-    #: Single-pass query planner (:mod:`repro.analysis.plan`): group pairs
-    #: by iteration space, share base constraint systems and exact
-    #: Fourier-Motzkin prefixes across the whole-program traversal.
-    #: Results, provenance and explain trails are bit-identical to the
-    #: legacy per-pair path.  Defaults to on unless ``REPRO_PLANNER=0``;
-    #: governed runs (a budget, deadline or fault plan) always fall back
-    #: to the legacy path so degradation semantics stay untouched.
-    planner: bool = field(default_factory=default_planner_enabled)
 
     def effective_budget(self) -> "Budget | None":
         """The merged budget, or None when this run is ungoverned."""
@@ -226,8 +222,7 @@ class Analyzer:
         #: The solver service every query of this run goes through (set by
         #: :meth:`run`; adopted or private, see there).
         self.service: SolverService | None = None
-        #: The single-pass query plan (set by :meth:`run` for ungoverned
-        #: planner runs; None selects the legacy per-pair pipeline).
+        #: The single-pass query plan (set by :meth:`run`).
         self.plan: QueryPlan | None = None
 
     # ------------------------------------------------------------------
@@ -276,24 +271,15 @@ class Analyzer:
             self.bus = _current_bus()
             if self.bus is not None:
                 self.bus.emit("run.start", self.program.name)
-            # The query planner drives ungoverned runs only: under a
-            # budget the per-probe degradation shields expect the legacy
-            # problem shapes, so governed runs keep the per-pair path.
-            if self.options.planner and budget is None:
-                self.plan = QueryPlan(
-                    self.program,
-                    self.symbols,
-                    assertions=self.options.assertions,
-                    array_bounds=self.program.array_bounds,
-                )
-            elif self.options.planner:
-                _metrics.inc("solver.plan.fallbacks")
-                if self.bus is not None:
-                    self.bus.emit(
-                        "planner.fallback",
-                        self.program.name,
-                        detail="governed run: per-pair path",
-                    )
+            # The query planner drives every run, governed or not: core
+            # reductions are best-effort (see ``PlanSpace.core``) and every
+            # probe still crosses the service as its own shielded query.
+            self.plan = QueryPlan(
+                self.program,
+                self.symbols,
+                assertions=self.options.assertions,
+                array_bounds=self.program.array_bounds,
+            )
             # Attribute the run's root span to the active RunContext so
             # exported traces carry the request identity.
             span_attrs = {"program": self.program.name}
@@ -452,36 +438,18 @@ class Analyzer:
         self.bus.emit("run.end", self.program.name, detail=counts)
 
     def _run_phases(self) -> None:
-        writes = self.program.writes()
-        reads = self.program.reads()
-
-        if self.plan is not None:
-            self._run_planned_phases(writes, reads)
-            return
-        with _span("analysis.phase.output"):
-            self._compute_output_dependences(writes)
-        with _span("analysis.phase.anti"):
-            self._compute_anti_dependences(reads, writes)
-        with _span("analysis.phase.flow"):
-            self._compute_flow_dependences(reads, writes)
-        if self.options.input_deps:
-            with _span("analysis.phase.input"):
-                self._compute_input_dependences(reads)
-
-    def _run_planned_phases(
-        self, writes: Sequence[Access], reads: Sequence[Access]
-    ) -> None:
         """The single-pass plan-driven traversal.
 
-        Output dependences still come first (they feed the kill and
-        refinement quick tests), but the anti and flow directions of each
-        read are fused into *one* task over the plan's shared state, so a
-        read's backward and forward pairs reuse the same base systems and
+        Output dependences come first (they feed the kill and refinement
+        quick tests); then the anti and flow directions of each read are
+        fused into *one* task over the plan's shared state, so a read's
+        backward and forward pairs reuse the same base systems and
         elimination prefixes while they are hot.  Sinks are merged back in
-        read order — all anti results first, then the flow pipelines —
-        reproducing the legacy phase order bit for bit.
+        read order: all anti results first, then the flow pipelines.
         """
 
+        writes = self.program.writes()
+        reads = self.program.reads()
         with _span("analysis.phase.output"):
             self._compute_output_dependences(writes)
         with _span("analysis.phase.fused"):
@@ -598,40 +566,6 @@ class Analyzer:
                 elif component.lo is not None and component.lo > 0:
                     levels.add(index)
 
-    def _compute_anti_dependences(
-        self, reads: Sequence[Access], writes: Sequence[Access]
-    ) -> None:
-        for src in reads:
-            for dst in writes:
-                if src.array != dst.array:
-                    continue
-                with _guard.subject(f"anti: {src} -> {dst}"):
-                    deps = compute_dependences(
-                        src,
-                        dst,
-                        DependenceKind.ANTI,
-                        self.symbols,
-                        assertions=self.options.assertions,
-                        array_bounds=self.program.array_bounds,
-                        plan=self.plan,
-                    )
-                if not deps and self.audit is not None:
-                    self.result.provenance.append(
-                        self._independent_record(DependenceKind.ANTI, src, dst)
-                    )
-                for dep in deps:
-                    if self.options.extended and self.options.extend_all_kinds:
-                        dep = refine_dependence(
-                            dep, partial=self.options.partial_refine
-                        ).dependence
-                        if self.options.terminate:
-                            dep.covers = terminates_source(dep)
-                    self.result.anti.append(dep)
-                    if self.audit is not None:
-                        self.result.provenance.append(
-                            self._dependence_record(dep)
-                        )
-
     def _compute_input_dependences(self, reads: Sequence[Access]) -> None:
         for src in reads:
             for dst in reads:
@@ -663,37 +597,11 @@ class Analyzer:
                         )
 
     # ------------------------------------------------------------------
-    def _compute_flow_dependences(
-        self, reads: Sequence[Access], writes: Sequence[Access]
-    ) -> None:
-        # Each read's pipeline (pairs -> cover -> terminators -> kills) is
-        # independent of every other read's; the reads run as counted
-        # service tasks and their sinks are merged back into the shared
-        # result in program (read) order.
-        outcomes = self.service.map(
-            lambda read: self._analyze_read(read, writes), reads
-        )
-        for per_read, sink in outcomes:
-            self.result.pair_records.extend(sink.pair_records)
-            self.result.kill_timings.extend(sink.kill_timings)
-            if self.explain is not None and sink.explain is not None:
-                self.explain.merge(sink.explain)
-            self.result.provenance.extend(sink.provenance)
-            self.result.flow.extend(per_read)
-            if self.bus is not None:
-                self.bus.emit_pending(sink.lifecycle)
-
     def _analyze_read(
-        self, read: Access, writes: Sequence[Access], sink: "_ReadSink | None" = None
+        self, read: Access, writes: Sequence[Access], sink: "_ReadSink"
     ) -> tuple[list[Dependence], "_ReadSink"]:
         """The complete flow-dependence pipeline for one array read."""
 
-        if sink is None:
-            sink = _ReadSink(
-                ExplainLog() if self.explain is not None else None,
-                audit=self.audit is not None,
-                publish=self.bus is not None,
-            )
         tester = KillTester(
             self.symbols,
             self.output_pairs,

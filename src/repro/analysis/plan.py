@@ -1,7 +1,6 @@
 """The single-pass query planner: group pairs, share base systems.
 
-``QueryPlan`` is built once per analysis run (when
-``AnalysisOptions.planner`` is on and the run is ungoverned) and threads
+``QueryPlan`` is built once per analysis run, governed or not, and threads
 through :func:`repro.analysis.dependences.compute_dependences` into the
 direction-vector search.  It contributes two kinds of sharing:
 
@@ -12,30 +11,32 @@ statement instance's constraint system once per role prefix, reusing it
 across all pairs of the group.  Sharing is restricted to *pure* instances
 — affine subscripts and bounds, unit steps — whose construction mints no
 fresh occurrence or wildcard variables, so a shared instance is
-constraint-for-constraint identical to the one the legacy path would
-build and results stay bit-identical.
+constraint-for-constraint identical to the one
+:func:`repro.analysis.problem.build_pair_problem` builds on its own and
+results stay bit-identical.
 
 *FM prefixes.*  Each pair's full problem is exactly reduced onto its
 distance variables (:mod:`repro.omega.partial`) through the
 :class:`repro.solver.plan.PlanSpace` memo, so the expensive elimination
 prefix is computed once per group and reused by every sibling branch of
 the direction-vector tree and by every other pair with the same
-iteration space.
+iteration space.  Reductions are best-effort: one that runs out of budget
+or hits an injected fault leaves its core unreduced (see
+:meth:`repro.solver.plan.PlanSpace.core`).
 
 The planner changes *which problems* are submitted for the sign probes,
-never the question order or the answers: probes remain one service query
-per legacy query, with identical per-subject audit footprints.
+never the question order or the answers: every probe is one service
+query, with its own degradation shield and audit footprint.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Iterable, Mapping
 
 from ..ir.ast import Access, Program
 from ..obs import metrics as _metrics
-from ..solver.plan import PlanSpace, PlanState
+from ..solver.plan import PlanSpace
 from .problem import (
     InstanceContext,
     PairProblem,
@@ -44,15 +45,7 @@ from .problem import (
     build_pair_problem,
 )
 
-__all__ = ["QueryPlan", "default_planner_enabled"]
-
-_DISABLED = {"0", "false", "no", "off"}
-
-
-def default_planner_enabled() -> bool:
-    """Planner default: on, unless ``REPRO_PLANNER`` disables it."""
-
-    return os.environ.get("REPRO_PLANNER", "").strip().lower() not in _DISABLED
+__all__ = ["QueryPlan"]
 
 
 def _affine(expr) -> bool:
@@ -118,8 +111,8 @@ class QueryPlan:
 
         Impure instances (uninterpreted terms in bounds or subscripts,
         non-unit steps) draw from global occurrence/wildcard counters, so
-        sharing one would shift the numbering the legacy path produces;
-        they are rebuilt per pair exactly as before.
+        sharing one would shift the numbering an unshared build produces;
+        they are rebuilt per pair.
         """
 
         cached = self._pure.get(id(access))
@@ -177,9 +170,3 @@ class QueryPlan:
             src_ctx=self.instance(src, "i"),
             dst_ctx=self.instance(dst, "j"),
         )
-
-    # -- shared elimination prefixes ------------------------------------
-    def prepare(self, base, delta_vars) -> PlanState:
-        """The root plan state for one pair's full problem."""
-
-        return self.space.base_state(base, delta_vars)

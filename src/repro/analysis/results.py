@@ -74,8 +74,8 @@ class AnalysisResult:
     explain: ExplainLog | None = None
     #: One :class:`repro.obs.ProvenanceRecord` per dependence pair the
     #: analysis decided (reported, eliminated or proved independent), when
-    #: ``AnalysisOptions(audit=True)``; bit-identical across cache and
-    #: planner settings.
+    #: ``AnalysisOptions(audit=True)``; bit-identical across cache
+    #: settings and governed runs whose budget never runs out.
     provenance: list[ProvenanceRecord] = field(default_factory=list)
     #: The raw per-subject query footprints behind ``provenance``.
     audit: AuditLog | None = None

@@ -30,7 +30,6 @@ from .compare import (
 from .harness import (
     GUARD_OVERHEAD_THRESHOLD,
     HISTORY_SCHEMA,
-    PLANNER_SPEEDUP_THRESHOLD,
     SCHEMA,
     BenchReport,
     LegResult,
@@ -39,7 +38,6 @@ from .harness import (
     guard_overhead_gate,
     history_entry,
     machine_fingerprint,
-    planner_speedup_gate,
     profile_suites,
     render_report,
     run_bench,
@@ -57,7 +55,6 @@ __all__ = [
     "run_serve_bench",
     "GUARD_OVERHEAD_THRESHOLD",
     "HISTORY_SCHEMA",
-    "PLANNER_SPEEDUP_THRESHOLD",
     "SCHEMA",
     "DEFAULT_THRESHOLD",
     "append_history",
@@ -74,7 +71,6 @@ __all__ = [
     "guard_overhead_gate",
     "load_artifact",
     "machine_fingerprint",
-    "planner_speedup_gate",
     "profile_suites",
     "render_report",
     "run_bench",

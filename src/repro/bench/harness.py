@@ -1,11 +1,14 @@
 """The benchmark runner: warmup + trials, medians, artifact emission.
 
-``run_bench`` times each suite (see :mod:`repro.bench.suites`) in both
-solver-cache legs — ``on`` and ``off`` — with a warmup pass followed by
-repeated trials, and reports the median and interquartile range per leg.
-Medians over independent trials are the paper's own methodology for a
-shared machine: one slow outlier (a GC pause, a scheduler hiccup) moves
-the mean but not the median.
+``run_bench`` times each suite (see :mod:`repro.bench.suites`) in every
+leg — solver cache ``on`` and ``off``, and the governed ``guard`` leg —
+with a warmup pass followed by repeated trials, and reports the median
+and interquartile range per leg.  Trials are interleaved: trial ``t`` runs
+one iteration of every leg, in alternating order, so load drift on a
+shared host spreads over all legs instead of landing on whichever ran
+last.  Medians over independent trials are the paper's own methodology
+for a shared machine: one slow outlier (a GC pause, a scheduler hiccup)
+moves the mean but not the median.
 
 The result serializes to the canonical ``BENCH_omega.json`` artifact: a
 schema tag, a machine fingerprint (platform, Python build, CPU count —
@@ -39,7 +42,6 @@ from .suites import Suite, default_suites
 __all__ = [
     "GUARD_OVERHEAD_THRESHOLD",
     "HISTORY_SCHEMA",
-    "PLANNER_SPEEDUP_THRESHOLD",
     "SCHEMA",
     "BenchReport",
     "LegResult",
@@ -48,7 +50,6 @@ __all__ = [
     "guard_overhead_gate",
     "history_entry",
     "machine_fingerprint",
-    "planner_speedup_gate",
     "profile_suites",
     "render_report",
     "run_bench",
@@ -59,38 +60,24 @@ SCHEMA = "repro.bench/1"
 #: Schema of one line in ``results/bench_history.jsonl``.
 HISTORY_SCHEMA = "repro.bench-history/1"
 
-#: Legs, in run order.  "on" exercises the memoizing solver facade, "off"
-#: the raw solver — that pair keeps the cache speedup regression-gated —
-#: "guard" the cached configuration under a governed (but unlimited) resource
-#: budget, gating the cost of the checkpoint machinery itself, and
-#: "legacy" the per-pair analysis path with the single-pass query planner
-#: disabled, gating the planner's speedup.  Governed runs fall back to
-#: the per-pair path by design, so the guard leg also runs with the
-#: planner off and its overhead is measured against "legacy" (same
-#: analysis path, no governance).
-LEGS = ("on", "off", "guard", "legacy")
+#: Legs, in first-trial order.  "on" exercises the memoizing solver
+#: facade, "off" the raw solver — that pair keeps the cache speedup
+#: regression-gated — and "guard" the cached configuration under a
+#: governed (but unlimited) resource budget, gating the cost of the
+#: checkpoint machinery against "on".
+LEGS = ("on", "off", "guard")
 
-#: Leg name -> (cache, planner) configuration.
-LEG_CONFIG: dict[str, tuple[bool, bool]] = {
-    "on": (True, True),
-    "off": (False, True),
-    "guard": (True, False),
-    "legacy": (True, False),
-}
+#: Leg name -> solver-cache setting.
+LEG_CACHE: dict[str, bool] = {"on": True, "off": False, "guard": True}
 
 #: Legs that run inside ``repro.guard.governed(Budget.unlimited())``: the
 #: checkpoints all fire (deadline checks, meter updates) but can never
 #: exhaust, isolating pure governance overhead against the "on" leg.
 GOVERNED_LEGS = frozenset({"guard"})
 
-#: The guard leg may cost at most this much over the "legacy" leg (median
+#: The guard leg may cost at most this much over the "on" leg (median
 #: ratio - 1) before :func:`guard_overhead_gate` fails.
 GUARD_OVERHEAD_THRESHOLD = 0.05
-
-#: The planner must beat the per-pair "legacy" leg by at least this median
-#: ratio on the engine-driven suites before :func:`planner_speedup_gate`
-#: passes.
-PLANNER_SPEEDUP_THRESHOLD = 1.3
 
 
 @dataclass
@@ -140,28 +127,13 @@ class SuiteResult:
 
     @property
     def guard_overhead(self) -> float:
-        """Guard-leg median over its ungoverned baseline (governance cost).
-
-        The baseline is the "legacy" leg — the guard leg analyzes through
-        the same per-pair path (governed runs disable the planner) — with
-        the cache-on leg as a fallback for artifacts predating "legacy".
-        """
-
-        baseline = self.legs.get("legacy") or self.legs.get("on")
-        guard = self.legs.get("guard")
-        if baseline is None or guard is None or baseline.median_s == 0:
-            return 1.0
-        return guard.median_s / baseline.median_s
-
-    @property
-    def planner_speedup(self) -> float:
-        """Per-pair "legacy" median over planned cache-on median."""
+        """Guard-leg median over the cache-on median (governance cost)."""
 
         on = self.legs.get("on")
-        legacy = self.legs.get("legacy")
-        if on is None or legacy is None or on.median_s == 0:
+        guard = self.legs.get("guard")
+        if on is None or guard is None or on.median_s == 0:
             return 1.0
-        return legacy.median_s / on.median_s
+        return guard.median_s / on.median_s
 
     def to_dict(self) -> dict:
         return {
@@ -169,7 +141,6 @@ class SuiteResult:
             "legs": {leg: result.to_dict() for leg, result in self.legs.items()},
             "cache_speedup": self.speedup,
             "guard_overhead": self.guard_overhead,
-            "planner_speedup": self.planner_speedup,
         }
 
 
@@ -225,11 +196,7 @@ def history_entry(
             if "median_s" in data
         }
         summary = {"median_s": entry}
-        for ratio in (
-            "cache_speedup",
-            "guard_overhead",
-            "planner_speedup",
-        ):
+        for ratio in ("cache_speedup", "guard_overhead"):
             if ratio in suite:
                 summary[ratio] = round(suite[ratio], 4)
         suites[name] = summary
@@ -255,28 +222,18 @@ def append_history(
     return entry
 
 
-def _time_leg(
-    suite: Suite,
-    cache: bool,
-    planner: bool,
-    warmup: int,
-    trials: int,
-    governed: bool = False,
-) -> list[float]:
+def _run_leg(suite: Suite, leg: str) -> float:
+    """One iteration of ``suite`` in ``leg``; its wall time in seconds."""
+
     scope = (
-        (lambda: _guard.governed(_guard.Budget.unlimited()))
-        if governed
-        else nullcontext
+        _guard.governed(_guard.Budget.unlimited())
+        if leg in GOVERNED_LEGS
+        else nullcontext()
     )
-    with scope():
-        for _ in range(warmup):
-            suite.run(cache, planner)
-        times = []
-        for _ in range(trials):
-            started = perf_counter()
-            suite.run(cache, planner)
-            times.append(perf_counter() - started)
-    return times
+    with scope:
+        started = perf_counter()
+        suite.run(LEG_CACHE[leg])
+        return perf_counter() - started
 
 
 def run_bench(
@@ -286,28 +243,31 @@ def run_bench(
     trials: int = 5,
     progress: Callable[[str], None] | None = None,
 ) -> BenchReport:
-    """Run every suite in every leg and collect the statistics."""
+    """Run every suite in every leg and collect the statistics.
+
+    Per suite: ``warmup`` untimed iterations of each leg, then ``trials``
+    rounds of one timed iteration per leg, the leg order reversed on
+    every other round.
+    """
 
     suites = list(suites) if suites is not None else default_suites()
     report = BenchReport({}, machine_fingerprint(), warmup, trials)
     for suite in suites:
+        if progress is not None:
+            progress(
+                f"{suite.name}: legs {', '.join(LEGS)} "
+                f"({warmup} warmup + {trials} interleaved trials)"
+            )
+        for _ in range(warmup):
+            for leg in LEGS:
+                _run_leg(suite, leg)
+        times: dict[str, list[float]] = {leg: [] for leg in LEGS}
+        for trial in range(trials):
+            for leg in LEGS if trial % 2 == 0 else reversed(LEGS):
+                times[leg].append(_run_leg(suite, leg))
         result = SuiteResult(suite.name, suite.description)
         for leg in LEGS:
-            cache, planner = LEG_CONFIG[leg]
-            if progress is not None:
-                progress(
-                    f"{suite.name}: leg {leg} "
-                    f"({warmup} warmup + {trials} trials)"
-                )
-            times = _time_leg(
-                suite,
-                cache,
-                planner,
-                warmup,
-                trials,
-                governed=leg in GOVERNED_LEGS,
-            )
-            result.legs[leg] = LegResult(suite.name, leg, times)
+            result.legs[leg] = LegResult(suite.name, leg, times[leg])
         report.suites[suite.name] = result
     return report
 
@@ -337,9 +297,7 @@ def guard_overhead_gate(
     """
 
     result = report.suites.get(suite)
-    if result is None or "guard" not in result.legs or (
-        "legacy" not in result.legs and "on" not in result.legs
-    ):
+    if result is None or "guard" not in result.legs or "on" not in result.legs:
         return True, f"guard overhead gate: skipped ({suite} not benchmarked)"
     overhead = result.guard_overhead - 1.0
     ok = overhead < threshold
@@ -347,42 +305,6 @@ def guard_overhead_gate(
     return ok, (
         f"guard overhead gate: {verdict} ({suite} governed run costs "
         f"{overhead:+.1%} vs ungoverned; budget +{threshold:.0%})"
-    )
-
-
-def planner_speedup_gate(
-    report: BenchReport,
-    *,
-    suites: Sequence[str] = ("corpus", "cholsky"),
-    threshold: float = PLANNER_SPEEDUP_THRESHOLD,
-) -> tuple[bool, str]:
-    """Assert the planner beats the per-pair path on the engine suites.
-
-    Returns ``(ok, message)``.  Suites missing the "legacy" or "on" leg
-    are skipped (the gate only judges what actually ran); the symbolic
-    suite never counts, since it does not drive the analysis engine.
-    """
-
-    judged: list[str] = []
-    ok = True
-    for name in suites:
-        result = report.suites.get(name)
-        if (
-            result is None
-            or "legacy" not in result.legs
-            or "on" not in result.legs
-        ):
-            continue
-        speedup = result.planner_speedup
-        judged.append(f"{name} {speedup:.2f}x")
-        if speedup < threshold:
-            ok = False
-    if not judged:
-        return True, "planner speedup gate: skipped (no suite benchmarked)"
-    verdict = "PASS" if ok else "FAIL"
-    return ok, (
-        f"planner speedup gate: {verdict} ({', '.join(judged)}; "
-        f"floor {threshold:.2f}x vs per-pair path)"
     )
 
 
@@ -416,9 +338,5 @@ def render_report(report: BenchReport) -> str:
             lines.append(
                 f"  {name:<12} guard overhead: "
                 f"{suite.guard_overhead - 1.0:+.1%}"
-            )
-        if "legacy" in suite.legs:
-            lines.append(
-                f"  {name:<12} planner speedup: {suite.planner_speedup:.2f}x"
             )
     return "\n".join(lines) + "\n"

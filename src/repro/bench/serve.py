@@ -157,7 +157,7 @@ def run_serve_bench(
 
     try:
         # Reference answers: direct in-process analysis, no service, no
-        # persistence, planner at its default.  This is the ground truth
+        # persistence, default options.  This is the ground truth
         # the restarted service must reproduce from its store.
         reference = {
             name: _comparable(

@@ -14,12 +14,10 @@ populations of the paper's timing study:
     under the ``50 <= n <= 100`` assertion and Example 8's index-array
     queries.
 
-A suite's ``run(cache, planner)`` callable performs one timed
-iteration.  The ``cache`` flag selects the solver-cache leg; ``planner``
-selects the single-pass query planner (the ``legacy`` leg turns it off to
-time the per-pair path).  State never leaks *between* iterations (the
-symbolic suite's cache scope is rebuilt per call), so trials stay
-independent and cold.
+A suite's ``run(cache)`` callable performs one timed iteration; the
+``cache`` flag selects the solver-cache leg.  State never leaks *between*
+iterations (the symbolic suite's cache scope is rebuilt per call), so
+trials stay independent and cold.
 """
 
 from __future__ import annotations
@@ -38,28 +36,24 @@ __all__ = ["SUITES", "Suite", "default_suites"]
 
 @dataclass(frozen=True)
 class Suite:
-    """One benchmarkable workload; ``run(cache, planner)`` is a single
-    iteration."""
+    """One benchmarkable workload; ``run(cache)`` is a single iteration."""
 
     name: str
     description: str
     run: Callable[..., None]
 
 
-def _run_corpus(cache: bool, planner: bool = True) -> None:
-    options = AnalysisOptions(cache=cache, planner=planner)
+def _run_corpus(cache: bool) -> None:
+    options = AnalysisOptions(cache=cache)
     for program in timing_corpus():
         analyze(program, options)
 
 
-def _run_cholsky(cache: bool, planner: bool = True) -> None:
-    analyze(cholsky(), AnalysisOptions(cache=cache, planner=planner))
+def _run_cholsky(cache: bool) -> None:
+    analyze(cholsky(), AnalysisOptions(cache=cache))
 
 
-def _run_symbolic(cache: bool, planner: bool = True) -> None:
-    # ``planner`` is accepted for leg-signature uniformity but has no
-    # effect: the symbolic suite drives the solver directly, without the
-    # analysis engine, so there is no pair traversal to plan.
+def _run_symbolic(cache: bool) -> None:
     scope = caching(SolverCache()) if cache else nullcontext()
     with scope:
         program = example7()

@@ -16,8 +16,7 @@ Commands
     (``--event-sample`` keeps a deterministic fraction), ``--prom-out``
     writes a Prometheus text-format exposition and ``--otlp-out`` an
     OTLP-style span JSONL.  ``--no-cache`` disables the solver result
-    cache and ``--no-planner`` falls back to the per-pair analysis path
-    (identical results).
+    cache (identical results).
 
 ``trace FILE``
     Run the extended analysis under the span tracer and write a
@@ -34,8 +33,8 @@ Commands
     kernel.
 
 ``bench``
-    Run the benchmark harness over the paper corpus (cache on/off,
-    governed and per-pair "legacy" legs, warmup + trials,
+    Run the benchmark harness over the paper corpus (cache on/off and
+    governed legs, interleaved trial by trial after a warmup,
     median/IQR) and write the canonical
     ``BENCH_omega.json`` artifact plus a ``results/`` table, appending a
     one-line summary to ``results/bench_history.jsonl``.
@@ -229,14 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the solver result cache (results are identical, slower)",
-    )
-    analyze_cmd.add_argument(
-        "--no-planner",
-        action="store_true",
-        help=(
-            "disable the single-pass query planner and analyze pair by "
-            "pair (results are identical, slower; also REPRO_PLANNER=0)"
-        ),
     )
     analyze_cmd.add_argument(
         "--deadline-ms",
@@ -757,8 +748,6 @@ def _cmd_analyze(args) -> int:
     )
     if args.no_cache:
         options.cache = False
-    if args.no_planner:
-        options.planner = False
     if args.deadline_ms is not None:
         options.deadline_ms = args.deadline_ms
     if args.strict:
@@ -944,7 +933,6 @@ def _cmd_bench(args) -> int:
         compare,
         guard_overhead_gate,
         load_artifact,
-        planner_speedup_gate,
         profile_suites,
         render_report,
         run_bench,
@@ -1009,11 +997,8 @@ def _cmd_bench(args) -> int:
     (args.results_dir / "bench_omega.txt").write_text(table)
     print(table)
 
-    guard_ok, guard_message = guard_overhead_gate(report)
+    gates_ok, guard_message = guard_overhead_gate(report)
     print(guard_message)
-    planner_ok, planner_message = planner_speedup_gate(report)
-    print(planner_message)
-    gates_ok = guard_ok and planner_ok
 
     if args.profile:
         profile = profile_suites(suites)

@@ -11,7 +11,8 @@ decided the pair, the deciding direction-vector node, whether the answer
 was exact, and every budget degradation that touched it.
 
 Two invariants keep the records **bit-identical** across cache on/off
-and planner on/off (an acceptance criterion, regression-tested):
+and governed runs whose budget never runs out (an acceptance criterion,
+regression-tested):
 
 * Footprints are order-independent aggregates — per-kind query counters
   and reason *sets* — so the order queries settle in cannot show.

@@ -75,7 +75,7 @@ class ExplainLog:
         This is the engine's determinism contract: each per-read task
         records into its own private log, and the engine merges the logs
         strictly in program (read) order — so the combined trail follows
-        read order on both the planned and the per-pair path.
+        read order.
         """
 
         self.decisions.extend(other.decisions)

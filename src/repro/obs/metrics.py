@@ -89,7 +89,6 @@ CATALOG: tuple[str, ...] = (
     "solver.plan.cores_reused",
     "solver.plan.prefix_extensions",
     "solver.plan.prefix_reuses",
-    "solver.plan.fallbacks",
     # Resource governance (repro.guard).
     "guard.budget_exhausted",
     "guard.degradations",

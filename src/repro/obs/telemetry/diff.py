@@ -14,13 +14,13 @@ precision gates give.  Accepted inputs (auto-detected by schema):
   per-stage *self* time via :class:`repro.obs.profile.Profile`.
 
 Scoring is heuristic but deliberately shaped: deterministic semantic
-regressions (precision drift, guard degradations, planner fallbacks,
-new errors) score highest and are the only suspects that fail
-``--gate``; configuration-sensitive health signals (cache hit-rate
-drops) come next; generic counter shifts score by log-ratio with
-per-layer weights; timing deltas score lowest because wall clock is the
-noisiest witness.  The ranking — not the absolute scores — is the
-contract the regression tests pin down.
+regressions (precision drift, guard degradations, new errors) score
+highest and are the only suspects that fail ``--gate``;
+configuration-sensitive health signals (cache hit-rate drops) come next;
+generic counter shifts score by log-ratio with per-layer weights; timing
+deltas score lowest because wall clock is the noisiest witness.  The
+ranking — not the absolute scores — is the contract the regression tests
+pin down.
 """
 
 from __future__ import annotations
@@ -276,16 +276,6 @@ def _diff_runs(report: SuspectsReport, old: dict, new: dict) -> None:
     have_counters = bool(old_counters) and bool(new_counters)
 
     if have_counters:
-        old_fb = old_counters.get("solver.plan.fallbacks", 0)
-        new_fb = new_counters.get("solver.plan.fallbacks", 0)
-        if new_fb > old_fb:
-            report.add(
-                35.0 + 2.0 * (new_fb - old_fb),
-                f"planner: solver.plan.fallbacks {old_fb} -> {new_fb} "
-                "(runs fell back to the per-pair path)",
-                gate=True,
-            )
-
         # Cache health: the strongest non-semantic signal.
         old_rate = _hit_rate(old_counters)
         new_rate = _hit_rate(new_counters)
@@ -301,8 +291,6 @@ def _diff_runs(report: SuspectsReport, old: dict, new: dict) -> None:
         # Generic counter shifts, weighted by layer.
         for name in sorted(set(old_counters) | set(new_counters)):
             if name.startswith(_CACHE_COUNTERS):
-                continue
-            if name == "solver.plan.fallbacks":
                 continue
             old_value = old_counters.get(name, 0)
             new_value = new_counters.get(name, 0)
@@ -370,7 +358,6 @@ def _diff_bench_timing(
             )
         for ratio, better_high in (
             ("cache_speedup", True),
-            ("planner_speedup", True),
             ("guard_overhead", False),
         ):
             old_r = old_suite.get(ratio)

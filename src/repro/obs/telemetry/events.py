@@ -3,20 +3,20 @@
 While spans and metrics summarize a run after the fact, the event bus
 streams the analysis's decisions *as they settle*: one event per run
 start/end, per flow pair examined, per verdict (with the deciding
-stage), per budget degradation and per planner fallback.  Events go to a
-user callback or a JSONL sink (:class:`JsonlSink`), ready for tailing,
-``jq`` pipelines, or the request log of a future ``repro serve``.
+stage) and per budget degradation.  Events go to a user callback or a
+JSONL sink (:class:`JsonlSink`), ready for tailing, ``jq`` pipelines, or
+the request log of a future ``repro serve``.
 
 Determinism contract — the property regression tests pin down:
 
 * Pair events are *recorded* per read and *delivered* at the engine's
   read-order merge points, so the stream is bit-identical across cache
-  and planner settings.
+  settings and governed runs whose budget never runs out.
 * Sequence numbers are assigned at delivery, and the default payload
   carries no wall-clock timestamps.
 * Sampling is content-hashed (CRC-32 of the pair subject), never
-  random: the same pairs are kept at the same rate on every run.  Run-level events (``run.*``, ``degradation``,
-  ``planner.fallback``) are always delivered.
+  random: the same pairs are kept at the same rate on every run.
+  Run-level events (``run.*``, ``degradation``) are always delivered.
 
 Activate a bus with :func:`publishing`; instrumented code finds it via
 :func:`current_bus` (one thread-local list check when disabled, keeping

@@ -72,7 +72,6 @@ STABLE_COUNTERS = frozenset(
         "solver.tasks",
         "solver.plan.groups",
         "solver.plan.pairs_planned",
-        "solver.plan.fallbacks",
         "guard.degradations",
         "guard.budget_exhausted",
     }
@@ -125,7 +124,6 @@ _OPTION_FIELDS = (
     "cache_size",
     "deadline_ms",
     "policy",
-    "planner",
 )
 
 
@@ -213,11 +211,7 @@ def _bench_summary(artifact: dict) -> tuple[dict, dict]:
                 if "median_s" in data
             }
         }
-        for ratio in (
-            "cache_speedup",
-            "guard_overhead",
-            "planner_speedup",
-        ):
+        for ratio in ("cache_speedup", "guard_overhead"):
             if ratio in suite:
                 entry[ratio] = round(suite[ratio], 4)
         timing[name] = entry

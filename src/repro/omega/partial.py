@@ -41,7 +41,7 @@ from .constraints import (
     Relation,
 )
 from .eliminate import eliminate_equalities, fourier_motzkin
-from .errors import OmegaComplexityError
+from .errors import BudgetExhausted, OmegaComplexityError
 
 __all__ = ["PartialElimination", "partial_eliminate"]
 
@@ -160,11 +160,16 @@ def partial_eliminate(
     (``max_growth`` new constraints) eliminations remain.  Never raises
     on complexity: a blow-up inside the reduction falls back to an
     unreduced handle, so callers degrade to per-probe solving.
+    :class:`BudgetExhausted` (a deadline, a work meter, an injected fault)
+    does propagate: it is a property of the run, not of the problem, so
+    the caller decides whether the unreduced handle may be memoized.
     """
 
     kept = frozenset(keep)
     try:
         return _partial_eliminate(problem, kept, max_growth)
+    except BudgetExhausted:
+        raise
     except OmegaComplexityError:
         return PartialElimination(problem, kept, 0)
 

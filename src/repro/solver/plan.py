@@ -9,19 +9,25 @@ loop-bound variables from scratch.
 
 The division of labor matters for the audit layer: the *probes* (small
 reduced problems) still go through :mod:`repro.solver`'s service
-functions, one per question, so per-subject query footprints are
-identical to the legacy path.  Only the reduction work itself — a pure
+functions, one per question, so degradation shields and per-subject
+query footprints work per probe.  Only the reduction work itself — a pure
 rewrite with no observable answer — happens here, outside the audited
-boundary.
+boundary.  That makes it best-effort under governance: each reduction
+runs under its own per-query work meter, and one that runs out of budget
+(or hits an injected fault) leaves the core unreduced for that request
+only.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..guard import budget as _guard
 from ..obs import metrics as _metrics
 from ..omega.constraints import Constraint, Problem
+from ..omega.errors import BudgetExhausted
 from ..omega.partial import PartialElimination, partial_eliminate
 
 __all__ = ["PlanSpace", "PlanState"]
@@ -51,9 +57,20 @@ class PlanSpace:
         if cached is not None:
             _metrics.inc("solver.plan.cores_reused")
             return cached
-        core = self._cores[key] = partial_eliminate(
-            problem, keep, max_growth=self.max_growth
-        )
+        gov = _guard.active()
+        try:
+            # A fresh meter: the reduction pays for its own FM/splinter
+            # work only, not for what the previous probe left on the meter.
+            with gov.fresh_query() if gov is not None else nullcontext():
+                core = partial_eliminate(
+                    problem, keep, max_growth=self.max_growth
+                )
+        except BudgetExhausted:
+            # The run's failure, not the problem's (the rule SolverCache
+            # applies too): answer unreduced and leave the slot empty, so a
+            # later request for the same core reduces it.
+            return PartialElimination(problem, frozenset(keep), 0)
+        self._cores[key] = core
         _metrics.inc("solver.plan.cores_built")
         return core
 

@@ -1,28 +1,49 @@
-"""The planner must be invisible: planned output == per-pair output.
+"""The planner under governance must be invisible when nothing runs out.
 
-The single-pass query planner regroups *how* dependence questions are
-answered — shared iteration-space bases, memoized partial-elimination
-prefixes, a fused anti+flow traversal — but every observable output
-(dependences, statuses, explain trails, audit provenance, pair ordering)
-must stay byte-identical to the legacy per-pair path, across worker
-counts and cache settings.  These snapshots are the acceptance bar for
-the whole refactor; the fuzzed corpus guards shapes no curated example
-happens to cover.
+Every ``analyze()`` run goes through the single-pass query planner.  A
+governed run — a budget, a deadline or a fault plan — additionally arms
+the checkpoint machinery, meters each core reduction on its own and
+shields each probe.  When no budget runs out and no fault fires, none of
+that may show: dependences, statuses, explain trails, audit provenance
+and the event stream stay byte-identical to the default run, with the
+solver cache on and off.  The fuzzed corpus guards shapes no curated
+example happens to cover.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
-from repro.analysis import AnalysisOptions, analyze, default_planner_enabled
+from repro.analysis import AnalysisOptions, analyze
+from repro.guard import Budget, FaultPlan, injecting
+from repro.obs import (
+    EventBus,
+    MetricsRegistry,
+    RunContext,
+    collecting,
+    publishing,
+    run_context,
+)
 from repro.programs import PAPER_EXAMPLES, cholsky, corpus_programs
 from repro.reporting import result_to_dict
 
 from .test_cache_determinism import random_program
 
+#: Governed configurations whose budget never runs out: (options, fault
+#: plan).  A fault plan alone governs a run under ``Budget.unlimited()``.
+GOVERNED = {
+    "unlimited": (dict(budget=Budget.unlimited()), None),
+    "deadline": (dict(deadline_ms=1e9), None),
+    "silent-faults": ({}, 0.0),
+}
+
 
 def snapshot(result):
     data = result_to_dict(result)
+    # A governed run carries an (empty) degradation log, an ungoverned
+    # one none at all; everything else must match byte for byte.
+    data.pop("degradations")
     if result.explain is not None:
         data["explain"] = result.explain.render()
     if result.provenance:
@@ -30,8 +51,28 @@ def snapshot(result):
     return data
 
 
-def run(program, planner, **kwargs):
-    return analyze(program, AnalysisOptions(planner=planner, **kwargs))
+def observe(program, faults=None, **options):
+    """(snapshot, event stream) of one run under its own bus."""
+
+    bus = EventBus()
+    scope = (
+        injecting(FaultPlan(seed=1, rate=faults))
+        if faults is not None
+        else nullcontext()
+    )
+    with scope, run_context(RunContext("deadbeef0001")), publishing(bus):
+        result = analyze(program, AnalysisOptions(**options))
+    if faults is not None or options.keys() & {"budget", "deadline_ms"}:
+        assert result.degradations is not None
+        assert not result.degraded()
+    return snapshot(result), bus.events
+
+
+def assert_governed_identical(program, **options):
+    expected = observe(program, **options)
+    for name, (governance, faults) in GOVERNED.items():
+        governed = observe(program, faults, **options, **governance)
+        assert governed == expected, name
 
 
 def fuzzed_programs(count=8):
@@ -45,67 +86,58 @@ def fuzzed_programs(count=8):
     ids=[f"example{number}" for number in PAPER_EXAMPLES],
 )
 def test_paper_examples_identical(make_program):
-    legacy = run(make_program(), False, explain=True, audit=True)
-    planned = run(make_program(), True, explain=True, audit=True)
-    assert snapshot(legacy) == snapshot(planned)
+    for cache in (True, False):
+        assert_governed_identical(
+            make_program(), cache=cache, explain=True, audit=True
+        )
 
 
 @pytest.mark.parametrize(
     "program", corpus_programs(), ids=lambda program: program.name
 )
 def test_corpus_identical(program):
-    assert snapshot(run(program, False)) == snapshot(run(program, True))
+    # Cache off for the corpus comes from the tier-1 REPRO_NO_CACHE leg.
+    assert_governed_identical(program, explain=True, audit=True)
 
 
 @pytest.mark.parametrize(
     "program", fuzzed_programs(), ids=lambda program: program.name
 )
 def test_fuzzed_programs_identical_with_audit(program):
-    legacy = run(program, False, audit=True, input_deps=True)
-    planned = run(program, True, audit=True, input_deps=True)
-    assert snapshot(legacy) == snapshot(planned)
+    for cache in (True, False):
+        assert_governed_identical(
+            program, cache=cache, audit=True, input_deps=True
+        )
 
 
 @pytest.mark.parametrize("cache", (True, False))
 def test_cholsky_identical_across_cache_settings(cache):
-    options = dict(cache=cache, explain=True, audit=True)
-    legacy = run(cholsky(), False, **options)
-    planned = run(cholsky(), True, **options)
-    assert snapshot(legacy) == snapshot(planned)
+    assert_governed_identical(cholsky(), cache=cache, explain=True, audit=True)
 
 
 def test_planner_emits_the_memoized_graph():
-    result = run(cholsky(), True)
-    graph = result.graph()
-    assert result.graph() is graph  # memoized, built during the traversal
-    assert result.graph(live_only=False) is not graph  # kwargs rebuild
+    for options in (AnalysisOptions(), AnalysisOptions(deadline_ms=1e9)):
+        result = analyze(cholsky(), options)
+        graph = result.graph()
+        assert result.graph() is graph  # memoized, built during the traversal
+        assert result.graph(live_only=False) is not graph  # kwargs rebuild
 
 
-def test_governed_run_falls_back_to_the_per_pair_path():
-    # Budgeted analyses degrade per-query; the planner's shared cores
-    # would make degradation points nondeterministic, so governed runs
-    # must take the legacy path (and still produce identical results on
-    # an unlimited budget).
-    program = cholsky()
-    governed = analyze(
-        program, AnalysisOptions(planner=True, deadline_ms=1e9)
-    )
-    ungoverned = analyze(program, AnalysisOptions(planner=False))
-    assert result_to_dict(governed)["flow"] == result_to_dict(ungoverned)["flow"]
+def test_governed_run_takes_the_planner():
+    """Same plan, same cores, same questions: governance adds no work."""
 
+    def plan_counters(options):
+        registry = MetricsRegistry()
+        with collecting(registry):
+            analyze(cholsky(), options)
+        return {
+            name: value
+            for name, value in registry.counters.items()
+            if name.startswith("solver.plan.") or name == "solver.queries"
+        }
 
-class TestEscapeHatch:
-    def test_env_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLANNER", raising=False)
-        assert default_planner_enabled()
-        assert AnalysisOptions().planner
-
-    @pytest.mark.parametrize("value", ("0", "false", "no", "off", "OFF"))
-    def test_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PLANNER", value)
-        assert not default_planner_enabled()
-        assert not AnalysisOptions().planner
-
-    def test_env_other_values_keep_it_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER", "1")
-        assert default_planner_enabled()
+    ungoverned = plan_counters(AnalysisOptions())
+    governed = plan_counters(AnalysisOptions(deadline_ms=1e9))
+    assert governed == ungoverned
+    assert governed["solver.plan.cores_built"] > 0
+    assert governed["solver.plan.cores_reused"] > 0

@@ -28,10 +28,10 @@ def _artifact():
                     "on": leg(0.5),
                     "off": leg(1.0),
                     "guard": leg(0.51),
-                    "legacy": leg(0.75),
                 },
                 "cache_speedup": 2.0,
                 "guard_overhead": 1.02,
+                # An older artifact's ratio: not carried into new lines.
                 "planner_speedup": 1.5,
             },
             "cholsky": {
@@ -58,15 +58,12 @@ class TestHistoryEntry:
         corpus = entry["suites"]["corpus"]
         assert corpus["median_s"] == {
             "guard": 0.51,
-            "legacy": 0.75,
             "off": 1.0,
             "on": 0.5,
         }
         assert corpus["cache_speedup"] == 2.0
         assert corpus["guard_overhead"] == 1.02
-        assert corpus["planner_speedup"] == 1.5
-        # cholsky predates the legacy leg; the ratio is simply absent.
-        assert "planner_speedup" not in entry["suites"]["cholsky"]
+        assert "planner_speedup" not in corpus
 
     def test_default_timestamp_is_utc_iso(self):
         entry = history_entry(_artifact(), sha="abc1234")

@@ -129,9 +129,9 @@ class TestEngineIntegration:
         }
         assert "kill" in stages  # example1's dead dependence
 
-    @pytest.mark.parametrize("planner", [True, False])
-    def test_stream_bit_identical_across_cache_settings(self, planner):
-        options = {"extended": True, "planner": planner}
+    @pytest.mark.parametrize("governed", [True, False])
+    def test_stream_bit_identical_across_cache_settings(self, governed):
+        options = {"extended": True, "deadline_ms": 1e9 if governed else None}
         cached = run_events(cholsky(), AnalysisOptions(cache=True, **options))
         uncached = run_events(cholsky(), AnalysisOptions(cache=False, **options))
         assert cached == uncached
@@ -142,15 +142,22 @@ class TestEngineIntegration:
         second = run_events(example1(), AnalysisOptions(extended=True))
         assert first == second
 
-    def test_degradation_and_fallback_events_on_governed_runs(self):
+    def test_degradation_events_on_governed_runs(self):
         events = run_events(example1(), AnalysisOptions(deadline_ms=0.0))
         kinds = [event["kind"] for event in events]
-        assert "planner.fallback" in kinds
         assert "degradation" in kinds
+        assert not [kind for kind in kinds if kind.startswith("planner.")]
         degradations = [
             event for event in events if event["kind"] == "degradation"
         ]
         assert all(event["stage"] for event in degradations)
+
+    def test_governed_runs_build_plan_cores(self):
+        registry = MetricsRegistry()
+        with collecting(registry):
+            events = run_events(example1(), AnalysisOptions(deadline_ms=1e9))
+        assert registry.counter("solver.plan.cores_built") > 0
+        assert not [e for e in events if e["kind"].startswith("planner.")]
 
     def test_silent_without_a_bus(self):
         result = analyze(example1(), AnalysisOptions(extended=True))

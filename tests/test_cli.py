@@ -261,7 +261,6 @@ class TestBenchCommand:
             "on",
             "off",
             "guard",
-            "legacy",
         }
         assert (results / "bench_omega.txt").exists()
         assert "cache speedup" in capsys.readouterr().out
