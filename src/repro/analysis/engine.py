@@ -20,9 +20,14 @@ reproductions.  All timing is span-based (``repro.obs.trace``): the engine
 wraps its phases and per-pair work in ``span(...)`` blocks and derives
 :class:`PairRecord` / :class:`KillTiming` durations from them, so the same
 substrate feeds the figures, Chrome-trace export and the metrics registry.
-With ``explain=True`` the engine additionally records a structured decision
-trail (:class:`repro.obs.explain.ExplainLog`) of why each dependence was
-refined, covered, killed or kept.
+
+When an observer is on (``explain=True``, ``audit=True`` or an active
+event bus) the engine writes each per-pair fact exactly once, as one
+:class:`repro.obs.explain.Step` in pipeline order.  At the end of each
+read it builds the read's provenance records from the steps and the
+dependences' final state.  At the read-order merge point, the explain
+decisions and the ``pair.*`` events are derived from the same steps and
+records.  With no observer on, nothing is recorded.
 """
 
 from __future__ import annotations
@@ -35,8 +40,14 @@ from ..guard import Budget, DegradationLog
 from ..guard import budget as _guard
 from ..guard import faults as _faults
 from ..ir.ast import Access, Program
-from ..obs.audit import AuditLog, ProvenanceRecord, auditing as _auditing
-from ..obs.explain import ExplainLog
+from ..obs.audit import (
+    AuditLog,
+    ProvenanceRecord,
+    auditing as _auditing,
+    decided_subject,
+    kill_subject,
+)
+from ..obs.explain import Step, explain_view
 from ..obs.instrument import Tracer
 from ..obs.instrument import metrics as _metrics
 from ..obs.instrument import span as _span
@@ -67,54 +78,47 @@ from .results import AnalysisResult, KillTiming, PairCategory, PairRecord
 __all__ = ["AnalysisOptions", "analyze", "Analyzer"]
 
 
-def _subject(dep: Dependence) -> str:
-    """A stable explain-mode key for a dependence (no mutable tags)."""
-
-    return dep.subject()
-
-
 @dataclass
 class _ReadSink:
-    """Per-read collection of side outputs (explain decisions, timing
+    """Per-read collection of side outputs (the per-pair trail, timing
     records, provenance).  Each per-read task writes only to its own sink;
-    the engine merges sinks in read order afterwards."""
+    the engine merges sinks in read order afterwards, so every view of
+    the trail follows read order."""
 
-    explain: ExplainLog | None
-    #: Audit mode only: provenance is collected per read, merged in read
-    #: order (the bit-identity contract shared with explain mode).
-    audit: bool = False
-    #: Event-bus mode: lifecycle entries (kind, subject, stage, detail)
-    #: are *recorded* here and *delivered* to the bus at the engine's
-    #: read-order merge points, so the event stream follows read order.
-    publish: bool = False
-    lifecycle: list[tuple] = field(default_factory=list)
+    #: Record the per-pair trail: explain, audit or an event bus is on.
+    trail: bool
+    #: The trail: one step per action on a dependence, in pipeline order.
+    steps: list[Step] = field(default_factory=list)
+    #: This read's flow provenance: pairs proved independent (in write
+    #: order), then its dependences, built from the steps at the read's end.
+    records: list[ProvenanceRecord] = field(default_factory=list)
     pair_records: list[PairRecord] = field(default_factory=list)
     kill_timings: list[KillTiming] = field(default_factory=list)
-    provenance: list[ProvenanceRecord] = field(default_factory=list)
     #: This read's anti dependences and their provenance, computed in the
     #: same task as the flow pipeline and merged back read-major.
     anti: list[Dependence] = field(default_factory=list)
     anti_provenance: list[ProvenanceRecord] = field(default_factory=list)
-    #: Flow pairs the Omega test proved independent: (write, read).
-    independents: list[tuple[Access, Access]] = field(default_factory=list)
-    #: Per-subject decision trail, appended in pipeline order.
-    events: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
-    #: Subject -> whether the deciding kill consulted the Omega test.
-    kill_used: dict[str, bool] = field(default_factory=dict)
 
-    def note_event(self, subject: str, stage: str, detail: str) -> None:
-        if self.audit:
-            self.events.setdefault(subject, []).append((stage, detail))
-
-    def note_lifecycle(
+    def step(
         self,
-        kind: str,
-        subject: str,
-        stage: str | None = None,
-        detail: str | None = None,
+        dep: Dependence,
+        action: str,
+        *,
+        by: Dependence | None = None,
+        used_omega: bool | None = None,
     ) -> None:
-        if self.publish:
-            self.lifecycle.append((kind, subject, stage, detail))
+        """Write one action on ``dep`` to the trail (a no-op when off)."""
+
+        if not self.trail:
+            return
+        directions = ("", "")
+        if action == "refined":
+            before = ", ".join(str(v) for v in dep.unrefined_directions)
+            directions = (before, dep.direction_text())
+        by_subject = by.subject() if by is not None else None
+        self.steps.append(
+            Step(dep.subject(), action, by_subject, used_omega, directions)
+        )
 
 
 @dataclass
@@ -211,10 +215,6 @@ class Analyzer:
         #: For options.terminate: write A -> terminating output deps A->B
         #: (B overwrites everything A wrote).
         self.terminators: dict[Access, list[Dependence]] = {}
-        self.explain: ExplainLog | None = (
-            ExplainLog() if options.explain else None
-        )
-        self.result.explain = self.explain
         self.audit: AuditLog | None = AuditLog() if options.audit else None
         self.result.audit = self.audit
         #: The live event bus, when one is publishing (set by :meth:`run`).
@@ -319,41 +319,33 @@ class Analyzer:
             stage="omega-unsat",
         )
 
-    def _verdict_of(self, dep: Dependence) -> tuple[str, str]:
-        """(verdict, deciding stage) from a dependence's *final* state.
-
-        Shared by provenance records and ``pair.verdict`` lifecycle
-        events so the two report the same attribution.
-        """
-
-        if dep.status is DependenceStatus.LIVE:
-            extended = self.options.extended and dep.kind is DependenceKind.FLOW
-            return "reported", ("kept" if extended else "standard")
-        if dep.status is DependenceStatus.COVERED:
-            return "eliminated", "cover"
-        killer = dep.eliminated_by
-        terminated = killer is not None and killer.kind is DependenceKind.OUTPUT
-        return "eliminated", ("terminate" if terminated else "kill")
-
     def _dependence_record(
-        self, dep: Dependence, sink: "_ReadSink | None" = None
+        self, dep: Dependence, steps: Sequence[Step] = ()
     ) -> ProvenanceRecord:
-        """One record from a dependence's *final* analysis state."""
+        """One record from a dependence's *final* analysis state and the
+        trail ``steps`` of its read."""
 
         subject = dep.subject()
-        decided_by: str | None = None
+        steps = [step for step in steps if step.subject == subject]
+        by = dep.eliminated_by
         used_omega: bool | None = None
-        verdict, stage = self._verdict_of(dep)
-        if stage == "cover":
-            used_omega = False  # structural: source runs before the coverer
-        elif stage == "kill" and sink is not None:
-            used_omega = sink.kill_used.get(subject)
-        if dep.eliminated_by is not None:
-            decided_by = dep.eliminated_by.subject()
+        if dep.status is DependenceStatus.LIVE:
+            extended = self.options.extended and dep.kind is DependenceKind.FLOW
+            verdict, stage = "reported", ("kept" if extended else "standard")
+        elif dep.status is DependenceStatus.COVERED:
+            # Structural: the source runs entirely before the coverer.
+            verdict, stage, used_omega = "eliminated", "cover", False
+        elif by is not None and by.kind is DependenceKind.OUTPUT:
+            verdict, stage = "eliminated", "terminate"
+        else:
+            verdict, stage = "eliminated", "kill"
+            for step in steps:
+                if step.action == "killed":
+                    used_omega = step.used_omega
         unrefined = None
         if dep.refined and dep.unrefined_directions:
             unrefined = ", ".join(str(v) for v in dep.unrefined_directions)
-        record = ProvenanceRecord(
+        return ProvenanceRecord(
             subject=subject,
             kind=dep.kind.value,
             src=str(dep.src),
@@ -361,16 +353,14 @@ class Analyzer:
             verdict=verdict,
             status=dep.status.value,
             stage=stage,
-            decided_by=decided_by,
+            decided_by=by.subject() if by is not None else None,
             direction=dep.direction_text() or None,
             unrefined_direction=unrefined,
             refined=dep.refined,
             covers=dep.covers,
             used_omega=used_omega,
+            events=[step.event() for step in steps],
         )
-        if sink is not None:
-            record.events = list(sink.events.get(subject, ()))
-        return record
 
     def _finalize_audit(self) -> None:
         """Fold query footprints and degradations into the records."""
@@ -387,13 +377,9 @@ class Analyzer:
             record.exact = footprint.exact
         if self.result.degradations is not None:
             for event in self.result.degradations:
-                subject = event.subject
-                if subject is None:
+                if event.subject is None:
                     continue
-                if subject.startswith("kill: "):
-                    # "kill: {victim-subject} by {writer}" decides the victim.
-                    subject = subject[len("kill: "):].rsplit(" by ", 1)[0]
-                record = by_subject.get(subject)
+                record = by_subject.get(decided_subject(event.subject))
                 if record is not None:
                     record.attach_degradation(_asdict(event))
         reported = eliminated = independent = inexact = 0
@@ -459,15 +445,26 @@ class Analyzer:
         for _per_read, sink in outcomes:
             self.result.anti.extend(sink.anti)
             self.result.provenance.extend(sink.anti_provenance)
-        for per_read, sink in outcomes:
+        steps: list[Step] = []
+        for read, (per_read, sink) in zip(reads, outcomes):
             self.result.pair_records.extend(sink.pair_records)
             self.result.kill_timings.extend(sink.kill_timings)
-            if self.explain is not None and sink.explain is not None:
-                self.explain.merge(sink.explain)
-            self.result.provenance.extend(sink.provenance)
             self.result.flow.extend(per_read)
+            if self.audit is not None:
+                self.result.provenance.extend(sink.records)
+            if self.options.explain:
+                # Step order, not record order; ``kept`` comes from the
+                # final state of the read's live flow dependences.
+                steps.extend(sink.steps)
+                steps.extend(
+                    Step(record.subject, "kept")
+                    for record in sink.records
+                    if record.verdict == "reported"
+                )
             if self.bus is not None:
-                self.bus.emit_pending(sink.lifecycle)
+                self._emit_pair_events(read, writes, sink.records)
+        if self.options.explain:
+            self.result.explain = explain_view(steps)
         if self.options.input_deps:
             with _span("analysis.phase.input"):
                 self._compute_input_dependences(reads)
@@ -481,11 +478,7 @@ class Analyzer:
     ) -> tuple[list[Dependence], "_ReadSink"]:
         """Both dependence directions of one read, in one plan-driven task."""
 
-        sink = _ReadSink(
-            ExplainLog() if self.explain is not None else None,
-            audit=self.audit is not None,
-            publish=self.bus is not None,
-        )
+        sink = _ReadSink(bool(self.options.explain or self.audit or self.bus))
         for dst in writes:
             if read.array != dst.array:
                 continue
@@ -618,44 +611,35 @@ class Analyzer:
             self._apply_terminators(per_read, sink)
         if self.options.extended and self.options.kill:
             self._apply_kills(per_read, tester, sink)
-        if sink.explain is not None:
-            for dep in per_read:
-                if dep.status is DependenceStatus.LIVE:
-                    sink.explain.record(
-                        _subject(dep),
-                        "kept",
-                        "no covering or killing write eliminates it",
-                    )
-        if sink.audit:
+        if sink.trail:
             # Records are assembled from the dependences' *final* state —
-            # after cover/terminator/kill elimination.  Independent pairs
-            # come first (in write-scan order), then every dependence of
-            # this read.
-            for src, dst in sink.independents:
-                sink.provenance.append(
-                    self._independent_record(DependenceKind.FLOW, src, dst)
-                )
+            # after cover/terminator/kill elimination.
             for dep in per_read:
-                sink.provenance.append(self._dependence_record(dep, sink))
-        if sink.publish:
-            # Verdict events mirror the provenance ordering: independent
-            # pairs first, then this read's dependences in final state.
-            for src, dst in sink.independents:
-                sink.note_lifecycle(
-                    "pair.verdict",
-                    f"flow: {src} -> {dst}",
-                    stage="omega-unsat",
-                    detail="independent",
-                )
-            for dep in per_read:
-                verdict, stage = self._verdict_of(dep)
-                detail = verdict
-                if dep.eliminated_by is not None:
-                    detail = f"{verdict} by {dep.eliminated_by.subject()}"
-                sink.note_lifecycle(
-                    "pair.verdict", dep.subject(), stage=stage, detail=detail
-                )
+                sink.records.append(self._dependence_record(dep, sink.steps))
         return per_read, sink
+
+    def _emit_pair_events(
+        self,
+        read: Access,
+        writes: Sequence[Access],
+        records: Sequence[ProvenanceRecord],
+    ) -> None:
+        """Deliver one read's ``pair.start`` events (one per write of the
+        read's array) and its ``pair.verdict`` events (one per record)."""
+
+        for write in writes:
+            if write.array == read.array:
+                self.bus.emit("pair.start", f"flow: {write} -> {read}")
+        for record in records:
+            detail = record.verdict
+            if record.decided_by is not None:
+                detail += f" by {record.decided_by}"
+            self.bus.emit(
+                "pair.verdict",
+                record.subject,
+                stage=record.stage,
+                detail=detail,
+            )
 
     def _analyze_pair(
         self, write: Access, read: Access, sink: "_ReadSink"
@@ -663,7 +647,6 @@ class Analyzer:
         """Standard + extended analysis of one array pair, with timing."""
 
         _metrics.inc("analysis.pairs_analyzed")
-        sink.note_lifecycle("pair.start", f"flow: {write} -> {read}")
         # Any degradation inside this pair is attributed to it by name.
         with _guard.subject(f"flow: {write} -> {read}"), _span(
             "analysis.pair", src=write, dst=read
@@ -692,19 +675,8 @@ class Analyzer:
                             outcome.dependence is not dep
                             and outcome.dependence.refined
                         ):
-                            if sink.explain is not None:
-                                self._explain_refinement(
-                                    outcome.dependence, sink
-                                )
-                            refined_dep = outcome.dependence
-                            before = ", ".join(
-                                str(v) for v in refined_dep.unrefined_directions
-                            )
-                            sink.note_event(
-                                _subject(refined_dep),
-                                "refine",
-                                f"({before}) -> "
-                                f"({refined_dep.direction_text()})",
+                            sink.step(
+                                outcome.dependence, "refined", used_omega=True
                             )
                         dep = outcome.dependence
                     refined.append(dep)
@@ -718,20 +690,12 @@ class Analyzer:
                             dep, use_quick_test=False
                         )
                         if dep.covers:
-                            sink.note_event(
-                                _subject(dep), "cover", "covers its destination"
-                            )
-                        if dep.covers and sink.explain is not None:
-                            sink.explain.record(
-                                _subject(dep),
-                                "covers",
-                                "every element the destination accesses was "
-                                "previously written by this source",
-                                used_omega=True,
-                            )
+                            sink.step(dep, "covers", used_omega=True)
 
-        if not deps and (sink.audit or sink.publish):
-            sink.independents.append((write, read))
+        if not deps and sink.trail:
+            sink.records.append(
+                self._independent_record(DependenceKind.FLOW, write, read)
+            )
         if deps:
             _metrics.inc("analysis.dependences_found", len(deps))
         if pair_span.duration:
@@ -754,17 +718,6 @@ class Analyzer:
                 )
             )
         return deps
-
-    def _explain_refinement(self, dep: Dependence, sink: "_ReadSink") -> None:
-        before = ", ".join(str(v) for v in dep.unrefined_directions)
-        sink.explain.record(
-            _subject(dep),
-            "refined",
-            f"distance narrowed from ({before}) to ({dep.direction_text()}): "
-            "every destination iteration still receives the value from the "
-            "refined source",
-            used_omega=True,
-        )
 
     def _refine_quick_allows(self, dep: Dependence) -> bool:
         """Quick test: refinement in some loop needs a self-output
@@ -798,19 +751,7 @@ class Analyzer:
                     dep.status = DependenceStatus.COVERED
                     dep.eliminated_by = cover
                     _metrics.inc("analysis.deps_covered")
-                    sink.note_event(
-                        _subject(dep),
-                        "cover",
-                        f"eliminated by {_subject(cover)}",
-                    )
-                    if sink.explain is not None:
-                        sink.explain.record(
-                            _subject(dep),
-                            "covered",
-                            "its source runs entirely before a covering "
-                            "write of the same destination",
-                            by=_subject(cover),
-                        )
+                    sink.step(dep, "covered", by=cover)
 
     @staticmethod
     def _completely_before(a: Access, b: Access) -> bool:
@@ -836,19 +777,7 @@ class Analyzer:
                     dep.status = DependenceStatus.KILLED
                     dep.eliminated_by = terminator
                     _metrics.inc("analysis.deps_killed")
-                    sink.note_event(
-                        _subject(dep),
-                        "terminate",
-                        f"terminated by {_subject(terminator)}",
-                    )
-                    if sink.explain is not None:
-                        sink.explain.record(
-                            _subject(dep),
-                            "terminated",
-                            "a terminating write overwrites everything the "
-                            "source wrote before the destination runs",
-                            by=_subject(terminator),
-                        )
+                    sink.step(dep, "terminated", by=terminator)
                     break
 
     def _apply_kills(
@@ -863,7 +792,7 @@ class Analyzer:
                 if killer.status is not DependenceStatus.LIVE:
                     continue
                 with _guard.subject(
-                    f"kill: {_subject(victim)} by {killer.src}"
+                    kill_subject(victim.subject(), killer.src)
                 ):
                     killed = tester.kills(victim, killer)
                 record = tester.records[-1]
@@ -883,23 +812,12 @@ class Analyzer:
                     victim.status = DependenceStatus.KILLED
                     victim.eliminated_by = killer
                     _metrics.inc("analysis.deps_killed")
-                    sink.kill_used[_subject(victim)] = record.used_omega
-                    sink.note_event(
-                        _subject(victim),
-                        "kill",
-                        ("general omega test" if record.used_omega else "quick test")
-                        + f" by {_subject(killer)}",
+                    sink.step(
+                        victim,
+                        "killed",
+                        by=killer,
+                        used_omega=record.used_omega,
                     )
-                    if sink.explain is not None:
-                        sink.explain.record(
-                            _subject(victim),
-                            "killed",
-                            "every element it carries is overwritten by an "
-                            "intervening write before the destination reads "
-                            "it",
-                            by=_subject(killer),
-                            used_omega=record.used_omega,
-                        )
                     break
 
     @staticmethod

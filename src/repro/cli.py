@@ -148,18 +148,26 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0 (rejects nan and inf)."""
+def _float_where(accept, must: str):
+    """argparse type: a number ``accept`` admits (nan never is)."""
 
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number: {text!r}")
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number: {text!r}"
-        )
-    return value
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number: {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {must}: {text!r}")
+        return value
+
+    return parse
+
+
+_positive_float = _float_where(
+    lambda value: math.isfinite(value) and value > 0,
+    "a positive finite number",
+)
+_fraction = _float_where(lambda value: 0 <= value <= 1, "a number in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_cmd.add_argument(
         "--event-sample",
-        type=float,
+        type=_fraction,
         default=1.0,
         metavar="RATE",
         help=(

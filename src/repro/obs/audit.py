@@ -40,6 +40,8 @@ __all__ = [
     "QueryFootprint",
     "auditing",
     "current_audit",
+    "decided_subject",
+    "kill_subject",
     "note_conservative",
 ]
 
@@ -124,16 +126,29 @@ class AuditLog:
     def footprint_for(self, subject: str) -> QueryFootprint:
         """The merged footprint of ``subject`` and its kill sub-subjects.
 
-        Kill tests run under ``"kill: {subject} by {writer}"`` tags; their
-        queries decide the victim's fate, so they fold into its footprint.
+        Kill tests run under :func:`kill_subject` tags; their queries
+        decide the victim's fate, so they fold into its footprint.
         """
 
         merged = QueryFootprint()
-        prefix = f"kill: {subject} by "
         for key, footprint in self.footprints.items():
-            if key == subject or (key is not None and key.startswith(prefix)):
+            if key is not None and decided_subject(key) == subject:
                 merged.merge(footprint)
         return merged
+
+
+def kill_subject(victim: str, writer: object) -> str:
+    """The subject of the test whether ``writer`` kills ``victim``."""
+
+    return f"kill: {victim} by {writer}"
+
+
+def decided_subject(subject: str) -> str:
+    """The dependence ``subject``'s work decides (a kill's victim)."""
+
+    if subject.startswith("kill: "):
+        return subject[len("kill: "):].rsplit(" by ", 1)[0]
+    return subject
 
 
 @dataclass

@@ -1,20 +1,96 @@
-"""Explain mode: a structured decision trail for dependence analysis.
+"""Explain mode: the per-pair decision trail, rendered for people.
 
-When ``AnalysisOptions(explain=True)`` is set, the analysis engine records
-one :class:`Decision` per verdict it reaches about a dependence — why it
-was refined, found covering, eliminated as covered, killed (and by which
-write, and whether the Omega test had to be consulted), or kept.  The
-trail is both human-renderable (:meth:`ExplainLog.render`, used by
-``python -m repro analyze FILE --explain``) and machine-readable
-(:meth:`ExplainLog.to_dict`).
+The analysis engine writes one :class:`Step` per action it takes on a
+dependence.  That trail is the one per-pair record; provenance events
+(:meth:`Step.event`), ``pair.*`` events and the explain log are views of
+it.  With ``AnalysisOptions(explain=True)`` the engine turns the trail,
+in pipeline order, into an :class:`ExplainLog` (:func:`explain_view`),
+human-renderable (:meth:`ExplainLog.render`, behind ``python -m repro
+analyze FILE --explain``) and machine-readable (:meth:`ExplainLog.to_dict`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-__all__ = ["Decision", "ExplainLog"]
+__all__ = ["ACTIONS", "Decision", "ExplainLog", "Step", "explain_view"]
+
+
+#: Every action the engine takes on a dependence, in pipeline order:
+#: action -> (provenance stage, provenance detail, explain reason).  The
+#: texts are ``str.format`` templates over ``{by}``, ``{test}`` (which
+#: kill test decided) and, for ``refined``, ``{before}`` and ``{after}``
+#: (the direction text).  ``kept`` is never recorded: the engine derives
+#: it from a dependence's final state for the explain view only, so it
+#: has no provenance event.
+ACTIONS: dict[str, tuple[str | None, str | None, str]] = {
+    "refined": (
+        "refine",
+        "({before}) -> ({after})",
+        "distance narrowed from ({before}) to ({after}): every destination "
+        "iteration still receives the value from the refined source",
+    ),
+    "covers": (
+        "cover",
+        "covers its destination",
+        "every element the destination accesses was previously written "
+        "by this source",
+    ),
+    "covered": (
+        "cover",
+        "eliminated by {by}",
+        "its source runs entirely before a covering write of the same "
+        "destination",
+    ),
+    "terminated": (
+        "terminate",
+        "terminated by {by}",
+        "a terminating write overwrites everything the source wrote "
+        "before the destination runs",
+    ),
+    "killed": (
+        "kill",
+        "{test} by {by}",
+        "every element it carries is overwritten by an intervening write "
+        "before the destination reads it",
+    ),
+    "kept": (None, None, "no covering or killing write eliminates it"),
+}
+
+
+class Step(NamedTuple):
+    """One action the engine took on one dependence."""
+
+    #: The dependence acted on, e.g. ``"flow: s1:a(i) -> s3:a(i)"``.
+    subject: str
+    #: A key of :data:`ACTIONS`.
+    action: str
+    #: The responsible dependence, when the action has one.
+    by: str | None = None
+    #: Whether the Omega test was consulted (None when not applicable).
+    used_omega: bool | None = None
+    #: ``(before, after)`` direction text, for ``refined`` only.
+    directions: tuple[str, str] = ("", "")
+
+    def _format(self, template: str) -> str:
+        before, after = self.directions
+        test = "general omega test" if self.used_omega else "quick test"
+        return template.format(
+            by=self.by, test=test, before=before, after=after
+        )
+
+    def event(self) -> tuple[str, str]:
+        """The ``(stage, detail)`` entry on the subject's provenance record."""
+
+        stage, detail, _ = ACTIONS[self.action]
+        return stage, self._format(detail)
+
+    def decision(self) -> "Decision":
+        reason = self._format(ACTIONS[self.action][2])
+        return Decision(
+            self.subject, self.action, reason, self.by, self.used_omega
+        )
 
 
 @dataclass
@@ -56,31 +132,6 @@ class ExplainLog:
     def __init__(self) -> None:
         self.decisions: list[Decision] = []
 
-    def record(
-        self,
-        subject: str,
-        action: str,
-        reason: str,
-        *,
-        by: str | None = None,
-        used_omega: bool | None = None,
-    ) -> Decision:
-        decision = Decision(subject, action, reason, by, used_omega)
-        self.decisions.append(decision)
-        return decision
-
-    def merge(self, other: "ExplainLog") -> "ExplainLog":
-        """Append another log's decisions, preserving their order.
-
-        This is the engine's determinism contract: each per-read task
-        records into its own private log, and the engine merges the logs
-        strictly in program (read) order — so the combined trail follows
-        read order.
-        """
-
-        self.decisions.extend(other.decisions)
-        return self
-
     def __len__(self) -> int:
         return len(self.decisions)
 
@@ -116,3 +167,11 @@ class ExplainLog:
         if not self.decisions:
             lines.append("(no decisions recorded)")
         return "\n".join(lines)
+
+
+def explain_view(steps: Iterable[Step]) -> ExplainLog:
+    """The explain log of a trail, one decision per step, in step order."""
+
+    log = ExplainLog()
+    log.decisions.extend(step.decision() for step in steps)
+    return log

@@ -9,9 +9,10 @@ the request log of a future ``repro serve``.
 
 Determinism contract — the property regression tests pin down:
 
-* Pair events are *recorded* per read and *delivered* at the engine's
-  read-order merge points, so the stream is bit-identical across cache
-  settings and governed runs whose budget never runs out.
+* Pair events are a view of the engine's per-pair trail, derived and
+  delivered at its read-order merge points, so the stream is
+  bit-identical across cache settings and governed runs whose budget
+  never runs out.
 * Sequence numbers are assigned at delivery, and the default payload
   carries no wall-clock timestamps.
 * Sampling is content-hashed (CRC-32 of the pair subject), never
@@ -141,17 +142,6 @@ class EventBus:
         _metrics.inc("obs.events.emitted")
         if self.sink is not None:
             self.sink(event)
-
-    def emit_pending(self, pending: list[tuple]) -> None:
-        """Deliver events recorded per read, in their recorded order.
-
-        Each entry is ``(kind, subject, stage, detail)`` — the shape
-        :class:`repro.analysis.engine._ReadSink` accumulates — so delivery
-        order is the engine's deterministic merge order.
-        """
-
-        for kind, subject, stage, detail in pending:
-            self.emit(kind, subject, stage=stage, detail=detail)
 
 
 class _BusStack(threading.local):

@@ -2,7 +2,13 @@
 
 from repro.analysis import AnalysisOptions, analyze
 from repro.ir import parse
-from repro.obs.explain import Decision, ExplainLog
+from repro.obs.explain import (
+    ACTIONS,
+    Decision,
+    ExplainLog,
+    Step,
+    explain_view,
+)
 
 KILL_PROGRAM = """
 a(n) :=
@@ -13,10 +19,13 @@ for i := n to n+20 do := a(i)
 
 class TestExplainLog:
     def test_record_and_group(self):
-        log = ExplainLog()
-        log.record("flow: a -> b", "killed", "overwritten", by="flow: c -> b")
-        log.record("flow: a -> b", "kept", "still live")
-        log.record("flow: c -> b", "covers", "covers destination")
+        log = explain_view(
+            [
+                Step("flow: a -> b", "killed", by="flow: c -> b"),
+                Step("flow: a -> b", "kept"),
+                Step("flow: c -> b", "covers", used_omega=True),
+            ]
+        )
         assert len(log) == 3
         assert log.subjects() == ["flow: a -> b", "flow: c -> b"]
         assert [d.action for d in log.for_subject("flow: a -> b")] == [
@@ -24,6 +33,21 @@ class TestExplainLog:
             "kept",
         ]
         assert log.actions() == {"killed", "kept", "covers"}
+        assert log.decisions[0].by == "flow: c -> b"
+
+    def test_step_views_share_one_action_table(self):
+        refined = Step("s", "refined", used_omega=True, directions=("+", "1"))
+        assert refined.event() == ("refine", "(+) -> (1)")
+        assert refined.decision().reason.startswith(
+            "distance narrowed from (+) to (1): "
+        )
+        killed = Step("s", "killed", by="t", used_omega=False)
+        assert killed.event() == ("kill", "quick test by t")
+        assert killed.decision().reason == ACTIONS["killed"][2]
+        assert Step("s", "covered", by="t").event() == (
+            "cover",
+            "eliminated by t",
+        )
 
     def test_describe_variants(self):
         plain = Decision("s", "kept", "why")
@@ -37,8 +61,7 @@ class TestExplainLog:
         assert "(no decisions recorded)" in ExplainLog().render()
 
     def test_to_dict(self):
-        log = ExplainLog()
-        log.record("s", "covered", "already written", by="t")
+        log = explain_view([Step("s", "covered", by="t")])
         payload = log.to_dict()
         assert payload["decisions"][0]["action"] == "covered"
         assert payload["decisions"][0]["by"] == "t"
@@ -69,6 +92,20 @@ class TestEngineIntegration:
         explained = set(log.subjects())
         assert dead_subjects <= explained
 
+    def test_default_run_records_no_trail(self, monkeypatch):
+        # With no observer on, no step is written and no record is built.
+        from repro.analysis import engine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trail recorded on a default run")
+
+        monkeypatch.setattr(engine, "Step", refuse)
+        monkeypatch.setattr(engine.Analyzer, "_dependence_record", refuse)
+        monkeypatch.setattr(engine.Analyzer, "_independent_record", refuse)
+        for options in (AnalysisOptions(), AnalysisOptions(terminate=True)):
+            result = analyze(parse(KILL_PROGRAM, "kill"), options)
+            assert result.dead_flow() and result.explain is None
+
     def test_render_mentions_the_killer(self):
         result = analyze(
             parse(KILL_PROGRAM, "kill"), AnalysisOptions(explain=True)
@@ -79,24 +116,8 @@ class TestEngineIntegration:
 
 
 class TestMergeDeterminism:
-    """Satellite of the audit PR: explain trails must not depend on the
-    worker count — per-read logs are merged in program (read) order."""
-
-    def test_merge_extends_in_call_order(self):
-        a = ExplainLog()
-        a.record("s1", "kept", "first")
-        b = ExplainLog()
-        b.record("s2", "killed", "second", by="s3")
-        b.record("s2", "covers", "third")
-        merged = a.merge(b)
-        assert merged is a
-        assert [d.reason for d in a] == ["first", "second", "third"]
-
-    def test_merge_empty_is_noop(self):
-        log = ExplainLog()
-        log.record("s", "kept", "why")
-        log.merge(ExplainLog())
-        assert [d.reason for d in log] == ["why"]
+    """Explain trails must not depend on the solver cache: per-read
+    trails are merged in program (read) order."""
 
     def test_trail_identical_on_corpus_program(self):
         from repro.programs import corpus_programs

@@ -1073,6 +1073,20 @@ class TestNumericFlags:
             capsys, ["serve", "--max-deadline-ms", "inf"], "--max-deadline-ms"
         )
 
+    @pytest.mark.parametrize("value", ["2", "-0.5", "nan", "inf", "half"])
+    def test_analyze_event_sample(self, capsys, program_file, tmp_path, value):
+        events = tmp_path / "events.jsonl"
+        self.assert_rejected(
+            capsys,
+            [
+                "analyze", str(program_file),
+                "--events-out", str(events),
+                f"--event-sample={value}",
+            ],
+            "--event-sample",
+        )
+        assert not events.exists()
+
     def test_valid_values_parse(self):
         args = build_parser().parse_args(
             ["serve", "--max-inflight", "2", "--queue-depth", "0",
@@ -1080,3 +1094,8 @@ class TestNumericFlags:
         )
         assert (args.max_inflight, args.queue_depth) == (2, 0)
         assert (args.queue_timeout_s, args.max_deadline_ms) == (0.5, 100.0)
+        for bound in ("0", "1"):
+            args = build_parser().parse_args(
+                ["analyze", "p.loop", "--event-sample", bound]
+            )
+            assert args.event_sample == float(bound)
