@@ -56,6 +56,8 @@ CATALOG: tuple[str, ...] = (
     "omega.splinters_examined",
     "omega.dark_shadow_hits",
     "omega.real_shadow_refutations",
+    # Satisfiability tests decided by normalization and peeling alone.
+    "omega.sat_predecided",
     # Elimination machinery.
     "omega.fm_calls",
     "omega.fm_inexact",

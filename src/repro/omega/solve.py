@@ -5,7 +5,10 @@ integer solution.  The strategy follows the paper: eliminate variables one at
 a time, tracking when Fourier-Motzkin is exact; when it is not, "we first
 check if S0 != empty or T = empty.  Only if both tests fail are we required
 to examine S1, S2, ..., Sp" — i.e. try the dark shadow, rule out via the
-real shadow, and fall back to splinters.
+real shadow, and fall back to splinters.  Before any of that, a query is
+normalized and its one-sided variables are peeled away (:func:`_peel`);
+most queries are decided there, and only the remainder is keyed and
+solved.
 
 Statistics now flow through the general metrics registry in
 :mod:`repro.obs.metrics`: every solver counter is emitted as an
@@ -25,7 +28,7 @@ from ..obs import metrics as _metrics
 from ..obs import off as _obs_off
 from ..obs.trace import span as _span
 from . import cache as _cache
-from .constraints import NormalizeStatus, Problem
+from .constraints import NormalizeStatus, Problem, Relation
 from .eliminate import choose_variable, eliminate_equalities, fourier_motzkin
 from .errors import BudgetExhausted, OmegaComplexityError
 
@@ -121,45 +124,55 @@ def _bump(attr: str, amount: int = 1) -> None:
 def is_satisfiable(problem: Problem) -> bool:
     """True iff the conjunction has at least one integer solution.
 
-    When a :class:`repro.omega.cache.SolverCache` is active on this thread
-    the answer is memoized on the problem's canonical form; only cache
-    misses perform (and count as) satisfiability tests.
+    Normalization and peeling (:func:`_peel`) decide most queries outright.
+    What they leave undecided is the peeled remainder, and only that is
+    keyed and solved: when a :class:`repro.omega.cache.SolverCache` is
+    active on this thread the answer is memoized on the remainder's
+    canonical form.  Decided queries and cache misses count as
+    satisfiability tests; cache hits do not.
     """
+
+    remainder = _predecide(problem)
+    if isinstance(remainder, bool):
+        if not _obs_off():
+            _bump("satisfiability_tests")
+            _metrics.inc("omega.sat_predecided")
+        return remainder
 
     cache = _cache.current_cache()
     if cache is None:
         if _obs_off():
-            return _sat(problem, 0)
+            return _sat(remainder, 0)
         _bump("satisfiability_tests")
         with _span(
-            "omega.is_satisfiable", constraints=len(problem.constraints)
+            "omega.is_satisfiable", constraints=len(remainder.constraints)
         ) as sp:
-            result = _sat(problem, 0)
+            result = _sat(remainder, 0)
         _metrics.observe("omega.sat_seconds", sp.duration)
         return result
 
-    key = _cache.sat_key(problem.canonical())
+    key = _cache.sat_key(remainder.canonical())
     entry = cache.get(key)
     if entry is not _cache.MISSING:
         if not _obs_off():
             with _span(
                 "omega.is_satisfiable",
-                constraints=len(problem.constraints),
+                constraints=len(remainder.constraints),
                 cache="hit",
             ):
                 pass
         return _cache.unwrap(entry)
     try:
         if _obs_off():
-            result = _sat(problem, 0)
+            result = _sat(remainder, 0)
         else:
             _bump("satisfiability_tests")
             with _span(
                 "omega.is_satisfiable",
-                constraints=len(problem.constraints),
+                constraints=len(remainder.constraints),
                 cache="miss",
             ) as sp:
-                result = _sat(problem, 0)
+                result = _sat(remainder, 0)
             _metrics.observe("omega.sat_seconds", sp.duration)
     except OmegaComplexityError as exc:
         # Static complexity failures are a property of the problem and are
@@ -170,6 +183,71 @@ def is_satisfiable(problem: Problem) -> bool:
         raise
     cache.put(key, result)
     return result
+
+
+def _predecide(problem: Problem) -> bool | Problem:
+    """The answer when normalization and peeling decide it, else the
+    peeled remainder (a non-empty normalized problem) to key and solve."""
+
+    normal, status = problem.normalized()
+    if status is NormalizeStatus.UNSATISFIABLE:
+        return False
+    if status is NormalizeStatus.TAUTOLOGY:
+        return True
+    remainder = _peel(normal)
+    return remainder if remainder.constraints else True
+
+
+def _peel(problem: Problem) -> Problem:
+    """``problem`` without the constraints of its one-sided variables.
+
+    A variable is one-sided when it occurs in no equality and with one
+    coefficient sign across all inequalities.  Pushing it to +inf (or
+    -inf) satisfies every constraint that mentions it, whatever values the
+    other variables take, so dropping those constraints keeps the integer
+    answer.  Dropping them can make more variables one-sided; the peel
+    repeats until none is left.
+
+    ``problem`` must be normalized.  The remainder keeps every equality
+    and some of the inequalities, in order; that subset of a normal form
+    is itself normal, so the remainder is marked as its own normal form.
+    A problem with nothing to peel is returned as is.
+    """
+
+    EQ = Relation.EQ
+    kept = problem.constraints
+    while True:
+        # Variables as (name, kind) pairs from the cached ``key()`` tuples:
+        # their hashes stay in C, a Variable's does not.  Sides: 1 bounded
+        # below, 2 above, 3 both or in an equality.
+        sides: dict = {}
+        get = sides.get
+        for constraint in kept:
+            if constraint.relation is EQ:
+                for name, kind, _ in constraint.expr.key():
+                    sides[name, kind] = 3
+            else:
+                for name, kind, coeff in constraint.expr.key():
+                    var = (name, kind)
+                    sides[var] = get(var, 0) | (1 if coeff > 0 else 2)
+        one_sided = {var for var, side in sides.items() if side != 3}
+        if not one_sided:
+            break
+        kept = [
+            c
+            for c in kept
+            if one_sided.isdisjoint([(n, k) for n, k, _ in c.expr.key()])
+        ]
+    if kept is problem.constraints:
+        return problem
+    remainder = Problem(kept, problem.name)
+    snapshot = tuple(kept)
+    remainder._norm = (
+        snapshot,
+        snapshot,
+        NormalizeStatus.NORMALIZED if snapshot else NormalizeStatus.TAUTOLOGY,
+    )
+    return remainder
 
 
 def _sat(problem: Problem, depth: int) -> bool:

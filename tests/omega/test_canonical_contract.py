@@ -15,7 +15,7 @@ import importlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import analyze
+from repro.analysis import AnalysisOptions, analyze
 from repro.omega import Problem, Variable, is_satisfiable
 from repro.omega.cache import SolverCache, caching
 from repro.omega.constraints import Constraint, JointCanonical, Relation
@@ -31,6 +31,7 @@ _cache = importlib.import_module("repro.omega.cache")
 _constraints = importlib.import_module("repro.omega.constraints")
 _gist = importlib.import_module("repro.omega.gist")
 _project_mod = importlib.import_module("repro.omega.project")
+_solve = importlib.import_module("repro.omega.solve")
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 n, m = Variable("n", "sym"), Variable("m", "sym")
@@ -125,7 +126,7 @@ def harvest():
         patch.setattr(_gist, "canonicalize_problems", recording_canonicalize)
         patch.setattr(_project_mod, "_project_traced", recording_project)
         for program in timing_corpus()[:8]:
-            analyze(program)
+            analyze(program, AnalysisOptions(cache=True))
     sats = [group[0] for group in groups if len(group) == 1]
     return groups, sats, projections
 
@@ -184,6 +185,11 @@ class TestStoreCompatibility:
         _, sats, projections = harvest()
         sats, projections = sats[:200], projections[:100]
         path = tmp_path / "store.db"
+        # Satisfiability is keyed on the peeled remainder; queries that
+        # normalization and peeling decide never reach the store.
+        remainders = [_solve._predecide(problem) for problem in sats]
+        sats = [r for r in remainders if isinstance(r, Problem)]
+        assert sats
         expected_sat, expected_projection = [], []
         with PersistentStore(path) as store:
             for problem in sats:

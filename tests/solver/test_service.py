@@ -23,7 +23,7 @@ from repro.solver import (
     satisfiable_batch,
 )
 
-x, y = Variable("x"), Variable("y")
+x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 
 def bounded(var, low, high):
@@ -32,6 +32,13 @@ def bounded(var, low, high):
 
 def unsat(var):
     return Problem().add_ge(var - 3).add_le(var, 1)
+
+
+def cycle():
+    """x > y > z > x: unsatisfiable, but neither normalization nor
+    peeling one-sided variables can tell, so it reaches the cache."""
+
+    return Problem().add_ge(x - y - 1).add_ge(y - z - 1).add_ge(z - x - 1)
 
 
 @pytest.fixture
@@ -93,7 +100,7 @@ class TestBatches:
 
     def test_duplicate_queries_compute_once(self, service):
         p = bounded(x, 0, 5)
-        answers = service.sat_batch([p, p, p, unsat(y)])
+        answers = service.sat_batch([p, p, p, cycle()])
         assert answers == [True, True, True, False]
         assert service.batch_dedup == 2
         # The cache saw only the two distinct problems.

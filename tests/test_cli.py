@@ -690,8 +690,10 @@ class TestDiffCommand:
         assert "no suspects" in out
 
     def test_diff_ranks_injected_cache_regression(
-        self, program_file, tmp_path, capsys
+        self, program_file, tmp_path, capsys, monkeypatch
     ):
+        # The baseline run needs the cache on, whatever the environment.
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         cached = self.ledgered(program_file, tmp_path, "cached")
         uncached = self.ledgered(
             program_file, tmp_path, "uncached", "--no-cache"
@@ -743,7 +745,11 @@ class TestDiffCommand:
 
 
 class TestStoreFlag:
-    def test_analyze_store_warm_run_hits(self, program_file, tmp_path, capsys):
+    def test_analyze_store_warm_run_hits(
+        self, program_file, tmp_path, capsys, monkeypatch
+    ):
+        # The store sits behind the cache, so the cache must be on.
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         store = tmp_path / "store.db"
         assert main(
             ["analyze", str(program_file), "--stats", "--store", str(store)]
