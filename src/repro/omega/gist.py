@@ -10,7 +10,8 @@ The naive algorithm needs one satisfiability test per constraint of p; the
 paper lists four fast checks that usually decide most constraints without
 consulting the Omega test.  We implement all four, then fall back to the
 naive recursion, with the short-circuit the paper describes for tautology
-testing.
+testing.  Implication tests skip the fourth check: they only ask whether
+the gist is True, and the naive recursion answers that on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import cache as _cache
 from .constraints import Constraint, Problem, Relation, canonicalize_problems
 from .errors import BudgetExhausted, OmegaComplexityError
 from .project import Projection, project
-from .solve import is_satisfiable
+from .solve import is_satisfiable, peel_constraints
 from .terms import LinearExpr, Variable
 
 __all__ = [
@@ -48,6 +49,9 @@ class GistStats:
     dropped_pairwise: int = 0
     naive_tests: int = 0
     dropped_naive: int = 0
+    #: Three-constraint problems fast check 4 built and solved (work,
+    #: not a decision).
+    pair_tests: int = 0
 
     @property
     def dropped(self) -> int:
@@ -86,19 +90,6 @@ def _implied_by_single(e: Constraint, other: Constraint) -> bool:
     if other.expr.key() == key:
         return other.expr.constant <= c
     return False
-
-
-def _implied_by_pair(e: Constraint, c1: Constraint, c2: Constraint) -> bool:
-    """Fast check 4: is ``e`` implied by the conjunction of two constraints?
-
-    Decided exactly with a tiny satisfiability test on three constraints:
-    ``c1 and c2 and not e``.
-    """
-
-    if e.is_equality:
-        return False
-    tiny = Problem([c1, c2, e.negated()])
-    return not is_satisfiable(tiny)
 
 
 def gist(
@@ -196,6 +187,8 @@ def _gist_traced(
         _metrics.inc("omega.gist_simplifications", stats.dropped)
     if stats.naive_tests:
         _metrics.inc("omega.gist_naive_tests", stats.naive_tests)
+    if stats.pair_tests:
+        _metrics.inc("omega.gist_pair_tests", stats.pair_tests)
     return result
 
 
@@ -318,18 +311,11 @@ def _gist(
 
     undecided = [e for e in working if e not in definite]
 
-    # --- Fast check 4: implication by a pair of constraints, tested with a
-    # three-constraint satisfiability problem. ---
-    for e in list(undecided):
-        context = (
-            [c for c in undecided if c is not e] + definite + q_constraints
-        )
-        for c1, c2 in itertools.combinations(context, 2):
-            if _shares_variable(e, c1) or _shares_variable(e, c2):
-                if _implied_by_pair(e, c1, c2):
-                    stats.dropped_pairwise += 1
-                    undecided.remove(e)
-                    break
+    # --- Fast check 4: implication by a pair of constraints.  Implication
+    # tests skip it: they read only whether the gist is True, and that
+    # does not depend on which check drops a constraint. ---
+    if not stop_if_not_true:
+        _drop_implied_by_pairs(undecided, definite, q_constraints, stats)
 
     # --- Naive algorithm on whatever is left. ---
     result = list(definite)
@@ -352,6 +338,84 @@ def _gist(
     normalized, _ = gist_problem.normalized()
     normalized.name = gist_problem.name
     return normalized
+
+
+def _drop_implied_by_pairs(
+    undecided: list[Constraint],
+    definite: list[Constraint],
+    q_constraints: list[Constraint],
+    stats: GistStats,
+) -> None:
+    """Fast check 4: drop each inequality of ``undecided`` that a pair of
+    the other constraints implies, in order.
+
+    ``e`` is implied by ``c1 and c2`` iff ``c1 and c2 and not e`` has no
+    integer solution.  Most pairs need no three-constraint problem.  A
+    variable of ``not e`` that neither constraint of the pair bounds from
+    the other side, nor mentions in an equality, is one-sided in the
+    triple, so the triple is satisfiable exactly when the pair's
+    constraints that mention no such variable are (the peel lemma of
+    :func:`repro.omega.solve._peel`).  That subset is peeled, and solved
+    only if something is left, once per call; only pairs that cover every
+    variable of ``not e`` build and solve the triple.
+    """
+
+    # The sides each constraint bounds its variables from, keyed like
+    # ``_peel``: 1 below, 2 above, 3 both (an equality).
+    sides: dict[int, dict] = {}
+    for c in itertools.chain(undecided, definite, q_constraints):
+        if c.is_equality:
+            sides[id(c)] = {(name, kind): 3 for name, kind, _ in c.expr.key()}
+        else:
+            sides[id(c)] = {
+                (name, kind): 1 if coeff > 0 else 2
+                for name, kind, coeff in c.expr.key()
+            }
+    subset_sat: dict[tuple, bool] = {}
+
+    for e in list(undecided):
+        if e.is_equality:
+            continue
+        # ``not e`` bounds each variable of e from the side e does not, so
+        # a companion must bound it from e's side.
+        need = sides[id(e)]
+        context = (
+            [c for c in undecided if c is not e] + definite + q_constraints
+        )
+        negation = None
+        for c1, c2 in itertools.combinations(context, 2):
+            s1 = sides[id(c1)]
+            s2 = sides[id(c2)]
+            if need.keys().isdisjoint(s1) and need.keys().isdisjoint(s2):
+                continue
+            uncovered = {
+                var
+                for var, side in need.items()
+                if not (s1.get(var, 0) | s2.get(var, 0)) & side
+            }
+            if uncovered:
+                subset = [
+                    c
+                    for c, s in ((c1, s1), (c2, s2))
+                    if uncovered.isdisjoint(s)
+                ]
+                # Keyed by identity: hashing would cache a hash on every
+                # constraint, and most of them outlive the call.
+                key = tuple(map(id, subset))
+                satisfiable = subset_sat.get(key)
+                if satisfiable is None:
+                    satisfiable = subset_sat[key] = not peel_constraints(
+                        subset
+                    ) or is_satisfiable(Problem(subset))
+            else:
+                if negation is None:
+                    negation = e.negated()
+                stats.pair_tests += 1
+                satisfiable = is_satisfiable(Problem([c1, c2, negation]))
+            if not satisfiable:
+                stats.dropped_pairwise += 1
+                undecided.remove(e)
+                break
 
 
 def _negation_satisfiable(e: Constraint, context: list[Constraint]) -> bool:
@@ -379,10 +443,6 @@ def _positive_inner_product(e: Constraint, other: Constraint) -> bool:
     if other.is_equality:
         return total != 0
     return total > 0
-
-
-def _shares_variable(e: Constraint, other: Constraint) -> bool:
-    return any(v in other.expr.terms for v in e.expr.terms)
 
 
 def implies(q: Problem, p: Problem) -> bool:

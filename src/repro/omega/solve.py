@@ -6,9 +6,9 @@ a time, tracking when Fourier-Motzkin is exact; when it is not, "we first
 check if S0 != empty or T = empty.  Only if both tests fail are we required
 to examine S1, S2, ..., Sp" — i.e. try the dark shadow, rule out via the
 real shadow, and fall back to splinters.  Before any of that, a query is
-normalized and its one-sided variables are peeled away (:func:`_peel`);
-most queries are decided there, and only the remainder is keyed and
-solved.
+normalized and the constraints of its one-sided and unit-defined
+variables are peeled away (:func:`_peel`); most queries are decided
+there, and only the remainder is keyed and solved.
 
 Statistics now flow through the general metrics registry in
 :mod:`repro.obs.metrics`: every solver counter is emitted as an
@@ -20,6 +20,7 @@ and Figure 6 reproduction read them unchanged).
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from ..obs import metrics as _metrics
 from ..obs import off as _obs_off
 from ..obs.trace import span as _span
 from . import cache as _cache
-from .constraints import NormalizeStatus, Problem, Relation
+from .constraints import Constraint, NormalizeStatus, Problem, Relation
 from .eliminate import choose_variable, eliminate_equalities, fourier_motzkin
 from .errors import BudgetExhausted, OmegaComplexityError
 
@@ -199,45 +200,29 @@ def _predecide(problem: Problem) -> bool | Problem:
 
 
 def _peel(problem: Problem) -> Problem:
-    """``problem`` without the constraints of its one-sided variables.
+    """``problem`` without the constraints its integer answer does not need.
 
-    A variable is one-sided when it occurs in no equality and with one
-    coefficient sign across all inequalities.  Pushing it to +inf (or
-    -inf) satisfies every constraint that mentions it, whatever values the
-    other variables take, so dropping those constraints keeps the integer
-    answer.  Dropping them can make more variables one-sided; the peel
-    repeats until none is left.
+    Two rules drop constraints, and neither changes the integer answer:
 
-    ``problem`` must be normalized.  The remainder keeps every equality
-    and some of the inequalities, in order; that subset of a normal form
-    is itself normal, so the remainder is marked as its own normal form.
-    A problem with nothing to peel is returned as is.
+    * **One-sided.**  A variable in no equality and with one coefficient
+      sign across all inequalities can be pushed to +inf (or -inf); that
+      satisfies every constraint that mentions it, whatever values the
+      other variables take, so those constraints go.
+    * **Unit-defined.**  A variable with coefficient +-1 that occurs in
+      exactly one constraint, an equality, takes the integer value the
+      equality fixes for any values of the other variables, so that
+      equality goes.
+
+    Dropping constraints can expose more such variables; the peel repeats
+    until neither rule applies.
+
+    ``problem`` must be normalized.  The remainder is a subset of its
+    constraints, in order; that subset of a normal form is itself normal,
+    so the remainder is marked as its own normal form.  A problem with
+    nothing to peel is returned as is.
     """
 
-    EQ = Relation.EQ
-    kept = problem.constraints
-    while True:
-        # Variables as (name, kind) pairs from the cached ``key()`` tuples:
-        # their hashes stay in C, a Variable's does not.  Sides: 1 bounded
-        # below, 2 above, 3 both or in an equality.
-        sides: dict = {}
-        get = sides.get
-        for constraint in kept:
-            if constraint.relation is EQ:
-                for name, kind, _ in constraint.expr.key():
-                    sides[name, kind] = 3
-            else:
-                for name, kind, coeff in constraint.expr.key():
-                    var = (name, kind)
-                    sides[var] = get(var, 0) | (1 if coeff > 0 else 2)
-        one_sided = {var for var, side in sides.items() if side != 3}
-        if not one_sided:
-            break
-        kept = [
-            c
-            for c in kept
-            if one_sided.isdisjoint([(n, k) for n, k, _ in c.expr.key()])
-        ]
+    kept = peel_constraints(problem.constraints)
     if kept is problem.constraints:
         return problem
     remainder = Problem(kept, problem.name)
@@ -248,6 +233,58 @@ def _peel(problem: Problem) -> Problem:
         NormalizeStatus.NORMALIZED if snapshot else NormalizeStatus.TAUTOLOGY,
     )
     return remainder
+
+
+def peel_constraints(
+    constraints: Sequence[Constraint],
+) -> Sequence[Constraint]:
+    """The constraints :func:`_peel` keeps, in order; ``constraints``
+    itself when it drops none.
+
+    The two rules are exact on any conjunction, normalized or not: the
+    remainder has an integer solution iff ``constraints`` has one.
+    """
+
+    EQ = Relation.EQ
+    kept = constraints
+    while True:
+        # Variables as (name, kind) pairs from the cached ``key()`` tuples:
+        # their hashes stay in C, a Variable's does not.  Sides: 1 bounded
+        # below, 2 above, 3 both or in an equality.
+        sides: dict = {}
+        occurs: dict = {}
+        get = sides.get
+        count = occurs.get
+        for constraint in kept:
+            if constraint.relation is EQ:
+                for name, kind, _ in constraint.expr.key():
+                    var = (name, kind)
+                    sides[var] = 3
+                    occurs[var] = count(var, 0) + 1
+            else:
+                for name, kind, coeff in constraint.expr.key():
+                    var = (name, kind)
+                    sides[var] = get(var, 0) | (1 if coeff > 0 else 2)
+                    occurs[var] = count(var, 0) + 1
+        one_sided = {var for var, side in sides.items() if side != 3}
+        private = {var for var, n in occurs.items() if n == 1}
+        peeled = []
+        for c in kept:
+            key = c.expr.key()
+            if c.relation is EQ:
+                if any(
+                    (coeff == 1 or coeff == -1) and (name, kind) in private
+                    for name, kind, coeff in key
+                ):
+                    continue  # unit-defined
+            elif not one_sided.isdisjoint(
+                [(name, kind) for name, kind, _ in key]
+            ):
+                continue  # one-sided
+            peeled.append(c)
+        if len(peeled) == len(kept):
+            return kept
+        kept = peeled
 
 
 def _sat(problem: Problem, depth: int) -> bool:

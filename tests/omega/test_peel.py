@@ -1,12 +1,13 @@
 """Deciding satisfiability before keying it: the peel is exact.
 
 ``is_satisfiable`` normalizes its problem, drops every constraint of a
-one-sided variable (no equality, one coefficient sign) and keys and
-solves only what is left.  These tests hold it to the un-peeled solver
-(``_sat`` on the original problem) on the problems the analysis issues
-over a slice of the corpus and on seeded random small systems, and pin
-the remainder's shape: nothing one-sided left, a fixed point, and no
-copy when there is nothing to peel.
+one-sided variable (no equality, one coefficient sign) and every
+equality that alone mentions a variable with coefficient +-1, and keys
+and solves only what is left.  These tests hold it to the un-peeled
+solver (``_sat`` on the original problem) on the problems the analysis
+issues over a slice of the corpus and on seeded random small systems,
+and pin the remainder's shape: nothing one-sided or unit-defined left,
+a fixed point, and no copy when there is nothing to peel.
 """
 
 import random
@@ -18,7 +19,7 @@ from repro.omega import Problem, Variable, is_satisfiable
 from repro.omega.cache import caching
 from repro.omega.constraints import Constraint, NormalizeStatus, Relation
 from repro.omega.errors import OmegaComplexityError
-from repro.omega.solve import _peel, _predecide, _sat
+from repro.omega.solve import _peel, _predecide, _sat, peel_constraints
 from repro.omega.terms import LinearExpr
 from tests.omega.test_canonical_contract import harvest
 
@@ -37,6 +38,22 @@ def one_sided(problem):
             side = 0 if constraint.is_equality else (1 if coeff > 0 else -1)
             signs.setdefault(var, set()).add(side)
     return {var for var, sides in signs.items() if sides in ({1}, {-1})}
+
+
+def unit_defined(problem):
+    """Variables with coefficient +-1 in an equality and in no other
+    constraint."""
+
+    occurs: dict = {}
+    for constraint in problem.constraints:
+        for var in constraint.expr.terms:
+            occurs[var] = occurs.get(var, 0) + 1
+    return {
+        var
+        for constraint in problem.equalities()
+        for var, coeff in constraint.expr.terms.items()
+        if abs(coeff) == 1 and occurs[var] == 1
+    }
 
 
 def outcome(run):
@@ -74,6 +91,33 @@ def random_problem(rng):
 RANDOM = [random_problem(random.Random(seed)) for seed in range(400)]
 
 
+def defining_problem(rng):
+    """A random system plus equalities that define fresh variables.
+
+    Each fresh variable has coefficient +-1 in its equality; about half
+    also occur in an inequality, so they are not private to it.
+    """
+
+    constraints = list(random_problem(rng).constraints)
+    for index in range(rng.randint(1, 3)):
+        fresh = Variable(f"u{index}")
+        chosen = rng.sample(POOL, rng.randint(0, 2))
+        terms = {var: rng.choice([-3, -2, -1, 1, 2, 3]) for var in chosen}
+        terms[fresh] = rng.choice([-1, 1])
+        constraints.append(
+            Constraint(LinearExpr(terms, rng.randint(-6, 6)), Relation.EQ)
+        )
+        if rng.random() < 0.5:
+            other = rng.choice([x, y, z])
+            bound = LinearExpr({fresh: rng.choice([-2, -1, 1, 2]), other: 1})
+            constraints.append(Constraint(bound, Relation.GE))
+    rng.shuffle(constraints)
+    return Problem(constraints, "defining")
+
+
+DEFINING = [defining_problem(random.Random(seed)) for seed in range(400)]
+
+
 def corpus_problems():
     groups, _, projections = harvest()
     seen = [p for group in groups for p in group]
@@ -92,6 +136,29 @@ class TestExactness:
     def test_random_systems_match_the_unpeeled_solver(self):
         for problem in RANDOM:
             check_exact(problem)
+
+    def test_unit_defined_systems_match_the_unpeeled_solver(self):
+        for problem in DEFINING:
+            check_exact(problem)
+
+    def test_unit_defined_systems_exercise_the_rule(self):
+        dropped = 0
+        for problem in DEFINING:
+            normal, status = problem.normalized()
+            if status is not NormalizeStatus.NORMALIZED:
+                continue
+            remainder = _peel(normal)
+            dropped += len(normal.equalities()) - len(remainder.equalities())
+        assert dropped > 100
+
+    def test_peel_is_exact_on_unnormalized_conjunctions(self):
+        # Gist peels fast check 4's pair subsets without normalizing them.
+        for problem in RANDOM + DEFINING:
+            kept = peel_constraints(problem.constraints)
+            want = outcome(lambda: _sat(problem, 0))
+            got = outcome(lambda: _sat(Problem(list(kept)), 0))
+            if "raised" not in (want, got):
+                assert got == want, str(problem)
 
     def test_random_systems_match_under_a_cache(self):
         with caching():
@@ -125,9 +192,19 @@ class TestRemainder:
                 continue
             remainder = _peel(normal)
             assert not one_sided(remainder), str(problem)
+            assert not unit_defined(remainder), str(problem)
             assert _peel(remainder) is remainder
             assert set(remainder.constraints) <= set(normal.constraints)
-            assert remainder.equalities() == normal.equalities()
+            # Every dropped equality had a variable with coefficient +-1
+            # that nothing left mentions.
+            left = remainder.variables()
+            for equality in set(normal.equalities()) - set(
+                remainder.equalities()
+            ):
+                assert any(
+                    abs(coeff) == 1 and var not in left
+                    for var, coeff in equality.expr.terms.items()
+                ), str(problem)
 
     def test_remainder_is_its_own_normal_form(self):
         for problem in RANDOM:
@@ -160,8 +237,25 @@ class TestRemainder:
         assert _predecide(Problem().add_bounds(5, x, 0)) is False
         assert _predecide(Problem().add_ge(x - 3)) is True
         assert _predecide(Problem().add_ge(x - y).add_ge(2 * y + z)) is True
-        coupled = Problem().add_eq(x, y).add_ge(x - 3)
+        coupled = Problem().add_eq(x, 2 * y).add_ge(x - 3)
         assert isinstance(_predecide(coupled), Problem)
+
+    def test_unit_defined_equality_is_peeled(self):
+        # d is private to the distance equality d + i - j = 0 with
+        # coefficient 1: it drops, then i and j are one-sided.
+        d, i, j = Variable("d"), Variable("i"), Variable("j")
+        assert _predecide(Problem().add_eq(d + i - j)) is True
+        boxed = Problem().add_eq(d + i - j).add_bounds(0, i, 5).add_le(j, i)
+        remainder = _predecide(boxed)
+        assert isinstance(remainder, Problem)
+        assert remainder.equalities() == []
+
+    def test_lone_non_unit_equality_is_not_peeled(self):
+        # 2x = 3y fixes neither variable for every value of the other.
+        lone = Problem().add_eq(2 * x, 3 * y)
+        remainder = _predecide(lone)
+        assert isinstance(remainder, Problem)
+        assert remainder.constraints == lone.normalized()[0].constraints
 
 
 class TestObservability:
