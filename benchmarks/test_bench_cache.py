@@ -1,60 +1,87 @@
-"""Solver-cache speedup on the Figure 6 corpus.
+"""Solver cache over repeated analyses: the most a shared scope can save.
 
-Runs the full extended analysis over the timing corpus with the memoizing
-solver facade on and off, reports wall time and hit rate, and writes
-``results/cache_speedup.txt``.  The cache must never change results
-(enforced by ``tests/analysis/test_cache_determinism.py``); this benchmark
-establishes that it actually buys time on the workload the paper measures.
+A default ``analyze()`` runs uncached: most dependence problems are
+decided before they are ever keyed, so a cache that lives for one
+analysis costs about what it saves.  A cache pays only when it outlives
+one analysis, so this benchmark times the best case for that: the
+Figure 6 timing corpus swept twice, uncached (the default) against the
+same two sweeps under one shared ``caching()`` scope, where the second
+sweep repeats every program exactly.  It writes
+``results/cache_speedup.txt``.
+
+This is a ceiling, not a traffic model.  ``repro serve`` answers an
+unchanged resend from its exact result cache before ``analyze()`` runs,
+so its solver cache sees only edited programs and problems shared across
+programs; what it saves there is measured on perfbench's
+``serve_edits`` (docs/PERFORMANCE.md, "The solver cache in serve").
+
+It asserts only what the code guarantees: the shared scope answers some
+queries from the cache, and the results are identical (program by
+program, ``tests/analysis/test_cache_determinism.py`` checks the same).
+The timings are recorded, not gated.
 """
 
 import time
+from contextlib import nullcontext
 
-from repro.analysis import AnalysisOptions, analyze
+from repro.analysis import analyze
+from repro.omega import SolverCache, caching
 from repro.programs import timing_corpus
+from repro.reporting import result_to_dict
 
 from .conftest import write_artifact
 
+#: Corpus sweeps per run: the second sweep repeats every program exactly,
+#: so the problems it keys were keyed by the first.
+SWEEPS = 2
 
-def run_corpus(cache: bool):
+
+def run_sweeps(cache: SolverCache | None):
+    """Time ``SWEEPS`` corpus sweeps, under ``cache`` when one is given."""
+
+    programs = timing_corpus()
     started = time.perf_counter()
-    stats = {"hits": 0, "misses": 0, "evictions": 0}
-    for program in timing_corpus():
-        result = analyze(program, AnalysisOptions(cache=cache))
-        if result.cache_stats is not None:
-            for key in stats:
-                stats[key] += result.cache_stats[key]
-    return time.perf_counter() - started, stats
+    with caching(cache) if cache is not None else nullcontext():
+        results = [
+            analyze(program) for _ in range(SWEEPS) for program in programs
+        ]
+    elapsed = time.perf_counter() - started
+    return elapsed, [result_to_dict(result) for result in results]
 
 
 def measure(rounds: int = 3):
-    """Best-of-N corpus sweeps for each configuration, interleaved."""
+    """Best-of-N runs for each configuration, interleaved."""
 
-    best_on, best_off = float("inf"), float("inf")
-    totals = None
+    best_shared, best_plain = float("inf"), float("inf")
+    stats = None
     for _ in range(rounds):
-        elapsed_off, _ = run_corpus(cache=False)
-        best_off = min(best_off, elapsed_off)
-        elapsed_on, stats = run_corpus(cache=True)
-        if elapsed_on < best_on:
-            best_on, totals = elapsed_on, stats
-    return best_on, best_off, totals
+        elapsed_plain, plain = run_sweeps(None)
+        best_plain = min(best_plain, elapsed_plain)
+        cache = SolverCache()
+        elapsed_shared, shared = run_sweeps(cache)
+        assert shared == plain
+        if elapsed_shared < best_shared:
+            best_shared, stats = elapsed_shared, cache.stats()
+    return best_shared, best_plain, stats
 
 
-def test_bench_cache_speedup(benchmark):
-    benchmark.pedantic(lambda: run_corpus(cache=True), rounds=1, iterations=1)
-    cached, plain, stats = measure()
+def test_bench_shared_cache(benchmark):
+    benchmark.pedantic(
+        lambda: run_sweeps(SolverCache()), rounds=1, iterations=1
+    )
+    shared, plain, stats = measure()
     queries = stats["hits"] + stats["misses"]
-    hit_rate = stats["hits"] / queries if queries else 0.0
-    speedup = plain / cached if cached else float("inf")
     lines = [
-        "Solver cache on the Figure 6 timing corpus (best of 3 sweeps)",
+        "Shared solver cache, best case: the Figure 6 timing corpus swept "
+        f"{SWEEPS} times",
+        "(each sweep after the first repeats it exactly), best of 3 runs",
         "",
-        f"  cache off : {plain:8.3f} s",
-        f"  cache on  : {cached:8.3f} s",
-        f"  speedup   : {speedup:8.2f} x",
+        f"  uncached (default)      : {plain:8.3f} s",
+        f"  one shared cache scope  : {shared:8.3f} s",
+        f"  uncached / shared       : {plain / shared:8.2f} x",
         "",
         f"  queries   : {queries}",
-        f"  hits      : {stats['hits']}  ({hit_rate:.1%} hit rate)",
+        f"  hits      : {stats['hits']}  ({stats['hit_rate']:.1%} hit rate)",
         f"  misses    : {stats['misses']}",
         f"  evictions : {stats['evictions']}",
         "",
@@ -65,6 +92,3 @@ def test_bench_cache_speedup(benchmark):
     print(artifact)
 
     assert stats["hits"] > 0
-    assert hit_rate > 0.25  # the corpus re-issues most of its subproblems
-    # The headline claim: memoization makes the corpus measurably faster.
-    assert cached < plain

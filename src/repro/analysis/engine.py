@@ -56,12 +56,7 @@ from ..obs.instrument import tracing_active as _tracing_active
 from ..obs.telemetry.context import current_run as _current_run
 from ..obs.telemetry.events import EventBus, current_bus as _current_bus
 from ..omega import Constraint
-from ..solver import (
-    SolverService,
-    current_service,
-    default_cache_enabled,
-    default_cache_size,
-)
+from ..solver import SolverService, current_cache, current_service
 from .cover import cover_quick_reject, covers_destination, terminates_source
 from .dependences import (
     Dependence,
@@ -155,19 +150,12 @@ class AnalysisOptions:
     #: bit-identical across cache settings and governed runs whose
     #: budget never runs out.
     audit: bool = False
-    #: Memoize Omega queries on their canonical form for the duration of
-    #: the analysis (bit-identical results either way).  Defaults to on
-    #: unless the ``REPRO_NO_CACHE`` environment variable is set.  When a
-    #: cache is already active on this thread (an enclosing
-    #: ``repro.omega.caching(...)`` scope) the engine reuses it, sharing
-    #: hits across programs.
-    cache: bool = field(default_factory=default_cache_enabled)
-    #: LRU capacity of the per-analysis cache (``REPRO_CACHE_SIZE`` or
-    #: 4096 entries).
-    cache_size: int = field(default_factory=default_cache_size)
     #: An explicit :class:`repro.solver.SolverService` to use instead of
     #: building one (advanced: lets callers share a service — and its
-    #: cache — across many ``analyze`` calls).
+    #: cache — across many ``analyze`` calls).  Without one the run is
+    #: uncached, unless an active service or an enclosing
+    #: ``repro.omega.caching(...)`` scope is there to adopt (results are
+    #: bit-identical either way).
     solver: "SolverService | None" = None
     #: Wall-clock deadline for the whole analysis, in milliseconds (the
     #: CLI's ``--deadline-ms``).  Implies a governed run: when the
@@ -238,17 +226,14 @@ class Analyzer:
                 stack.enter_context(_tracing(tracer))
             # Every Omega query goes through one SolverService.  An
             # explicitly-passed or enclosing (activated) service is adopted
-            # — sharing its cache across programs, like the old enclosing
-            # ``caching(...)`` scope did — and left open; otherwise the
-            # engine builds a private one for this run.
+            # — sharing its cache across programs — and left open;
+            # otherwise the engine builds a private one for this run over
+            # the enclosing ``caching(...)`` scope's cache, if any.
             service = self.options.solver
             if service is None:
                 service = current_service()
             if service is None:
-                service = SolverService.for_options(
-                    cache=self.options.cache,
-                    cache_size=self.options.cache_size,
-                )
+                service = SolverService(cache=current_cache())
             self.service = service
             stack.enter_context(service.activate())
             # Governed runs: an explicit budget/deadline, or an active
@@ -296,11 +281,10 @@ class Analyzer:
                 self._emit_run_end()
             if sp.duration:
                 _metrics.observe("analysis.analyze_seconds", sp.duration)
-            if self.options.cache:
-                stats = service.cache_stats()
-                if stats is not None:
-                    self.result.cache_stats = stats
-                    _metrics.set_gauge("omega.cache.size", stats["size"])
+            stats = service.cache_stats()
+            if stats is not None:
+                self.result.cache_stats = stats
+                _metrics.set_gauge("omega.cache.size", stats["size"])
         return self.result
 
     # -- provenance assembly (audit mode) -------------------------------

@@ -83,7 +83,7 @@ class AnalysisResult:
     #: (``record_timings=True`` with no caller-installed tracer).
     trace: Tracer | None = None
     #: Snapshot of the solver cache counters for this analysis (None when
-    #: the cache was disabled).  See :class:`repro.omega.SolverCache`.
+    #: the run was uncached).  See :class:`repro.omega.SolverCache`.
     cache_stats: dict | None = None
     #: Every conservative substitution made under a resource budget
     #: (``AnalysisOptions(deadline_ms=..., budget=...)``), with per-query

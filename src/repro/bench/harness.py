@@ -60,11 +60,11 @@ SCHEMA = "repro.bench/1"
 #: Schema of one line in ``results/bench_history.jsonl``.
 HISTORY_SCHEMA = "repro.bench-history/1"
 
-#: Legs, in first-trial order.  "on" exercises the memoizing solver
-#: facade, "off" the raw solver — that pair keeps the cache speedup
-#: regression-gated — and "guard" the cached configuration under a
-#: governed (but unlimited) resource budget, gating the cost of the
-#: checkpoint machinery against "on".
+#: Legs, in first-trial order.  "on" runs each analysis under its own
+#: solver cache, "off" uncached like a default ``analyze()`` — that pair
+#: keeps the cache speedup regression-gated — and "guard" the cached
+#: configuration under a governed (but unlimited) resource budget,
+#: gating the cost of the checkpoint machinery against "on".
 LEGS = ("on", "off", "guard")
 
 #: Leg name -> solver-cache setting.

@@ -15,9 +15,10 @@ populations of the paper's timing study:
     queries.
 
 A suite's ``run(cache)`` callable performs one timed iteration; the
-``cache`` flag selects the solver-cache leg.  State never leaks *between*
-iterations (the symbolic suite's cache scope is rebuilt per call), so
-trials stay independent and cold.
+``cache`` flag selects the solver-cache leg, which runs each ``analyze()``
+call (and each symbolic iteration) under a fresh ``caching(SolverCache())``
+scope.  State never leaks *between* iterations, so trials stay
+independent and cold.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
-from ..analysis import AnalysisOptions, DependenceKind, analyze
+from ..analysis import DependenceKind, analyze
 from ..analysis.symbolic import dependence_conditions, generate_query
 from ..omega import SolverCache, Variable, caching, le
 from ..programs import cholsky, example7, example8, timing_corpus
@@ -43,19 +44,25 @@ class Suite:
     run: Callable[..., None]
 
 
+def _scope(cache: bool):
+    """A fresh solver-cache scope for the cached leg, else nothing."""
+
+    return caching(SolverCache()) if cache else nullcontext()
+
+
 def _run_corpus(cache: bool) -> None:
-    options = AnalysisOptions(cache=cache)
     for program in timing_corpus():
-        analyze(program, options)
+        with _scope(cache):
+            analyze(program)
 
 
 def _run_cholsky(cache: bool) -> None:
-    analyze(cholsky(), AnalysisOptions(cache=cache))
+    with _scope(cache):
+        analyze(cholsky())
 
 
 def _run_symbolic(cache: bool) -> None:
-    scope = caching(SolverCache()) if cache else nullcontext()
-    with scope:
+    with _scope(cache):
         program = example7()
         write = [a for a in program.writes() if a.array == "A"][0]
         read = [a for a in program.reads() if a.array == "A"][0]

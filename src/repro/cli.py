@@ -9,14 +9,15 @@ Commands
     ``--assert "n <= m"`` for symbolic assertions, ``--all-kinds`` to list
     anti/output dependences too).  Observability flags: ``--explain``
     prints the per-dependence decision trail, ``--stats`` the metrics
-    summary (plus solver-cache counters), ``--trace-out`` /
-    ``--metrics-out`` write the Chrome-trace and metrics snapshots
-    (defaulting into ``results/`` when given without a path),
+    summary (plus solver-cache counters under ``--store``),
+    ``--trace-out`` / ``--metrics-out`` write the Chrome-trace and
+    metrics snapshots (defaulting into ``results/`` when given without a
+    path),
     ``--events-out`` streams per-pair lifecycle events as JSONL
     (``--event-sample`` keeps a deterministic fraction), ``--prom-out``
     writes a Prometheus text-format exposition and ``--otlp-out`` an
-    OTLP-style span JSONL.  ``--no-cache`` disables the solver result
-    cache (identical results).
+    OTLP-style span JSONL.  The run is uncached; ``--store`` backs it
+    with a solver cache over the persistent tier (identical results).
 
 ``trace FILE``
     Run the extended analysis under the span tracer and write a
@@ -222,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_cmd.add_argument(
         "--stats",
         action="store_true",
-        help="print the metrics summary (and cache counters) after the tables",
+        help=(
+            "print the metrics summary (and cache counters under --store) "
+            "after the tables"
+        ),
     )
     analyze_cmd.add_argument(
         "--audit",
@@ -231,11 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
             "record per-dependence provenance (adds omega.precision.* to "
             "--stats and a provenance section to --json)"
         ),
-    )
-    analyze_cmd.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the solver result cache (results are identical, slower)",
     )
     analyze_cmd.add_argument(
         "--deadline-ms",
@@ -330,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "back the solver cache with the crash-safe persistent tier at "
-            "PATH (default PATH: results/omega_store.db; results are "
+            "run under a solver cache backed by the crash-safe persistent "
+            "tier at PATH (default PATH: results/omega_store.db; results are "
             "bit-identical, repeat runs answer from the store)"
         ),
     )
@@ -492,11 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with FILE: print the provenance trail for one access pair "
             "(accepts access strings or bare statement labels)"
         ),
-    )
-    audit_cmd.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the solver cache (provenance is identical either way)",
     )
     audit_cmd.add_argument(
         "--deadline-ms",
@@ -754,8 +748,6 @@ def _cmd_analyze(args) -> int:
         explain=args.explain,
         audit=args.audit,
     )
-    if args.no_cache:
-        options.cache = False
     if args.deadline_ms is not None:
         options.deadline_ms = args.deadline_ms
     if args.strict:
@@ -788,11 +780,9 @@ def _cmd_analyze(args) -> int:
 
             store = PersistentStore(args.store)
             stack.callback(store.close)
-            # Caching runs adopt the enclosing scope's cache, which is
-            # how the persistent tier reaches the solver.
-            stack.enter_context(
-                caching(SolverCache(options.cache_size, store=store))
-            )
+            # The run adopts the enclosing scope's cache, which is how
+            # the persistent tier reaches the solver.
+            stack.enter_context(caching(SolverCache(store=store)))
         try:
             result = analyze(program, options)
         except BudgetExhausted as failure:
@@ -1056,8 +1046,6 @@ def _cmd_audit(args) -> int:
             return 2
         program = _load(args.file)
         options = AnalysisOptions(audit=True)
-        if args.no_cache:
-            options.cache = False
         if args.deadline_ms is not None:
             options.deadline_ms = args.deadline_ms
         if args.strict:
@@ -1090,7 +1078,6 @@ def _cmd_audit(args) -> int:
 
     # Load the baseline before the run, so a bad path costs nothing.
     baseline = None if args.gate is None else load_baseline(args.gate)
-    cache = False if args.no_cache else None
     if args.file is not None:
         programs = [_load(args.file)]
         out = args.out
@@ -1105,7 +1092,6 @@ def _cmd_audit(args) -> int:
             stack.enter_context(collecting(registry))
         artifact = precision_report(
             programs,
-            cache=cache,
             progress=lambda name: print(f"audit: {name}", file=sys.stderr),
         )
         if ledger is not None:

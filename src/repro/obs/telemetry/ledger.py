@@ -120,8 +120,6 @@ _OPTION_FIELDS = (
     "input_deps",
     "explain",
     "audit",
-    "cache",
-    "cache_size",
     "deadline_ms",
     "policy",
 )
@@ -291,17 +289,11 @@ def stable_view(record: dict) -> dict:
     Keeps the kind, program, summary and the stable counter subset
     (:data:`STABLE_COUNTER_PREFIXES` / :data:`STABLE_COUNTERS`); drops
     identity, timing, machine and every configuration-dependent series.
-    The ``cache`` and ``cache_size`` options are elided too — they *are*
-    the configuration under comparison.
     """
 
     options = record.get("options")
     if options is not None:
-        options = {
-            key: value
-            for key, value in sorted(options.items())
-            if key not in ("cache", "cache_size")
-        }
+        options = dict(sorted(options.items()))
     counters = {}
     metrics = record.get("metrics")
     if metrics is not None:

@@ -1,12 +1,11 @@
-"""Memoizing solver facade: a bounded LRU cache over canonical problems.
+"""Memoizing solver cache: a bounded LRU over canonical problems.
 
-The extended dependence analysis issues many near-identical integer
-programming subproblems — kill tests rebuild the same coupling systems per
-array pair, refinement and covering project the same dependence problems,
-and gist computations spin off swarms of tiny satisfiability tests.  Pugh &
-Wonnacott observe that the Omega test stays fast in practice precisely
-because most dependence problems are small and repetitive; this module
-turns that repetition into cache hits.
+Pugh & Wonnacott observe that the Omega test stays fast in practice
+because most dependence problems are small; since satisfiability and gist
+decide most of them before they are ever keyed (see
+:func:`repro.omega.solve.is_satisfiable`), a cache can pay only where
+the same problems come back across runs — a long-lived service answering
+edits of the same programs, or a persistent store read after a restart.
 
 Design:
 
@@ -17,19 +16,20 @@ Design:
   (pair problems mint fresh wildcards on every rebuild).
 * Activation is thread-local and scoped, exactly like ``collect_stats`` /
   ``repro.obs`` registries: ``with caching(SolverCache()):`` makes the
-  cache visible to every solver entry point on the current thread.  The
-  analysis engine installs one per :func:`repro.analysis.analyze` call by
-  default (``AnalysisOptions(cache=False)`` or ``REPRO_NO_CACHE=1``
-  disables it).
+  cache visible to every solver entry point on the current thread.
+  Nothing installs one by default: :func:`repro.analysis.analyze` runs
+  uncached unless its caller activates a cache (``repro.serve`` does, and
+  so does ``analyze --store``).
 * The cached operations are the solver's public entry points —
-  ``is_satisfiable``, ``project``, ``gist`` and ``implies_union`` — which
+  :func:`repro.omega.is_satisfiable`, :func:`repro.omega.project`,
+  :func:`repro.omega.gist` and :func:`repro.omega.implies_union` — which
   consult :func:`current_cache` themselves, so both analysis-level queries
   and the solver's own internal re-queries share hits.  Results carrying
   variables (projections, gists) are stored in canonical variable space
   and translated back through the caller's renaming on every hit, so a hit
   from an alpha-equivalent problem still speaks the caller's names.
 
-Results are bit-identical with the cache disabled: a miss computes and
+Results are bit-identical with and without a cache: a miss computes and
 returns the untouched result, and a hit returns a semantically equal
 translation whose downstream consumers (satisfiability booleans, direction
 vectors, implication tests) are order- and name-insensitive.
@@ -37,7 +37,6 @@ vectors, implication tests) are order- and name-insensitive.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -54,40 +53,13 @@ __all__ = [
     "caching",
     "current_cache",
     "cache_enabled",
-    "default_cache_enabled",
-    "default_cache_size",
-    "is_satisfiable",
-    "project",
-    "gist",
-    "implies",
-    "implies_union",
 ]
 
-#: Default LRU capacity (entries), overridable via ``REPRO_CACHE_SIZE``.
+#: Default LRU capacity (entries).
 DEFAULT_CACHE_SIZE = 4096
 
 #: Sentinel distinguishing "not cached" from a cached ``None``/``False``.
 MISSING = object()
-
-
-def default_cache_enabled() -> bool:
-    """Cache on unless ``REPRO_NO_CACHE`` is set to a truthy value."""
-
-    return os.environ.get("REPRO_NO_CACHE", "0").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def default_cache_size() -> int:
-    """LRU capacity from ``REPRO_CACHE_SIZE`` (default 4096 entries)."""
-
-    raw = os.environ.get("REPRO_CACHE_SIZE", "").strip()
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return DEFAULT_CACHE_SIZE
 
 
 class Raised:
@@ -187,8 +159,8 @@ class SolverCache:
         "_lock",
     )
 
-    def __init__(self, maxsize: int | None = None, store=None):
-        self.maxsize = maxsize if maxsize is not None else default_cache_size()
+    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE, store=None):
+        self.maxsize = maxsize
         if self.maxsize <= 0:
             raise ValueError("cache size must be positive")
         self.hits = 0
@@ -371,57 +343,6 @@ def thaw_problems(
                 if var not in mapping:
                     mapping[var] = fresh_wildcard("cache")
     return [_rename_problem(p, mapping, name) for p in problems]
-
-
-# ---------------------------------------------------------------------------
-# The facade: analysis layers import solver entry points from here
-# ---------------------------------------------------------------------------
-#
-# The underlying entry points in repro.omega.{solve,project,gist} consult
-# current_cache() themselves, so these wrappers add no second cache layer;
-# they exist so every layer that issues Omega queries routes through one
-# import point that documents (and guarantees) memoized behavior.  Imports
-# are deferred because those modules import this one at load time.
-
-
-def is_satisfiable(problem: Problem) -> bool:
-    """Memoizing facade over :func:`repro.omega.solve.is_satisfiable`."""
-
-    from .solve import is_satisfiable as _impl
-
-    return _impl(problem)
-
-
-def project(problem: Problem, keep):
-    """Memoizing facade over :func:`repro.omega.project.project`."""
-
-    from .project import project as _impl
-
-    return _impl(problem, keep)
-
-
-def gist(p: Problem, q: Problem, **kwargs) -> Problem:
-    """Memoizing facade over :func:`repro.omega.gist.gist`."""
-
-    from .gist import gist as _impl
-
-    return _impl(p, q, **kwargs)
-
-
-def implies(q: Problem, p: Problem) -> bool:
-    """Memoizing facade over :func:`repro.omega.gist.implies`."""
-
-    from .gist import implies as _impl
-
-    return _impl(q, p)
-
-
-def implies_union(p: Problem, pieces: list[Problem], **kwargs) -> bool:
-    """Memoizing facade over :func:`repro.omega.gist.implies_union`."""
-
-    from .gist import implies_union as _impl
-
-    return _impl(p, pieces, **kwargs)
 
 
 # -- cache key construction (used by the solver entry points) ---------------

@@ -13,8 +13,8 @@ from the provenance records.
 :func:`compare_precision` is the CI gate, in :mod:`repro.bench.compare`
 style: it fails when the elimination rate drops (more live pairs than the
 committed artifact) or when any exact answer becomes inexact.  Counts are
-integers and the audit layer is bit-identical across cache settings, so
-the gate needs no tolerance threshold.
+integers and the audit layer is bit-identical with or without a solver
+cache, so the gate needs no tolerance threshold.
 """
 
 from __future__ import annotations
@@ -95,11 +95,7 @@ def _pair_key(record: ProvenanceRecord) -> tuple[str, str]:
     return (record.src, record.dst)
 
 
-def audit_program(
-    program: Program,
-    *,
-    cache: bool | None = None,
-) -> tuple[dict, AnalysisResult]:
+def audit_program(program: Program) -> tuple[dict, AnalysisResult]:
     """One program's precision section, plus the audited analysis result.
 
     The section counts flow-dependence *pairs* (a split dependence still
@@ -107,10 +103,7 @@ def audit_program(
     record-level verdict/exactness breakdown rides alongside.
     """
 
-    options = AnalysisOptions(audit=True)
-    if cache is not None:
-        options.cache = cache
-    result = analyze(program, options)
+    result = analyze(program, AnalysisOptions(audit=True))
 
     baselines = {name: 0 for name in BASELINES}
     pairs = 0
@@ -166,7 +159,6 @@ def _rate(eliminated: int, total: int) -> float:
 def precision_report(
     programs: Sequence[Program] | None = None,
     *,
-    cache: bool | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
     """The full ``repro.precision/1`` artifact over ``programs``.
@@ -187,7 +179,7 @@ def precision_report(
     for program in programs:
         if progress is not None:
             progress(program.name)
-        section, _ = audit_program(program, cache=cache)
+        section, _ = audit_program(program)
         sections.append(section)
 
     totals = {

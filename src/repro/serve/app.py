@@ -89,18 +89,17 @@ class ServeApp:
         default_deadline_ms: float = DEFAULT_DEADLINE_MS,
         max_deadline_ms: float | None = None,
         result_cache_size: int = 64,
-        cache_size: int | None = None,
     ):
         self.store = (
             PersistentStore(store_path) if store_path is not None else None
         )
-        self.cache = SolverCache(cache_size, store=self.store)
+        self.cache = SolverCache(store=self.store)
         # One service: the canonical-form cache is the layer the
         # persistent tier hangs off.  Concurrency comes from handler
         # threads sharing the service (the cache is lock-protected);
         # request isolation comes from per-request governors, not
         # per-request services.
-        self.service = SolverService(cache=True, shared_cache=self.cache)
+        self.service = SolverService(cache=self.cache)
         self.registry = MetricsRegistry()
         self.admission = AdmissionController(
             max_inflight=max_inflight,

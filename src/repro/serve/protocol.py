@@ -44,7 +44,7 @@ __all__ = [
 PROTOCOL = "repro.serve/1"
 
 #: Analysis option fields a request may set.  Execution configuration
-#: (cache sizing) belongs to the server, not the
+#: (the solver cache) belongs to the server, not the
 #: request; the degradation policy is pinned to "degrade" because a
 #: raise-policy service would 500 — the one thing this daemon never does.
 ANALYZE_OPTION_FIELDS = frozenset(

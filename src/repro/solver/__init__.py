@@ -5,8 +5,8 @@ Analysis code never imports :mod:`repro.omega.cache` or
 every query through the innermost active :class:`SolverService` (see
 :meth:`SolverService.activate`), where it can be deduplicated, cached,
 batched and governed.  When no service is active (scripts, doctests,
-ad-hoc use) the module functions fall back to the omega memoizing facade,
-so they behave exactly like the functions they replaced.
+ad-hoc use) the module functions call the omega entry points directly,
+which still consult an active ``caching(...)`` scope.
 
 The vocabulary:
 
@@ -23,10 +23,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..omega import cache as _ocache
-from ..omega.cache import default_cache_enabled, default_cache_size
+from ..omega.cache import current_cache
 from ..omega.constraints import Problem
+from ..omega.gist import gist as _gist
+from ..omega.gist import implies as _implies
+from ..omega.gist import implies_union as _implies_union
+from ..omega.project import project as _project
 from ..omega.redblack import gist_of_projection
+from ..omega.solve import is_satisfiable as _is_satisfiable
 from .plan import PlanSpace, PlanState
 from .queries import QueryKind, SolverQuery, problem_key
 from .service import SolverService, current_service
@@ -37,9 +41,8 @@ __all__ = [
     "QueryKind",
     "SolverQuery",
     "SolverService",
+    "current_cache",
     "current_service",
-    "default_cache_enabled",
-    "default_cache_size",
     "gist",
     "gist_of_projection",
     "implies",
@@ -58,7 +61,7 @@ def is_satisfiable(problem: Problem) -> bool:
     service = current_service()
     if service is not None:
         return service.sat(problem)
-    return _ocache.is_satisfiable(problem)
+    return _is_satisfiable(problem)
 
 
 def project(problem: Problem, keep):
@@ -67,7 +70,7 @@ def project(problem: Problem, keep):
     service = current_service()
     if service is not None:
         return service.project(problem, keep)
-    return _ocache.project(problem, keep)
+    return _project(problem, keep)
 
 
 def gist(p: Problem, q: Problem, **kwargs) -> Problem:
@@ -76,7 +79,7 @@ def gist(p: Problem, q: Problem, **kwargs) -> Problem:
     service = current_service()
     if service is not None:
         return service.gist(p, q, **kwargs)
-    return _ocache.gist(p, q, **kwargs)
+    return _gist(p, q, **kwargs)
 
 
 def implies(q: Problem, p: Problem) -> bool:
@@ -85,7 +88,7 @@ def implies(q: Problem, p: Problem) -> bool:
     service = current_service()
     if service is not None:
         return service.implies(q, p)
-    return _ocache.implies(q, p)
+    return _implies(q, p)
 
 
 def implies_union(p: Problem, pieces, **kwargs) -> bool:
@@ -94,7 +97,7 @@ def implies_union(p: Problem, pieces, **kwargs) -> bool:
     service = current_service()
     if service is not None:
         return service.implies_union(p, pieces, **kwargs)
-    return _ocache.implies_union(p, list(pieces), **kwargs)
+    return _implies_union(p, list(pieces), **kwargs)
 
 
 def satisfiable_batch(problems: Sequence[Problem]) -> list[bool]:
@@ -106,7 +109,7 @@ def satisfiable_batch(problems: Sequence[Problem]) -> list[bool]:
     service = current_service()
     if service is not None:
         return service.sat_batch(problems)
-    return [_ocache.is_satisfiable(problem) for problem in problems]
+    return [_is_satisfiable(problem) for problem in problems]
 
 
 def submit_batch(queries: Sequence[SolverQuery]) -> list:

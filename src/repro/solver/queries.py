@@ -24,9 +24,13 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from ..omega import cache as _ocache
 from ..omega.constraints import Problem
+from ..omega.gist import gist as _gist
+from ..omega.gist import implies as _implies
+from ..omega.gist import implies_union as _implies_union
 from ..omega.project import Projection
+from ..omega.project import project as _project
+from ..omega.solve import is_satisfiable as _is_satisfiable
 from ..omega.terms import Variable
 
 __all__ = ["QueryKind", "SolverQuery", "degraded_projection", "problem_key"]
@@ -199,17 +203,17 @@ class SolverQuery:
         return "implication not proven"
 
     def execute(self):
-        """Run the query against the Omega core (through its own cache
-        facade, so an active canonical-form cache still applies)."""
+        """Run the query against the Omega core (whose entry points
+        consult an active canonical-form cache themselves)."""
 
         if self.kind is QueryKind.SAT:
-            return _ocache.is_satisfiable(self.problem)
+            return _is_satisfiable(self.problem)
         if self.kind is QueryKind.PROJECT:
-            return _ocache.project(self.problem, list(self.keep or ()))
+            return _project(self.problem, list(self.keep or ()))
         if self.kind is QueryKind.GIST:
-            return _ocache.gist(self.problem, self.given, **dict(self.options))
+            return _gist(self.problem, self.given, **dict(self.options))
         if self.pieces is not None:
-            return _ocache.implies_union(
+            return _implies_union(
                 self.problem, list(self.pieces), **dict(self.options)
             )
-        return _ocache.implies(self.problem, self.given)
+        return _implies(self.problem, self.given)

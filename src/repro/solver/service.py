@@ -6,13 +6,11 @@ sees *all* queries, so it can deduplicate batches, cache answers, enforce
 the active resource budget and note every outcome on the audit log.
 
 The service is serial: queries execute inline, in submission order, on the
-calling thread.  With caching on, the service owns (or adopts, see
-:meth:`SolverService.for_options`) the canonical-form LRU of
-:mod:`repro.omega.cache` and activates it, so the omega facade it calls
-answers repeated queries from that cache — and, when a
-:class:`repro.omega.store.PersistentStore` backs it, from disk.  Results,
-cache hits and spans are bit-identical to calling the omega facade
-directly.
+calling thread.  A service given a :class:`repro.omega.cache.SolverCache`
+activates it, so the omega entry points it calls answer repeated queries
+from that cache — and, when a :class:`repro.omega.store.PersistentStore`
+backs it, from disk.  Results, cache hits and spans are bit-identical to
+calling the omega entry points directly.
 """
 
 from __future__ import annotations
@@ -26,11 +24,15 @@ from ..obs import off as _obs_off
 from ..obs.audit import current_audit as _current_audit
 from ..obs.instrument import metrics as _metrics
 from ..obs.instrument import span as _span
-from ..omega.project import Projection
-from ..omega import cache as _ocache
-from ..omega.cache import Raised, SolverCache
+from ..omega.cache import Raised, SolverCache, caching
 from ..omega.constraints import Problem
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
+from ..omega.gist import gist as _gist
+from ..omega.gist import implies as _implies
+from ..omega.gist import implies_union as _implies_union
+from ..omega.project import Projection
+from ..omega.project import project as _project
+from ..omega.solve import is_satisfiable as _is_satisfiable
 from .queries import SolverQuery, degraded_projection
 
 __all__ = ["SolverService", "current_service"]
@@ -51,13 +53,13 @@ def _not_proven() -> bool:
 def gist_call(problem: Problem, given: Problem, options: tuple) -> Problem:
     """``gist`` with its keyword options flattened to a sorted tuple."""
 
-    return _ocache.gist(problem, given, **dict(options))
+    return _gist(problem, given, **dict(options))
 
 
 def union_call(problem: Problem, pieces: tuple, options: tuple) -> bool:
     """``implies_union`` with options flattened to a sorted tuple."""
 
-    return _ocache.implies_union(problem, list(pieces), **dict(options))
+    return _implies_union(problem, list(pieces), **dict(options))
 
 
 class _ActiveServices(threading.local):
@@ -76,43 +78,19 @@ def current_service() -> "SolverService | None":
 
 
 class SolverService:
-    """Serial, batch-deduplicating, cached Omega query broker."""
+    """Serial, batch-deduplicating, optionally cached Omega query broker."""
 
-    def __init__(
-        self,
-        *,
-        cache: bool = True,
-        cache_size: int | None = None,
-        shared_cache: SolverCache | None = None,
-    ):
-        #: The canonical-form LRU (None when caching is off); the service
-        #: activates it so the omega entry points see it.
-        self.cache: SolverCache | None = None
-        if cache:
-            self.cache = (
-                shared_cache if shared_cache is not None else SolverCache(cache_size)
-            )
+    def __init__(self, *, cache: SolverCache | None = None):
+        #: The canonical-form LRU, or None for an uncached service; the
+        #: service activates it so the omega entry points see it.
+        self.cache = cache
         self.queries = 0
         self.batches = 0
         self.batch_dedup = 0
         self.tasks = 0
         self.degraded = 0
 
-    # -- construction / lifecycle --------------------------------------
-    @classmethod
-    def for_options(
-        cls, *, cache: bool = True, cache_size: int | None = None
-    ) -> "SolverService":
-        """Build a service for analysis options.
-
-        Caching services adopt an enclosing ``caching(...)`` scope's cache
-        when one is active on this thread, preserving the engine's
-        historical cache-sharing behavior across programs.
-        """
-
-        shared = _ocache.current_cache() if cache else None
-        return cls(cache=cache, cache_size=cache_size, shared_cache=shared)
-
+    # -- lifecycle -------------------------------------------------------
     @contextmanager
     def activate(self) -> Iterator["SolverService"]:
         """Make this service (and its cache layer) current on this thread."""
@@ -120,7 +98,7 @@ class SolverService:
         _active.stack.append(self)
         try:
             if self.cache is not None:
-                with _ocache.caching(self.cache):
+                with caching(self.cache):
                     yield self
             else:
                 yield self
@@ -250,7 +228,7 @@ class SolverService:
         self.queries += 1
         _metrics.inc("solver.queries")
         return self._shielded(
-            _ocache.is_satisfiable,
+            _is_satisfiable,
             (problem,),
             "sat",
             _assume_sat,
@@ -261,7 +239,7 @@ class SolverService:
         self.queries += 1
         _metrics.inc("solver.queries")
         return self._shielded(
-            _ocache.project,
+            _project,
             (problem, keep),
             "project",
             lambda: degraded_projection(keep),
@@ -283,7 +261,7 @@ class SolverService:
         self.queries += 1
         _metrics.inc("solver.queries")
         return self._shielded(
-            _ocache.implies,
+            _implies,
             (problem, given),
             "implies",
             _not_proven,
@@ -392,7 +370,7 @@ class SolverService:
             [
                 (
                     ("sat", tuple(problem.constraints)),
-                    _ocache.is_satisfiable,
+                    _is_satisfiable,
                     (problem,),
                     "sat",
                     _assume_sat,

@@ -1,9 +1,10 @@
 """The solver cache must never change analysis results.
 
-Acceptance gate for the memoizing facade: ``analyze()`` output —
+Acceptance gate for the canonical-form cache: ``analyze()`` output —
 dependences, statuses, distance vectors, explain trails — is bit-identical
-with the cache enabled and disabled, on the paper examples, the Figure 6
-corpus, and a few hundred fuzzed corpus-style programs.
+under a ``caching(SolverCache())`` scope and without one (the default), on
+the paper examples, the Figure 6 corpus, and a few hundred fuzzed
+corpus-style programs.
 """
 
 import random
@@ -12,13 +13,22 @@ import pytest
 
 from repro.analysis import AnalysisOptions, analyze
 from repro.ir.builder import ProgramBuilder
+from repro.obs import MetricsRegistry, collecting
+from repro.omega import SolverCache, caching
 from repro.programs import PAPER_EXAMPLES, corpus_programs
 from repro.reporting import result_to_dict
 
 
+def analyze_cached(program, options=None):
+    """One ``analyze()`` call under its own solver-cache scope."""
+
+    with caching(SolverCache()):
+        return analyze(program, options)
+
+
 def run_both(program, **kwargs):
-    cached = analyze(program, AnalysisOptions(cache=True, **kwargs))
-    plain = analyze(program, AnalysisOptions(cache=False, **kwargs))
+    cached = analyze_cached(program, AnalysisOptions(**kwargs))
+    plain = analyze(program, AnalysisOptions(**kwargs))
     return cached, plain
 
 
@@ -49,10 +59,33 @@ def test_corpus_bit_identical(program):
     assert snapshot(cached) == snapshot(plain)
 
 
+def test_default_analyze_runs_uncached():
+    registry = MetricsRegistry()
+    with collecting(registry):
+        result = analyze(PAPER_EXAMPLES[2]())
+    assert result.cache_stats is None
+    assert all(
+        value == 0
+        for name, value in registry.to_dict()["counters"].items()
+        if name.startswith("omega.cache.")
+    )
+    assert "omega.cache.size" not in registry.to_dict()["gauges"]
+
+
+def test_analyze_adopts_an_enclosing_cache_scope():
+    with caching() as shared:
+        first = analyze(PAPER_EXAMPLES[2]())
+        second = analyze(PAPER_EXAMPLES[2]())
+    assert first.cache_stats["misses"] > 0
+    # The second run answers from the first run's entries.
+    assert second.cache_stats == shared.stats()
+    assert shared.hits > first.cache_stats["hits"]
+
+
 def test_corpus_produces_hits():
     total_hits = 0
     for program in corpus_programs():
-        result = analyze(program, AnalysisOptions(cache=True))
+        result = analyze_cached(program)
         total_hits += result.cache_stats["hits"]
     assert total_hits > 0
 

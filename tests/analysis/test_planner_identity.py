@@ -5,9 +5,9 @@ governed run — a budget, a deadline or a fault plan — additionally arms
 the checkpoint machinery, meters each core reduction on its own and
 shields each probe.  When no budget runs out and no fault fires, none of
 that may show: dependences, statuses, explain trails, audit provenance
-and the event stream stay byte-identical to the default run, with the
-solver cache on and off.  The fuzzed corpus guards shapes no curated
-example happens to cover.
+and the event stream stay byte-identical to the default run, uncached
+and under a ``caching(SolverCache())`` scope.  The fuzzed corpus guards
+shapes no curated example happens to cover.
 """
 
 import random
@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis import AnalysisOptions, analyze
 from repro.guard import Budget, FaultPlan, injecting
+from repro.omega import SolverCache, caching
 from repro.obs import (
     EventBus,
     MetricsRegistry,
@@ -51,8 +52,9 @@ def snapshot(result):
     return data
 
 
-def observe(program, faults=None, **options):
-    """(snapshot, event stream) of one run under its own bus."""
+def observe(program, faults=None, cache=False, **options):
+    """(snapshot, event stream) of one run under its own bus (and, with
+    ``cache``, its own solver-cache scope)."""
 
     bus = EventBus()
     scope = (
@@ -60,7 +62,9 @@ def observe(program, faults=None, **options):
         if faults is not None
         else nullcontext()
     )
-    with scope, run_context(RunContext("deadbeef0001")), publishing(bus):
+    cached = caching(SolverCache()) if cache else nullcontext()
+    context = run_context(RunContext("deadbeef0001"))
+    with scope, cached, context, publishing(bus):
         result = analyze(program, AnalysisOptions(**options))
     if faults is not None or options.keys() & {"budget", "deadline_ms"}:
         assert result.degradations is not None
@@ -96,8 +100,10 @@ def test_paper_examples_identical(make_program):
     "program", corpus_programs(), ids=lambda program: program.name
 )
 def test_corpus_identical(program):
-    # Cache off for the corpus comes from the tier-1 REPRO_NO_CACHE leg.
-    assert_governed_identical(program, explain=True, audit=True)
+    for cache in (True, False):
+        assert_governed_identical(
+            program, cache=cache, explain=True, audit=True
+        )
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.dependences import DependenceStatus
 from repro.analysis.engine import AnalysisOptions, analyze
 from repro.guard import Budget, BudgetExhausted, governed, subject
-from repro.omega import Problem, Variable
+from repro.omega import Problem, SolverCache, Variable
 from repro.programs import cholsky, example1
 from repro.reporting.serialize import result_to_dict
 from repro.solver import SolverService
@@ -51,7 +51,7 @@ def live_deps(result):
 
 class TestServiceDegradation:
     def test_every_kind_degrades_to_its_conservative_answer(self):
-        service = SolverService(cache=False)
+        service = SolverService()
         problem, other = satisfiable(), unsatisfiable()
         with governed(Budget(deadline_ms=0.0)) as gov:
             assert service.sat(problem) is True
@@ -81,13 +81,13 @@ class TestServiceDegradation:
         assert service.sat(unsatisfiable()) is False
 
     def test_degraded_sat_assumes_a_dependence(self):
-        service = SolverService(cache=False)
+        service = SolverService()
         with governed(Budget(deadline_ms=0.0)):
             assert service.sat(unsatisfiable()) is True  # conservative lie
         assert service.sat(unsatisfiable()) is False  # exact truth
 
     def test_core_meters_fire_inside_the_omega_core(self):
-        service = SolverService(cache=False)
+        service = SolverService()
         with governed(Budget(fm_steps=0)) as gov:
             assert service.sat(needs_elimination()) is True
         assert len(gov.log.events) == 1
@@ -96,7 +96,7 @@ class TestServiceDegradation:
         assert event.site.startswith("omega.")
 
     def test_degradations_carry_the_subject(self):
-        service = SolverService(cache=False)
+        service = SolverService()
         with governed(Budget(deadline_ms=0.0)) as gov:
             with subject("flow: A(i) -> A(i-1)"):
                 service.sat(satisfiable())
@@ -105,7 +105,7 @@ class TestServiceDegradation:
         assert "flow: A(i) -> A(i-1)" in event.describe()
 
     def test_strict_policy_propagates_structured_failure(self):
-        service = SolverService(cache=False)
+        service = SolverService()
         with governed(Budget(deadline_ms=0.0), policy="raise"):
             with pytest.raises(BudgetExhausted) as err:
                 service.sat(satisfiable())
@@ -114,7 +114,7 @@ class TestServiceDegradation:
         assert service.degraded == 0
 
     def test_batches_degrade_per_cell(self):
-        service = SolverService(cache=False)
+        service = SolverService()
         with governed(Budget(deadline_ms=0.0)) as gov:
             assert service.sat_batch([satisfiable(), unsatisfiable()]) == [
                 True,
@@ -123,7 +123,7 @@ class TestServiceDegradation:
         assert len(gov.log.events) == 2
 
     def test_degraded_answers_are_never_memoized(self):
-        service = SolverService(cache=True)
+        service = SolverService(cache=SolverCache())
         with service.activate(), governed(Budget(deadline_ms=0.0)):
             assert service.sat(unsatisfiable()) is True
         # Had the degraded True (or the BudgetExhausted) been memoized,

@@ -81,7 +81,7 @@ class TestDeadlineProvenance:
         # A deadline tight enough that CHOLSKY cannot finish exactly.
         result = analyze(
             program,
-            AnalysisOptions(audit=True, deadline_ms=1.0, cache=False),
+            AnalysisOptions(audit=True, deadline_ms=1.0),
         )
         assert result.degraded()
         tagged = [r for r in result.provenance if r.degradations]
@@ -96,13 +96,11 @@ class TestDeadlineProvenance:
         program = corpus_programs()[0]
         via_ms = analyze(
             program,
-            AnalysisOptions(audit=True, deadline_ms=1.0, cache=False),
+            AnalysisOptions(audit=True, deadline_ms=1.0),
         )
         via_budget = analyze(
             program,
-            AnalysisOptions(
-                audit=True, budget=Budget(deadline_ms=1.0), cache=False
-            ),
+            AnalysisOptions(audit=True, budget=Budget(deadline_ms=1.0)),
         )
         assert via_ms.degraded() and via_budget.degraded()
         for result in (via_ms, via_budget):

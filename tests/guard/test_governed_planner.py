@@ -69,7 +69,7 @@ class TestCoreFallback:
         # One FM step each: the probe before the reduction and the
         # reduction itself.  Charged to one meter they would exceed the
         # per-query allowance of 1; each on its own meter, both fit.
-        service = SolverService(cache=False)
+        service = SolverService()
         with service.activate(), governed(Budget(fm_steps=1)):
             assert service.sat(Problem().add_bounds(1, I, 10))
             core = PlanSpace().core(nest_problem(), [D])

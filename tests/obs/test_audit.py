@@ -3,6 +3,7 @@ engine integration — including the bit-identity acceptance criterion
 (records identical with the solver cache on and off)."""
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.analysis import AnalysisOptions, analyze
 from repro.analysis.graph import dependence_graph
 from repro.ir import parse
 from repro.obs.audit import AuditLog, ProvenanceRecord, QueryFootprint
+from repro.omega import SolverCache, caching
 from repro.programs import corpus_programs, example2
 from repro.reporting import result_to_dict
 
@@ -220,13 +222,14 @@ class TestBitIdentity:
         return corpus_programs()[0]
 
     @staticmethod
-    def _snapshot(program, **kwargs):
-        result = analyze(program, AnalysisOptions(audit=True, **kwargs))
+    def _snapshot(program, cache=False):
+        with caching(SolverCache()) if cache else nullcontext():
+            result = analyze(program, AnalysisOptions(audit=True))
         return json.dumps(
             [record.to_dict() for record in result.provenance],
             sort_keys=True,
         )
 
     def test_cache_does_not_change_provenance(self, program):
-        base = self._snapshot(program)
-        assert self._snapshot(program, cache=False) == base
+        base = self._snapshot(program, cache=True)
+        assert self._snapshot(program) == base

@@ -1,5 +1,7 @@
 """Explain-mode tests: the ExplainLog itself, plus engine integration."""
 
+from contextlib import nullcontext
+
 from repro.analysis import AnalysisOptions, analyze
 from repro.ir import parse
 from repro.obs.explain import (
@@ -9,6 +11,7 @@ from repro.obs.explain import (
     Step,
     explain_view,
 )
+from repro.omega import SolverCache, caching
 
 KILL_PROGRAM = """
 a(n) :=
@@ -125,9 +128,8 @@ class TestMergeDeterminism:
         program = corpus_programs()[0]
 
         def trail(cache):
-            result = analyze(
-                program, AnalysisOptions(explain=True, cache=cache)
-            )
+            with caching(SolverCache()) if cache else nullcontext():
+                result = analyze(program, AnalysisOptions(explain=True))
             return [
                 (d.subject, d.action, d.reason, d.by, d.used_omega)
                 for d in result.explain

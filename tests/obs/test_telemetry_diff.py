@@ -2,6 +2,7 @@
 
 import copy
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -15,16 +16,19 @@ from repro.obs import (
     run_record,
 )
 from repro.obs.telemetry.diff import SuspectsReport, load_input
+from repro.omega import SolverCache, caching
 from repro.programs import cholsky
 
 
-def recorded(tmp_path, name, **options):
-    """One analyze run record written to its own single-record ledger."""
+def recorded(tmp_path, name, cache=False, **options):
+    """One analyze run record written to its own single-record ledger
+    (with ``cache``, under its own solver-cache scope)."""
 
     opts = AnalysisOptions(extended=True, audit=True, **options)
     registry = MetricsRegistry()
     with collecting(registry):
-        result = analyze(cholsky(), opts)
+        with caching(SolverCache()) if cache else nullcontext():
+            result = analyze(cholsky(), opts)
     record = run_record(
         "analyze",
         program="cholsky",

@@ -1,6 +1,7 @@
 """Event bus: lifecycle stream determinism, sampling, sinks."""
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -15,14 +16,18 @@ from repro.obs import (
     run_context,
 )
 from repro.obs.telemetry.events import _sample_keep
+from repro.omega import SolverCache, caching
 from repro.programs import cholsky, example1
 
 
-def run_events(program, options, run_id="deadbeef0001", sample=1.0):
+def run_events(
+    program, options, run_id="deadbeef0001", sample=1.0, cache=False
+):
     bus = EventBus(sample=sample)
     with run_context(RunContext(run_id)):
         with publishing(bus):
-            analyze(program, options)
+            with caching(SolverCache()) if cache else nullcontext():
+                analyze(program, options)
     return bus.events
 
 
@@ -132,8 +137,8 @@ class TestEngineIntegration:
     @pytest.mark.parametrize("governed", [True, False])
     def test_stream_bit_identical_across_cache_settings(self, governed):
         options = {"extended": True, "deadline_ms": 1e9 if governed else None}
-        cached = run_events(cholsky(), AnalysisOptions(cache=True, **options))
-        uncached = run_events(cholsky(), AnalysisOptions(cache=False, **options))
+        cached = run_events(cholsky(), AnalysisOptions(**options), cache=True)
+        uncached = run_events(cholsky(), AnalysisOptions(**options))
         assert cached == uncached
         assert len(cached) > 10
 

@@ -1,6 +1,7 @@
 """Run ledger: record shape, persistence, stable-view determinism."""
 
 import json
+from contextlib import nullcontext
 
 from repro.analysis import AnalysisOptions, analyze
 from repro.obs import (
@@ -19,14 +20,16 @@ from repro.obs.telemetry.ledger import (
     git_sha,
     machine_fingerprint,
 )
+from repro.omega import SolverCache, caching
 from repro.programs import example1
 
 
-def analyzed_record(**options):
+def analyzed_record(cache=False, **options):
     opts = AnalysisOptions(extended=True, audit=True, **options)
     registry = MetricsRegistry()
     with collecting(registry):
-        result = analyze(example1(), opts)
+        with caching(SolverCache()) if cache else nullcontext():
+            result = analyze(example1(), opts)
     return run_record(
         "analyze",
         program="example1",
@@ -123,7 +126,7 @@ class TestStableView:
         assert "cache" not in view["options"]
 
     def test_keeps_precision_counters(self):
-        view = stable_view(analyzed_record())
+        view = stable_view(analyzed_record(cache=True))
         assert view["counters"]["omega.precision.records"] > 0
         assert all(
             not name.startswith("omega.cache.")

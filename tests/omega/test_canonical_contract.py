@@ -15,7 +15,7 @@ import importlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import AnalysisOptions, analyze
+from repro.analysis import analyze
 from repro.omega import Problem, Variable, is_satisfiable
 from repro.omega.cache import SolverCache, caching
 from repro.omega.constraints import Constraint, JointCanonical, Relation
@@ -126,7 +126,8 @@ def harvest():
         patch.setattr(_gist, "canonicalize_problems", recording_canonicalize)
         patch.setattr(_project_mod, "_project_traced", recording_project)
         for program in timing_corpus()[:8]:
-            analyze(program, AnalysisOptions(cache=True))
+            with caching(SolverCache()):
+                analyze(program)
     sats = [group[0] for group in groups if len(group) == 1]
     return groups, sats, projections
 

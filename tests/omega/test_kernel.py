@@ -90,6 +90,6 @@ class TestCombineShadowsParity:
 class TestEndToEndParity:
     def test_python_kernel_answers_are_sane(self):
         problem = Problem().add_ge(2 * VARS[0] - 4).add_le(3 * VARS[0], 21)
-        from repro.omega.cache import is_satisfiable
+        from repro.omega.solve import is_satisfiable
 
         assert is_satisfiable(problem)

@@ -1,5 +1,5 @@
 """The service boundary is load-bearing: analysis code may not call the
-Omega core (or its memoizing facade) directly.
+Omega core (or its solver cache) directly.
 
 Every satisfiability / projection / gist / implication query must flow
 through :mod:`repro.solver`, because that is the seam where batching,
@@ -90,7 +90,7 @@ def test_the_scan_actually_detects_violations():
     sample = textwrap.dedent(
         """
         import repro.omega.cache
-        from ..omega.cache import is_satisfiable
+        from ..omega.cache import caching
         from ..omega import is_satisfiable
         from ..omega import Problem
         from ..solver import project

@@ -1,14 +1,14 @@
-"""Property: the SolverService answers exactly like the omega facade.
+"""Property: the SolverService answers exactly like the omega entry points.
 
 The service is a router, not a solver — whatever combination of canonical
 cache and batch de-duplication it uses internally, every answer it returns
-must be bit-identical to calling ``repro.omega.cache`` directly.  This
-test harvests real dependence problems from the paper examples, CHOLSKY
-and a fuzzed corpus, runs the four primitives through services with the
-canonical cache on and off (scalar *and* batched), and compares every
-answer against the direct facade, fingerprinting Problem-valued results
-by canonical form so wildcard numbering cannot mask or fake a
-difference.
+must be bit-identical to calling ``repro.omega.solve``, ``.project`` and
+``.gist`` directly.  This test harvests real dependence problems from the
+paper examples, CHOLSKY and a fuzzed corpus, runs the four primitives
+through services with and without a canonical cache (scalar *and*
+batched), and compares every answer against the direct call,
+fingerprinting Problem-valued results by canonical form so wildcard
+numbering cannot mask or fake a difference.
 """
 
 import random
@@ -16,8 +16,7 @@ import random
 import pytest
 
 from repro.analysis.problem import SymbolTable, build_pair_problem
-from repro.omega import Problem
-from repro.omega.cache import is_satisfiable as direct_answer  # noqa: F401
+from repro.omega import Problem, SolverCache
 from repro.omega.errors import OmegaComplexityError
 from repro.omega.project import Projection
 from repro.programs import PAPER_EXAMPLES, cholsky
@@ -25,8 +24,8 @@ from repro.solver import SolverQuery, SolverService
 from tests.analysis.test_cache_determinism import random_program
 
 def config_services():
-    for cache in (True, False):
-        yield f"cache={cache}", SolverService(cache=cache)
+    yield "cache=True", SolverService(cache=SolverCache())
+    yield "cache=False", SolverService()
 
 
 def fingerprint(value):

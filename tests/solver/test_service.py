@@ -1,9 +1,9 @@
 """SolverService mechanics: activation, dedup, caching, task loops.
 
 The service is a serial pass-through that must be indistinguishable from
-calling the omega facade directly.  These tests pin the mechanics: stack
-discipline, cache adoption, batch de-duplication counters, ordering
-guarantees and first-failure replay.
+calling the omega entry points directly.  These tests pin the mechanics:
+stack discipline, cache activation, batch de-duplication counters,
+ordering guarantees and first-failure replay.
 """
 
 import os
@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.omega import Problem, SolverCache, Variable, caching
+from repro.omega import Problem, SolverCache, Variable
 from repro.omega.errors import OmegaComplexityError
 from repro.solver import (
     SolverQuery,
@@ -43,7 +43,7 @@ def cycle():
 
 @pytest.fixture
 def service():
-    service = SolverService()
+    service = SolverService(cache=SolverCache())
     with service.activate():
         yield service
 
@@ -63,18 +63,13 @@ class TestActivation:
     def test_serial_cached_service_activates_its_lru(self):
         from repro.omega import current_cache
 
-        service = SolverService(cache=True)
+        service = SolverService(cache=SolverCache())
         with service.activate():
             assert current_cache() is service.cache
         assert current_cache() is not service.cache
 
-    def test_for_options_adopts_enclosing_cache_scope(self):
-        with caching() as shared:
-            service = SolverService.for_options(cache=True)
-            assert service.cache is shared
-
     def test_invalid_configuration_rejected(self):
-        # The constructor takes only the cache settings.
+        # The constructor takes only the cache.
         with pytest.raises(TypeError):
             SolverService(workers=2)
 
@@ -157,14 +152,14 @@ class TestCacheStats:
         } <= set(stats)
 
     def test_serial_cache_stats_come_from_the_lru(self):
-        service = SolverService(cache=True)
+        service = SolverService(cache=SolverCache())
         with service.activate():
             is_satisfiable(bounded(x, 0, 5))
             is_satisfiable(bounded(x, 0, 5))
         assert service.cache_stats()["hits"] == 1
 
     def test_uncached_service_has_no_cache_stats(self):
-        service = SolverService(cache=False)
+        service = SolverService()
         p = bounded(x, 0, 5)
         assert service.sat(p) and service.sat(p)
         assert service.cache_stats() is None

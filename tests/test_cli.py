@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.omega import SolverCache, caching
 
 KILL_PROGRAM = """
 a(n) :=
@@ -519,12 +520,17 @@ class TestAuditCommand:
         assert main(["audit", "--diff", str(a), str(a)]) == 0
         assert "gate: PASS" in capsys.readouterr().out
 
-    def test_audit_cache_flag_is_bit_identical(self, program_file, tmp_path):
+    def test_audit_under_a_cache_is_bit_identical(
+        self, program_file, tmp_path
+    ):
         cached = tmp_path / "cached.json"
         uncached = tmp_path / "uncached.json"
-        assert main(["audit", str(program_file), "--out", str(cached)]) == 0
+        with caching(SolverCache()):
+            assert main(
+                ["audit", str(program_file), "--out", str(cached)]
+            ) == 0
         assert main(
-            ["audit", str(program_file), "--no-cache", "--out", str(uncached)]
+            ["audit", str(program_file), "--out", str(uncached)]
         ) == 0
         left = json.loads(cached.read_text())
         right = json.loads(uncached.read_text())
@@ -690,14 +696,11 @@ class TestDiffCommand:
         assert "no suspects" in out
 
     def test_diff_ranks_injected_cache_regression(
-        self, program_file, tmp_path, capsys, monkeypatch
+        self, program_file, tmp_path, capsys
     ):
-        # The baseline run needs the cache on, whatever the environment.
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        cached = self.ledgered(program_file, tmp_path, "cached")
-        uncached = self.ledgered(
-            program_file, tmp_path, "uncached", "--no-cache"
-        )
+        with caching(SolverCache()):
+            cached = self.ledgered(program_file, tmp_path, "cached")
+        uncached = self.ledgered(program_file, tmp_path, "uncached")
         capsys.readouterr()
         assert main(
             ["diff", str(cached), str(uncached), "--gate"]
@@ -746,10 +749,8 @@ class TestDiffCommand:
 
 class TestStoreFlag:
     def test_analyze_store_warm_run_hits(
-        self, program_file, tmp_path, capsys, monkeypatch
+        self, program_file, tmp_path, capsys
     ):
-        # The store sits behind the cache, so the cache must be on.
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         store = tmp_path / "store.db"
         assert main(
             ["analyze", str(program_file), "--stats", "--store", str(store)]
