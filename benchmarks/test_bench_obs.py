@@ -67,13 +67,12 @@ def _raw_entry_points():
     def raw_project(problem, keep):
         return project._project(problem, frozenset(keep))
 
-    def raw_gist(p, q, *, stats=None, stop_if_not_true=False, use_fast_checks=True):
+    def raw_gist(p, q, *, stats=None, stop_if_not_true=False):
         return gist._gist(
             p,
             q,
             stats if stats is not None else GistStats(),
             stop_if_not_true=stop_if_not_true,
-            use_fast_checks=use_fast_checks,
         )
 
     return {

@@ -72,7 +72,6 @@ CATALOG: tuple[str, ...] = (
     "omega.gists",
     "omega.gist_simplifications",
     "omega.gist_naive_tests",
-    "omega.gist_pair_tests",
     # Solver result cache (repro.omega.cache).
     "omega.cache.hits",
     "omega.cache.misses",

@@ -359,8 +359,8 @@ def project_key(canonical, kept) -> tuple:
     return ("project", canonical.key, present)
 
 
-def gist_key(joint, stop_if_not_true: bool, use_fast_checks: bool) -> tuple:
-    return ("gist", joint.key, stop_if_not_true, use_fast_checks)
+def gist_key(joint, stop_if_not_true: bool) -> tuple:
+    return ("gist", joint.key, stop_if_not_true)
 
 
 def union_key(joint, max_cubes: int) -> tuple:

@@ -8,27 +8,27 @@ that ``(gist p given q) and q  ==  p and q``.  In particular::
 
 The naive algorithm needs one satisfiability test per constraint of p; the
 paper lists four fast checks that usually decide most constraints without
-consulting the Omega test.  We implement all four, then fall back to the
-naive recursion, with the short-circuit the paper describes for tautology
-testing.  Implication tests skip the fourth check: they only ask whether
-the gist is True, and the naive recursion answers that on its own.
+consulting the Omega test.  Full gists run the naive algorithm alone: on
+the small, dependence-shaped gists dependence analysis computes, the fast
+checks cost more than the tests they save.  Implication tests only ask
+whether the gist is True; they run fast checks 1-3, which settle many of
+them without a satisfiability test, then the naive algorithm with the
+short-circuit the paper describes for tautology testing.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..guard import budget as _guard
 from ..obs import metrics as _metrics
 from ..obs import off as _obs_off
 from ..obs.trace import span as _span
 from . import cache as _cache
-from .constraints import Constraint, Problem, Relation, canonicalize_problems
+from .constraints import Constraint, Problem, canonicalize_problems
 from .errors import BudgetExhausted, OmegaComplexityError
-from .project import Projection, project
-from .solve import is_satisfiable, peel_constraints
-from .terms import LinearExpr, Variable
+from .solve import is_satisfiable
+from .terms import Variable
 
 __all__ = [
     "gist",
@@ -46,18 +46,14 @@ class GistStats:
     dropped_single: int = 0
     kept_unmatched_bound: int = 0
     kept_no_positive_pair: int = 0
-    dropped_pairwise: int = 0
     naive_tests: int = 0
     dropped_naive: int = 0
-    #: Three-constraint problems fast check 4 built and solved (work,
-    #: not a decision).
-    pair_tests: int = 0
 
     @property
     def dropped(self) -> int:
         """Constraints of p removed as redundant ("simplifications")."""
 
-        return self.dropped_single + self.dropped_pairwise + self.dropped_naive
+        return self.dropped_single + self.dropped_naive
 
 
 def _implied_by_single(e: Constraint, other: Constraint) -> bool:
@@ -98,7 +94,6 @@ def gist(
     *,
     stats: GistStats | None = None,
     stop_if_not_true: bool = False,
-    use_fast_checks: bool = True,
 ) -> Problem:
     """Compute ``gist p given q``.
 
@@ -117,16 +112,10 @@ def gist(
     cache = _cache.current_cache() if stats is None else None
     stats = stats if stats is not None else GistStats()
     if cache is None:
-        return _gist_traced(
-            p,
-            q,
-            stats,
-            stop_if_not_true=stop_if_not_true,
-            use_fast_checks=use_fast_checks,
-        )
+        return _gist_traced(p, q, stats, stop_if_not_true=stop_if_not_true)
 
     joint = canonicalize_problems([p, q])
-    key = _cache.gist_key(joint, stop_if_not_true, use_fast_checks)
+    key = _cache.gist_key(joint, stop_if_not_true)
     entry = cache.get(key)
     if entry is not _cache.MISSING:
         if not _obs_off():
@@ -142,7 +131,6 @@ def gist(
             q,
             stats,
             stop_if_not_true=stop_if_not_true,
-            use_fast_checks=use_fast_checks,
             cache_tag="miss",
         )
     except OmegaComplexityError as exc:
@@ -159,36 +147,21 @@ def _gist_traced(
     stats: GistStats,
     *,
     stop_if_not_true: bool,
-    use_fast_checks: bool,
     cache_tag: str | None = None,
 ) -> Problem:
     if _obs_off():
-        return _gist(
-            p,
-            q,
-            stats,
-            stop_if_not_true=stop_if_not_true,
-            use_fast_checks=use_fast_checks,
-        )
+        return _gist(p, q, stats, stop_if_not_true=stop_if_not_true)
     attrs: dict = {"p": p.name, "q": q.name}
     if cache_tag is not None:
         attrs["cache"] = cache_tag
     with _span("omega.gist", **attrs) as sp:
-        result = _gist(
-            p,
-            q,
-            stats,
-            stop_if_not_true=stop_if_not_true,
-            use_fast_checks=use_fast_checks,
-        )
+        result = _gist(p, q, stats, stop_if_not_true=stop_if_not_true)
     _metrics.observe("omega.gist_seconds", sp.duration)
     _metrics.inc("omega.gists")
     if stats.dropped:
         _metrics.inc("omega.gist_simplifications", stats.dropped)
     if stats.naive_tests:
         _metrics.inc("omega.gist_naive_tests", stats.naive_tests)
-    if stats.pair_tests:
-        _metrics.inc("omega.gist_pair_tests", stats.pair_tests)
     return result
 
 
@@ -198,13 +171,13 @@ def _gist(
     stats: GistStats,
     *,
     stop_if_not_true: bool,
-    use_fast_checks: bool,
 ) -> Problem:
     from .constraints import NormalizeStatus
 
+    name = f"gist {p.name}"
     p_norm, p_status = p.normalized()
     if p_status is NormalizeStatus.UNSATISFIABLE:
-        false = Problem(name=f"gist {p.name}")
+        false = Problem(name=name)
         false.add_ge(-1)
         return false
     p_constraints: list[Constraint] = []
@@ -221,36 +194,17 @@ def _gist(
 
     q_norm, q_status = q.normalized()
     if q_status is NormalizeStatus.UNSATISFIABLE:
-        return Problem(name=f"gist {p.name}")  # q implies anything
+        return Problem(name=name)  # q implies anything
     q_constraints = list(q_norm.constraints)
+
+    if not stop_if_not_true:
+        return _naive(name, p_constraints, q_constraints, stats, False)
 
     # ``working`` is the live remainder of p; every drop below is justified
     # against the *current* working set plus q, which keeps sequential
     # redundancy removal sound (two mutually-redundant constraints cannot
     # both disappear).
     working: list[Constraint] = list(p_constraints)
-    definite: list[Constraint] = []  # constraints known to be in the gist
-
-    if not use_fast_checks:
-        # Ablation path: pure naive algorithm.
-        result = []
-        context_q = list(q_constraints)
-        pending = list(working)
-        while pending:
-            _guard.checkpoint("omega.gist")
-            e = pending.pop(0)
-            stats.naive_tests += 1
-            if _negation_satisfiable(e, pending + context_q):
-                result.append(e)
-                if stop_if_not_true:
-                    return Problem(result, name=f"gist {p.name}")
-                context_q.append(e)
-            else:
-                stats.dropped_naive += 1
-        gist_problem = Problem(result, name=f"gist {p.name}")
-        normalized, _ = gist_problem.normalized()
-        normalized.name = gist_problem.name
-        return normalized
 
     # --- Fast check 1: drop constraints implied by a single constraint. ---
     for e in list(working):
@@ -259,13 +213,11 @@ def _gist(
             stats.dropped_single += 1
             working.remove(e)
 
-    if not working:
-        return Problem(name=f"gist {p.name}")
-
     # --- Fast check 2: a variable with an upper (lower) bound in p but not
     # in q must contribute at least one such bound to the gist; when p has
     # exactly one, it is definitely in.  Fast check 3: a constraint with no
-    # positively-correlated companion anywhere must be in the gist. ---
+    # positively-correlated companion anywhere must be in the gist.  Either
+    # way the gist is not True, which is all an implication test asks. ---
     def bound_vars(constraints: list[Constraint], sign: int) -> set[Variable]:
         found: set[Variable] = set()
         for c in constraints:
@@ -278,12 +230,12 @@ def _gist(
     q_lowers = bound_vars(q_constraints, +1)
 
     for e in working:
-        keep = False
         if any(v.is_wildcard for v in e.expr.terms):
             # Stride equalities quantify their wildcard existentially; the
             # "unmatched bound" and "no positive companion" arguments do
             # not apply.  Decide them with the exact naive test below.
             continue
+        keep = False
         for v, coeff in e.expr.terms.items():
             if coeff < 0 and v not in q_uppers:
                 if not any(
@@ -305,117 +257,39 @@ def _gist(
                 keep = True
                 stats.kept_no_positive_pair += 1
         if keep:
-            definite.append(e)
-            if stop_if_not_true:
-                return Problem(definite, name=f"gist {p.name}")
+            return Problem([e], name=name)
 
-    undecided = [e for e in working if e not in definite]
+    return _naive(name, working, q_constraints, stats, True)
 
-    # --- Fast check 4: implication by a pair of constraints.  Implication
-    # tests skip it: they read only whether the gist is True, and that
-    # does not depend on which check drops a constraint. ---
-    if not stop_if_not_true:
-        _drop_implied_by_pairs(undecided, definite, q_constraints, stats)
 
-    # --- Naive algorithm on whatever is left. ---
-    result = list(definite)
-    context_q = q_constraints + definite
-    pending = list(undecided)
+def _naive(
+    name: str,
+    constraints: list[Constraint],
+    q_constraints: list[Constraint],
+    stats: GistStats,
+    stop_if_not_true: bool,
+) -> Problem:
+    """The paper's naive algorithm: keep each constraint whose negation is
+    consistent with q, the constraints still pending and those kept so
+    far; drop the rest.  With ``stop_if_not_true`` the first kept
+    constraint is returned alone."""
+
+    result: list[Constraint] = []
+    pending = list(constraints)
     while pending:
         _guard.checkpoint("omega.gist")
         e = pending.pop(0)
         stats.naive_tests += 1
-        if _negation_satisfiable(e, pending + context_q):
-            result.append(e)
+        if _negation_satisfiable(e, pending + q_constraints + result):
             if stop_if_not_true:
-                return Problem(result, name=f"gist {p.name}")
-            context_q.append(e)
+                return Problem([e], name=name)
+            result.append(e)
         else:
             # e is redundant given the remainder: drop it.
             stats.dropped_naive += 1
-
-    gist_problem = Problem(result, name=f"gist {p.name}")
-    normalized, _ = gist_problem.normalized()
-    normalized.name = gist_problem.name
+    normalized, _ = Problem(result, name=name).normalized()
+    normalized.name = name
     return normalized
-
-
-def _drop_implied_by_pairs(
-    undecided: list[Constraint],
-    definite: list[Constraint],
-    q_constraints: list[Constraint],
-    stats: GistStats,
-) -> None:
-    """Fast check 4: drop each inequality of ``undecided`` that a pair of
-    the other constraints implies, in order.
-
-    ``e`` is implied by ``c1 and c2`` iff ``c1 and c2 and not e`` has no
-    integer solution.  Most pairs need no three-constraint problem.  A
-    variable of ``not e`` that neither constraint of the pair bounds from
-    the other side, nor mentions in an equality, is one-sided in the
-    triple, so the triple is satisfiable exactly when the pair's
-    constraints that mention no such variable are (the peel lemma of
-    :func:`repro.omega.solve._peel`).  That subset is peeled, and solved
-    only if something is left, once per call; only pairs that cover every
-    variable of ``not e`` build and solve the triple.
-    """
-
-    # The sides each constraint bounds its variables from, keyed like
-    # ``_peel``: 1 below, 2 above, 3 both (an equality).
-    sides: dict[int, dict] = {}
-    for c in itertools.chain(undecided, definite, q_constraints):
-        if c.is_equality:
-            sides[id(c)] = {(name, kind): 3 for name, kind, _ in c.expr.key()}
-        else:
-            sides[id(c)] = {
-                (name, kind): 1 if coeff > 0 else 2
-                for name, kind, coeff in c.expr.key()
-            }
-    subset_sat: dict[tuple, bool] = {}
-
-    for e in list(undecided):
-        if e.is_equality:
-            continue
-        # ``not e`` bounds each variable of e from the side e does not, so
-        # a companion must bound it from e's side.
-        need = sides[id(e)]
-        context = (
-            [c for c in undecided if c is not e] + definite + q_constraints
-        )
-        negation = None
-        for c1, c2 in itertools.combinations(context, 2):
-            s1 = sides[id(c1)]
-            s2 = sides[id(c2)]
-            if need.keys().isdisjoint(s1) and need.keys().isdisjoint(s2):
-                continue
-            uncovered = {
-                var
-                for var, side in need.items()
-                if not (s1.get(var, 0) | s2.get(var, 0)) & side
-            }
-            if uncovered:
-                subset = [
-                    c
-                    for c, s in ((c1, s1), (c2, s2))
-                    if uncovered.isdisjoint(s)
-                ]
-                # Keyed by identity: hashing would cache a hash on every
-                # constraint, and most of them outlive the call.
-                key = tuple(map(id, subset))
-                satisfiable = subset_sat.get(key)
-                if satisfiable is None:
-                    satisfiable = subset_sat[key] = not peel_constraints(
-                        subset
-                    ) or is_satisfiable(Problem(subset))
-            else:
-                if negation is None:
-                    negation = e.negated()
-                stats.pair_tests += 1
-                satisfiable = is_satisfiable(Problem([c1, c2, negation]))
-            if not satisfiable:
-                stats.dropped_pairwise += 1
-                undecided.remove(e)
-                break
 
 
 def _negation_satisfiable(e: Constraint, context: list[Constraint]) -> bool:

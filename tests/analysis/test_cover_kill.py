@@ -305,3 +305,46 @@ class TestGroundTruthCorpus:
         actual = {(f.source, f.destination) for f in value_based_flows(trace)}
         assert actual <= live_pairs
         assert not (actual & dead_pairs)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "analyze() kills the (+,*) flow the interpreter observes; see "
+            "the ROADMAP item 'An unsound kill when an index array bounds "
+            "a loop'"
+        ),
+    )
+    def test_index_array_loop_bound_keeps_observed_flows(self):
+        from repro.ir import run_program, value_based_flows
+
+        program = parse(
+            """
+            array x[1:n]
+            for i := 1 to n do
+              for k := 1 to len(i) do
+                x(i) := x(i) - x(col(k))
+            """
+        )
+        col = [1, 2]
+
+        def initial(address):
+            name, index = address
+            if name == "len":
+                return 2
+            if name == "col":
+                return col[index[0] - 1]
+            return 0
+
+        live = analyze(program).live_flow()
+        trace = run_program(program, {"n": 3}, initial)
+        missed = [
+            flow.distance
+            for flow in value_based_flows(trace)
+            if not any(
+                dep.src is flow.source
+                and dep.dst is flow.destination
+                and any(v.admits(flow.distance) for v in dep.directions)
+                for dep in live
+            )
+        ]
+        assert missed == []

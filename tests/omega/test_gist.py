@@ -107,11 +107,19 @@ class TestGistBasics:
             assert lhs == rhs
 
     def test_stats_populated(self):
-        stats = GistStats()
+        # A full gist runs the naive algorithm; an implication test runs
+        # fast checks 1-3 first.
         p = Problem().add_ge(x).add_le(x, 10)
         q = Problem().add_ge(x)
+        stats = GistStats()
         gist(p, q, stats=stats)
-        assert stats.dropped_single >= 1
+        assert stats.naive_tests == 2
+        assert stats.dropped_naive == 1
+        stats = GistStats()
+        p = Problem().add_ge(x)
+        gist(p, q, stats=stats, stop_if_not_true=True)
+        assert stats.dropped_single == 1
+        assert stats.naive_tests == 0
 
 
 class TestImplies:

@@ -1,14 +1,17 @@
-"""The contract of ``gist``'s fast check 4: cheaper, same answers.
+"""The contract of ``gist``: full gists are the paper's naive algorithm,
+implication tests keep fast checks 1-3.
 
-Fast check 4 (implication by a pair) now answers a pair that leaves
-some variable of ``not e`` uncovered from the pair's remaining
-constraints, solves a three-constraint problem only for covering pairs,
-and is skipped by implication tests.  A full gist must keep exactly the
-text and the :class:`GistStats` decision counts of the original
-implementation (:mod:`tests.omega.reference_gist`), and an implication
-test its truth value, with the solver cache on and off.  The inputs are
-the gists the analysis issues over a slice of the corpus, the Example 7
-and 8 queries, seeded random pairs and hand-made fixtures.
+A full gist (``stop_if_not_true=False``) must keep exactly the text, the
+constraints and the :class:`GistStats` decision counts of the naive
+algorithm in :mod:`tests.omega.reference_gist`.  Against that module's
+fast-check path, which full gists ran before, it must print the same
+text wherever ``p and q`` is satisfiable; where it is not, any gist
+false under q is right, so only ``gist and q == p and q`` is asserted.
+An implication test must keep the fast-check reference's truth value
+and its fast check 1-3 decisions.  Both hold with the solver cache on
+and off.  The inputs are the gists the analysis issues over a slice of
+the corpus, the Example 7 and 8 queries, seeded random pairs and
+hand-made fixtures.
 """
 
 import dataclasses
@@ -27,7 +30,7 @@ from repro.analysis.symbolic import (
     symbolic_dependence_exists,
 )
 from repro.obs import MetricsRegistry, collecting
-from repro.omega import Problem, Variable, le
+from repro.omega import Problem, Variable, is_satisfiable, le
 from repro.omega.cache import caching
 from repro.omega.constraints import Constraint, Relation
 from repro.omega.errors import OmegaComplexityError
@@ -44,48 +47,70 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 n = Variable("n", "sym")
 POOL = [x, y, z, n]
 
-#: The decision counts; ``pair_tests`` counts work the reference never
-#: skipped, so it is compared separately.
-DECISIONS = [
-    f.name for f in dataclasses.fields(GistStats) if f.name != "pair_tests"
-]
+
+@dataclasses.dataclass
+class ReferenceStats(GistStats):
+    """:class:`GistStats` plus the fast check 4 count the reference keeps."""
+
+    dropped_pairwise: int = 0
+
+    @property
+    def dropped(self) -> int:
+        return super().dropped + self.dropped_pairwise
 
 
-def run(compute, p, q, stop_if_not_true):
-    stats = GistStats()
+#: The decisions fast checks 1-3 make.
+FAST_CHECKS = ["dropped_single", "kept_unmatched_bound", "kept_no_positive_pair"]
+
+
+def run(compute, p, q, stop_if_not_true, **flags):
+    stats = ReferenceStats() if flags else GistStats()
     try:
-        result = compute(
-            p,
-            q,
-            stats,
-            stop_if_not_true=stop_if_not_true,
-            use_fast_checks=True,
-        )
+        result = compute(p, q, stats, stop_if_not_true=stop_if_not_true, **flags)
     except OmegaComplexityError:
         return "raised", None
     return result, stats
 
 
 def same_gist(p, q):
-    """Assert the new gist matches the reference on ``(p, q)``."""
+    """Assert the gist and the implication test keep their contract on
+    ``(p, q)``."""
 
-    want, want_stats = run(reference_gist, p, q, False)
     got, got_stats = run(_gist_mod._gist, p, q, False)
-    if want == "raised":
-        return
-    assert str(got) == str(want), f"gist {p} given {q}"
-    assert got.constraints == want.constraints
-    for name in DECISIONS:
-        assert getattr(got_stats, name) == getattr(want_stats, name), (
-            name,
-            str(p),
-            str(q),
-        )
+    want, want_stats = run(reference_gist, p, q, False, use_fast_checks=False)
+    if "raised" not in (got, want):
+        assert str(got) == str(want), f"gist {p} given {q}"
+        assert got.constraints == want.constraints
+        for field in dataclasses.fields(GistStats):
+            assert getattr(got_stats, field.name) == getattr(
+                want_stats, field.name
+            ), (field.name, str(p), str(q))
 
-    want, _ = run(reference_gist, p, q, True)
-    got, _ = run(_gist_mod._gist, p, q, True)
-    if want != "raised":
+        before, _ = run(reference_gist, p, q, False, use_fast_checks=True)
+        if before != "raised":
+            try:
+                consistent = is_satisfiable(p.conjoin(q))
+            except OmegaComplexityError:
+                consistent = None
+            if consistent:
+                assert str(got) == str(before), f"gist {p} given {q}"
+            elif consistent is False:
+                assert not is_satisfiable(got.conjoin(q))
+
+    got, got_stats = run(_gist_mod._gist, p, q, True)
+    want, want_stats = run(reference_gist, p, q, True, use_fast_checks=True)
+    if "raised" not in (got, want):
         assert got.is_trivially_true() == want.is_trivially_true()
+        for name in FAST_CHECKS:
+            assert getattr(got_stats, name) == getattr(want_stats, name), (
+                name,
+                str(p),
+                str(q),
+            )
+        if got.is_trivially_true():
+            # Every constraint dropped: the reference's fast check 4 drops
+            # fall to the naive test here.
+            assert got_stats.dropped == want_stats.dropped
 
 
 def check_all(pairs, cache):
@@ -210,20 +235,24 @@ class TestSameAnswers:
     def test_fixtures(self, cache):
         check_all([UNSAT_COMPANIONS, EQUALITY_COMPANION], cache)
 
-    def test_inputs_reach_the_pair_check(self):
-        # The comparison means something only if check 4 drops
-        # constraints on these inputs.
-        dropped = 0
+    def test_inputs_reach_both_paths(self):
+        # The comparison means something only if these inputs make the
+        # naive algorithm drop constraints in full gists, fast checks 1-3
+        # decide some implications, and some ``p and q`` is unsatisfiable.
+        dropped_naive = decided_fast = inconsistent = 0
         for p, q in corpus_pairs() + RANDOM:
-            stats = GistStats()
-            try:
-                _gist_mod._gist(
-                    p, q, stats, stop_if_not_true=False, use_fast_checks=True
-                )
-            except OmegaComplexityError:
-                continue
-            dropped += stats.dropped_pairwise
-        assert dropped > 20
+            for stop_if_not_true in (False, True):
+                result, stats = run(_gist_mod._gist, p, q, stop_if_not_true)
+                if result == "raised":
+                    continue
+                if stop_if_not_true:
+                    decided_fast += sum(getattr(stats, f) for f in FAST_CHECKS)
+                else:
+                    dropped_naive += stats.dropped_naive
+                    inconsistent += not is_satisfiable(p.conjoin(q))
+        assert dropped_naive > 20
+        assert decided_fast > 20
+        assert inconsistent > 20
 
 
 class TestFixtures:
@@ -231,33 +260,28 @@ class TestFixtures:
         stats = GistStats()
         result = gist(*UNSAT_COMPANIONS, stats=stats)
         assert result.is_trivially_true()
-        assert stats.dropped_pairwise == 1
-        assert stats.pair_tests == 0
+        assert stats.naive_tests == 1
+        assert stats.dropped_naive == 1
 
     def test_equality_companion_covers(self):
         stats = GistStats()
         result = gist(*EQUALITY_COMPANION, stats=stats)
         assert result.is_trivially_true()
-        assert stats.dropped_pairwise == 1
-        assert stats.pair_tests == 1
+        assert stats.naive_tests == 1
+        assert stats.dropped_naive == 1
 
     def test_implication_skips_the_pair_check(self):
         p, q = EQUALITY_COMPANION
         stats = GistStats()
         result = gist(p, q, stats=stats, stop_if_not_true=True)
         assert result.is_trivially_true()
-        assert stats.dropped_pairwise == 0
         assert stats.dropped_naive == 1
         assert implies(q, p)
 
 
 class TestObservability:
-    def test_pair_tests_are_counted(self):
+    def test_naive_tests_are_counted(self):
         with collecting(MetricsRegistry()) as registry:
             gist(*EQUALITY_COMPANION)
-        assert registry.counter("omega.gist_pair_tests") == 1
-
-    def test_uncovered_pairs_build_no_triple(self):
-        with collecting(MetricsRegistry()) as registry:
-            gist(*UNSAT_COMPANIONS)
-        assert registry.counter("omega.gist_pair_tests") == 0
+        assert registry.counter("omega.gist_naive_tests") == 1
+        assert registry.counter("omega.gist_simplifications") == 1

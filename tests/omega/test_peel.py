@@ -152,7 +152,7 @@ class TestExactness:
         assert dropped > 100
 
     def test_peel_is_exact_on_unnormalized_conjunctions(self):
-        # Gist peels fast check 4's pair subsets without normalizing them.
+        # ``peel_constraints`` takes any conjunction, normalized or not.
         for problem in RANDOM + DEFINING:
             kept = peel_constraints(problem.constraints)
             want = outcome(lambda: _sat(problem, 0))
