@@ -162,13 +162,22 @@ def test_bench_disabled_instrumentation_overhead(benchmark):
         _one_pass(corpus, options)
 
     # Interleave the two configurations round by round so slow machine
-    # drift (thermal, competing load) hits both sides equally; min-of-N
-    # then discards the noisy rounds.
-    instrumented = stripped = float("inf")
-    for _ in range(ROUNDS):
-        instrumented = min(instrumented, _one_pass(corpus, options))
+    # drift (thermal, competing load) hits both sides equally, and swap
+    # which one goes first every round so neither always runs right
+    # after the other's allocations; min-of-N then discards the noisy
+    # rounds.
+    def timed_stripped():
         with _stripped_instrumentation(MonkeyPatch):
-            stripped = min(stripped, _one_pass(corpus, options))
+            return _one_pass(corpus, options)
+
+    instrumented = stripped = float("inf")
+    for round_index in range(ROUNDS):
+        if round_index % 2:
+            stripped = min(stripped, timed_stripped())
+            instrumented = min(instrumented, _one_pass(corpus, options))
+        else:
+            instrumented = min(instrumented, _one_pass(corpus, options))
+            stripped = min(stripped, timed_stripped())
 
     overhead = instrumented / stripped - 1.0
     artifact = (

@@ -423,9 +423,9 @@ class Analyzer:
         with _span("analysis.phase.output"):
             self._compute_output_dependences(writes)
         with _span("analysis.phase.fused"):
-            outcomes = self.service.map(
-                lambda read: self._analyze_read_fused(read, writes), reads
-            )
+            outcomes = [
+                self._analyze_read_fused(read, writes) for read in reads
+            ]
         for _per_read, sink in outcomes:
             self.result.anti.extend(sink.anti)
             self.result.provenance.extend(sink.anti_provenance)

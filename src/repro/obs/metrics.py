@@ -78,10 +78,6 @@ CATALOG: tuple[str, ...] = (
     "omega.cache.evictions",
     # Solver service boundary (repro.solver).
     "solver.queries",
-    "solver.batches",
-    "solver.batch.queries",
-    "solver.batch.dedup_hits",
-    "solver.tasks",
     # Query planner (repro.analysis.plan / repro.solver.plan).
     "solver.plan.groups",
     "solver.plan.pairs_planned",
@@ -134,8 +130,6 @@ CATALOG: tuple[str, ...] = (
     "serve.slow_clients",
     "serve.result_cache.hits",
     "serve.result_cache.misses",
-    "serve.incremental.pairs_reused",
-    "serve.incremental.pairs_changed",
     # Telemetry pipeline (repro.obs.telemetry).
     "obs.events.emitted",
     "obs.events.sampled_out",

@@ -68,8 +68,6 @@ STABLE_COUNTER_PREFIXES = ("analysis.", "omega.precision.")
 STABLE_COUNTERS = frozenset(
     {
         "solver.queries",
-        "solver.batch.queries",
-        "solver.tasks",
         "solver.plan.groups",
         "solver.plan.pairs_planned",
         "guard.degradations",

@@ -67,10 +67,9 @@ class Raised:
 
     Carries the structured fields of :class:`OmegaComplexityError` so a
     replay is indistinguishable from the original raise.  ``exhausted``
-    marks a :class:`~repro.omega.errors.BudgetExhausted` — such entries are
-    used only for in-flight replay (batch cells, single-flight futures),
-    never stored in a cache: a deadline failure describes the run, not the
-    problem.
+    marks a :class:`~repro.omega.errors.BudgetExhausted` — the omega entry
+    points never cache one and the store refuses to persist one: a
+    deadline failure describes the run, not the problem.
     """
 
     __slots__ = ("message", "site", "budget", "limit", "spent", "exhausted")

@@ -261,12 +261,6 @@ class PersistentStore:
                 " value TEXT NOT NULL,"
                 " checksum TEXT NOT NULL)"
             )
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS blobs ("
-                " key TEXT PRIMARY KEY,"
-                " value TEXT NOT NULL,"
-                " checksum TEXT NOT NULL)"
-            )
             row = conn.execute(
                 "SELECT value FROM meta WHERE key = 'version'"
             ).fetchone()
@@ -284,7 +278,6 @@ class PersistentStore:
                     STORE_VERSION,
                 )
                 conn.execute("DELETE FROM entries")
-                conn.execute("DELETE FROM blobs")
                 conn.execute(
                     "UPDATE meta SET value = ? WHERE key = 'version'",
                     (STORE_VERSION,),
@@ -500,47 +493,6 @@ class PersistentStore:
                 self._disable("could not recreate store after quarantine")
             return
         self._strike(exc, during)
-
-    # -- blob API (fingerprint index persistence) ------------------------
-
-    def get_blob(self, name: str) -> str | None:
-        """A named opaque text blob, or None (never raises)."""
-
-        if self.disabled or self._conn is None:
-            return None
-        with self._lock:
-            try:
-                self._maybe_fault("store.get")
-                row = self._conn.execute(
-                    "SELECT value, checksum FROM blobs WHERE key = ?",
-                    (name,),
-                ).fetchone()
-            except sqlite3.DatabaseError as exc:
-                self._handle_db_error(exc, "get_blob")
-                return None
-        if row is None:
-            return None
-        text, checksum = row
-        if _checksum(text) != checksum:
-            return None
-        return text
-
-    def put_blob(self, name: str, text: str) -> None:
-        """Store a named opaque text blob (committed immediately)."""
-
-        if self.disabled or self._conn is None:
-            return
-        with self._lock:
-            try:
-                self._maybe_fault("store.put")
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO blobs (key, value, checksum)"
-                    " VALUES (?, ?, ?)",
-                    (name, text, _checksum(text)),
-                )
-                self._conn.commit()
-            except sqlite3.DatabaseError as exc:
-                self._handle_db_error(exc, "put_blob")
 
     # -- lifecycle / introspection ---------------------------------------
 

@@ -8,17 +8,15 @@ control, and a crash-safe persistent solver cache tier
 (:mod:`repro.omega.store`) shared across clients and restarts.
 
 Layer map: :mod:`.protocol` (envelopes), :mod:`.admission`
-(load-shedding), :mod:`.incremental` (pair fingerprints), :mod:`.app`
-(shared state + dispatch), :mod:`.daemon` (transports + lifecycle),
-:mod:`.client` (stdlib client).  See docs/SERVICE.md for the protocol
-reference and the operational runbook.
+(load-shedding), :mod:`.app` (shared state + dispatch), :mod:`.daemon`
+(transports + lifecycle), :mod:`.client` (stdlib client).  See
+docs/SERVICE.md for the protocol reference and the operational runbook.
 """
 
 from .admission import AdmissionController
 from .app import DEFAULT_DEADLINE_MS, ServeApp
 from .client import ServeClient, ServeError
 from .daemon import Daemon
-from .incremental import diff_fingerprints, pair_fingerprints
 from .protocol import PROTOCOL, ProtocolError, validate_request
 
 __all__ = [
@@ -30,7 +28,5 @@ __all__ = [
     "ServeApp",
     "ServeClient",
     "ServeError",
-    "diff_fingerprints",
-    "pair_fingerprints",
     "validate_request",
 ]

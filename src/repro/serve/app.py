@@ -4,9 +4,9 @@
 one serial :class:`~repro.solver.SolverService` over one
 :class:`~repro.omega.cache.SolverCache` backed by the persistent
 :class:`~repro.omega.store.PersistentStore`, the admission controller,
-a server-lifetime metrics registry, a bounded full-result cache and the
-per-program fingerprint index — and exposes exactly one entry point,
-:meth:`handle`, which both the HTTP and unix-socket fronts call.
+a server-lifetime metrics registry and a bounded full-result cache —
+and exposes exactly one entry point, :meth:`handle`, which both the
+HTTP and unix-socket fronts call.
 
 Degrade-don't-die, layer by layer:
 
@@ -52,7 +52,6 @@ from ..omega.store import PersistentStore
 from ..reporting import result_to_dict, why_records
 from ..solver import SolverService
 from .admission import AdmissionController
-from .incremental import diff_fingerprints, pair_fingerprints
 from .protocol import (
     HTTP_STATUS,
     ProtocolError,
@@ -292,13 +291,6 @@ class ServeApp:
             request["program"].encode()
         ).hexdigest()
 
-        # The fingerprint diff describes *this* submission against the
-        # previous one, so it runs before (and overrides) any cached
-        # full-result replay.
-        incremental = self._incremental(
-            program, request["name"], source_digest, options_key
-        )
-
         if request["op"] == "analyze":
             cached = self._result_cache_get((source_digest, options_key))
             if cached is not None:
@@ -307,8 +299,6 @@ class ServeApp:
                 envelope = dict(cached)
                 envelope["request_id"] = request_id
                 envelope["result_cache"] = "hit"
-                if incremental is not None:
-                    envelope["incremental"] = incremental
                 return envelope
             _metrics.inc("serve.result_cache.misses")
 
@@ -338,8 +328,6 @@ class ServeApp:
                 for event in (result.degradations or ())
             ],
         }
-        if incremental is not None:
-            body["incremental"] = incremental
         if request["op"] == "query":
             src, dst = request["pair"]
             records = why_records(result, src, dst)
@@ -411,37 +399,6 @@ class ServeApp:
             self._result_cache.move_to_end(key)
             while len(self._result_cache) > self.result_cache_size:
                 self._result_cache.popitem(last=False)
-
-    # -- incremental fingerprints ----------------------------------------
-
-    def _incremental(
-        self, program, name: str, source_digest: str, options_key: tuple
-    ) -> dict | None:
-        """Diff this submission's pair fingerprints against the stored
-        index for ``name``; persist the new index.  Store-less servers
-        and store failures report nothing (None) rather than guessing."""
-
-        if self.store is None:
-            return None
-        extra = repr(options_key[:2])
-        fingerprints = pair_fingerprints(program, extra)
-        blob_key = f"fingerprints:{name}"
-        previous = None
-        raw = self.store.get_blob(blob_key)
-        if raw is not None:
-            try:
-                previous = json.loads(raw)
-            except ValueError:
-                previous = None
-        summary = diff_fingerprints(previous, fingerprints)
-        _metrics.inc("serve.incremental.pairs_reused", summary["unchanged"])
-        _metrics.inc(
-            "serve.incremental.pairs_changed",
-            summary["changed"] + summary["added"],
-        )
-        self.store.put_blob(blob_key, json.dumps(fingerprints, sort_keys=True))
-        summary["source"] = source_digest[:16]
-        return summary
 
     # -- telemetry -------------------------------------------------------
 

@@ -3,17 +3,18 @@
 Analysis code never imports :mod:`repro.omega.cache` or
 :mod:`repro.omega.solve` directly.  It imports this package, which routes
 every query through the innermost active :class:`SolverService` (see
-:meth:`SolverService.activate`), where it can be deduplicated, cached,
-batched and governed.  When no service is active (scripts, doctests,
-ad-hoc use) the module functions call the omega entry points directly,
-which still consult an active ``caching(...)`` scope.
+:meth:`SolverService.activate`), where it is cached and governed.  When no
+service is active (scripts, doctests, ad-hoc use) the module functions
+call the omega entry points directly, which still consult an active
+``caching(...)`` scope.
 
 The vocabulary:
 
-- :class:`SolverQuery` — one declarative query (SAT / PROJECT / GIST /
-  IMPLIES) with an identity :meth:`~SolverQuery.key`.
-- :class:`SolverService` — the broker: scalar facades, ``submit_batch``,
-  ``sat_batch`` and ``map`` for counted per-read task loops.
+- :class:`SolverQuery` — one declarative SAT or PROJECT query, so a call
+  site can hand a list of them to ``submit_batch``.
+- :class:`SolverService` — the governance shim: one governed scalar call
+  per primitive; ``sat_batch`` and ``submit_batch`` are in-order loops
+  over those calls.
 - Module-level ``is_satisfiable`` / ``project`` / ``gist`` / ``implies`` /
   ``implies_union`` / ``satisfiable_batch`` / ``submit_batch`` — the
   drop-in call-site API that dispatches to the current service.
@@ -32,7 +33,7 @@ from ..omega.project import project as _project
 from ..omega.redblack import gist_of_projection
 from ..omega.solve import is_satisfiable as _is_satisfiable
 from .plan import PlanSpace, PlanState
-from .queries import QueryKind, SolverQuery, problem_key
+from .queries import QueryKind, SolverQuery
 from .service import SolverService, current_service
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "implies",
     "implies_union",
     "is_satisfiable",
-    "problem_key",
     "project",
     "satisfiable_batch",
     "submit_batch",
@@ -101,10 +101,7 @@ def implies_union(p: Problem, pieces, **kwargs) -> bool:
 
 
 def satisfiable_batch(problems: Sequence[Problem]) -> list[bool]:
-    """Batched satisfiability: one bool per problem, in order.
-
-    With an active service duplicate problems are solved once.
-    """
+    """Batched satisfiability: one bool per problem, in order."""
 
     service = current_service()
     if service is not None:
@@ -113,9 +110,14 @@ def satisfiable_batch(problems: Sequence[Problem]) -> list[bool]:
 
 
 def submit_batch(queries: Sequence[SolverQuery]) -> list:
-    """Execute declarative queries; results in submission order."""
+    """Answer declarative queries; results in submission order."""
 
     service = current_service()
     if service is not None:
         return service.submit_batch(queries)
-    return [query.execute() for query in queries]
+    return [
+        _is_satisfiable(query.problem)
+        if query.kind is QueryKind.SAT
+        else _project(query.problem, query.keep)
+        for query in queries
+    ]

@@ -23,16 +23,17 @@ from repro.omega import Problem, Variable
 from repro.omega import constraints as _constraints
 from repro.omega.constraints import Constraint, NormalizeStatus, Relation
 from repro.omega.errors import OmegaComplexityError
+from repro.omega.solve import is_satisfiable
 from repro.omega.store import encode_value
 from repro.omega.terms import LinearExpr
 from repro.programs import timing_corpus
-from repro.solver import SolverQuery
 from tests.analysis.test_cache_determinism import random_program
 from tests.omega.reference_normalize import reference_normalized
 from tests.solver.test_property_identity import (
     fingerprint,
     pair_problems,
     query_suite,
+    run_direct,
 )
 
 x, y = Variable("x"), Variable("y")
@@ -286,13 +287,12 @@ class TestMemoDoesNotTravel:
         assert hash(restored) == hash(expr)
 
     def test_wire_payload_does_not_grow(self):
-        # A pickled query carries its constraints, never the memo.
+        # A pickled problem carries its constraints, never the memo.
         problem = Problem(name="p").add_ge(2 * x - 4).add_le(x, 9)
-        query = SolverQuery.sat(problem)
-        before = pickle.dumps(query)
+        before = pickle.dumps(problem)
         problem.normalized()
-        query.execute()
-        assert pickle.dumps(query) == before
+        is_satisfiable(problem)
+        assert pickle.dumps(problem) == before
 
     def test_store_codec_ignores_the_memo(self):
         problem = Problem(name="p").add_ge(2 * x - 4).add_le(x, 9)
@@ -314,7 +314,7 @@ def harvest(count=10):
 
 def evaluate(query):
     try:
-        return fingerprint(query.execute())
+        return fingerprint(run_direct(query))
     except OmegaComplexityError as failure:
         return ("complexity", failure.site, failure.budget)
 

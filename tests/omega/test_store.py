@@ -306,18 +306,6 @@ def test_injected_store_faults_degrade_to_misses(store_path):
         store.close()
 
 
-# -- blob API --------------------------------------------------------------
-
-
-def test_blob_round_trip_and_restart(store_path):
-    with PersistentStore(store_path) as store:
-        assert store.get_blob("fingerprints:x") is None
-        store.put_blob("fingerprints:x", '{"a": 1}')
-        assert store.get_blob("fingerprints:x") == '{"a": 1}'
-    with PersistentStore(store_path) as reopened:
-        assert reopened.get_blob("fingerprints:x") == '{"a": 1}'
-
-
 # -- cache integration -----------------------------------------------------
 
 

@@ -102,17 +102,6 @@ def test_result_cache_replays_identical_submissions(app):
     assert second["result_cache"] == "hit"
     assert second["result"] == first["result"]
     assert second["request_id"] != first["request_id"]
-    # The replay still reports *this* submission's incremental diff.
-    assert second["incremental"]["unchanged"] == second["incremental"]["pairs"]
-
-
-def test_incremental_summary_cold_then_warm(app):
-    _, first = submit(app, "recurrence", RECURRENCE)
-    assert first["incremental"]["cold"] is True
-    assert first["incremental"]["added"] == first["incremental"]["pairs"]
-    _, second = submit(app, "recurrence", RECURRENCE)
-    assert second["incremental"]["cold"] is False
-    assert second["incremental"]["unchanged"] == second["incremental"]["pairs"]
 
 
 def test_storeless_app_still_answers(tmp_path):
@@ -120,7 +109,6 @@ def test_storeless_app_still_answers(tmp_path):
     try:
         _, envelope = submit(app, "recurrence", RECURRENCE)
         assert envelope["status"] == "ok"
-        assert "incremental" not in envelope
         assert comparable(envelope["result"]) == direct_answer(
             "recurrence", RECURRENCE
         )

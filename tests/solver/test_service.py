@@ -1,27 +1,33 @@
-"""SolverService mechanics: activation, dedup, caching, task loops.
+"""SolverService mechanics: activation, caching, batches.
 
 The service is a serial pass-through that must be indistinguishable from
 calling the omega entry points directly.  These tests pin the mechanics:
-stack discipline, cache activation, batch de-duplication counters,
-ordering guarantees and first-failure replay.
+stack discipline, cache activation, ordering guarantees, and batches
+that behave exactly like the scalar calls they loop over.
 """
 
 import os
 import pathlib
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
+from repro.guard import Budget, FaultPlan, governed, injecting, subject
+from repro.obs.audit import AuditLog, auditing
 from repro.omega import Problem, SolverCache, Variable
 from repro.omega.errors import OmegaComplexityError
 from repro.solver import (
+    QueryKind,
     SolverQuery,
     SolverService,
     current_service,
     is_satisfiable,
     satisfiable_batch,
 )
+from repro.solver import service as service_module
+from tests.solver.test_property_identity import fingerprint
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -93,24 +99,17 @@ class TestBatches:
         problems = [bounded(x, 0, 5), unsat(x), bounded(y, 2, 9)]
         assert service.sat_batch(problems) == [True, False, True]
 
-    def test_duplicate_queries_compute_once(self, service):
-        p = bounded(x, 0, 5)
-        answers = service.sat_batch([p, p, p, cycle()])
-        assert answers == [True, True, True, False]
-        assert service.batch_dedup == 2
-        # The cache saw only the two distinct problems.
-        assert service.cache_stats()["misses"] == 2
-
     def test_submit_batch_mixes_query_kinds(self, service):
         p = bounded(x, 0, 5)
-        sat_q = SolverQuery.sat(p)
-        proj_q = SolverQuery.project(p, [x])
-        implies_q = SolverQuery.implies(bounded(x, 1, 3), p)
-        sat_answer, projection, implied = service.submit_batch(
-            [sat_q, proj_q, implies_q]
+        sat_answer, projection, unsat_answer = service.submit_batch(
+            [
+                SolverQuery.sat(p),
+                SolverQuery.project(p, [x]),
+                SolverQuery.sat(unsat(x)),
+            ]
         )
         assert sat_answer is True
-        assert implied is True
+        assert unsat_answer is False
         assert projection.kept == frozenset([x])
         assert projection.dark.canonical() == p.canonical()
 
@@ -118,24 +117,110 @@ class TestBatches:
         assert service.sat_batch([]) == []
         assert service.submit_batch([]) == []
 
-    def test_batch_raises_first_failure_in_submission_order(self, service):
-        def ok():
+    def test_complexity_failure_raises_at_its_own_cell(self, monkeypatch):
+        bad = cycle()
+        solved = []
+
+        def is_satisfiable_or_fail(problem):
+            solved.append(problem)
+            if problem is bad:
+                raise OmegaComplexityError("too hard", site="omega.sat")
             return True
 
-        def boom(message):
-            def fail():
-                raise OmegaComplexityError(message)
+        monkeypatch.setattr(
+            service_module, "_is_satisfiable", is_satisfiable_or_fail
+        )
+        first, last = bounded(x, 0, 5), bounded(y, 2, 9)
+        service, log = SolverService(), AuditLog()
+        with auditing(log), subject("pair"):
+            with pytest.raises(OmegaComplexityError, match="too hard"):
+                service.sat_batch([first, bad, last])
+        # The cell after the failure never runs and is never noted.
+        assert solved == [first, bad]
+        assert service.queries == 2
+        footprint = log.footprints["pair"]
+        assert footprint.queries == {"sat": 2}
+        assert footprint.inexact_reasons == {"complexity"}
 
-            return fail
 
-        with pytest.raises(OmegaComplexityError, match="first"):
-            service._run_batch(
-                [
-                    (("t", 1), ok, (), "query", None, ""),
-                    (("t", 2), boom("first"), (), "query", None, ""),
-                    (("t", 3), boom("second"), (), "query", None, ""),
-                ]
-            )
+def batch_problems():
+    return [bounded(x, 0, 5), unsat(x), cycle(), bounded(y, 2, 9)]
+
+
+def batch_queries():
+    sat_p, unsat_p, cycle_p, other = batch_problems()
+    return [
+        SolverQuery.sat(sat_p),
+        SolverQuery.project(cycle_p, [x]),
+        SolverQuery.sat(unsat_p),
+        SolverQuery.project(other, [y]),
+        SolverQuery.sat(cycle_p),
+    ]
+
+
+def scalar_answer(service, query):
+    if query.kind is QueryKind.SAT:
+        return service.sat(query.problem)
+    return service.project(query.problem, query.keep)
+
+
+@contextmanager
+def under_deadline():
+    with governed(Budget(deadline_ms=0.0)) as gov:
+        yield gov
+
+
+@contextmanager
+def under_faults():
+    plan = FaultPlan(seed=20260806, rate=0.1, kinds=("timeout", "budget"))
+    with injecting(plan), governed(Budget.unlimited()) as gov:
+        yield gov
+
+
+def observe(scope, run):
+    """Answers, audit footprints and degradations of one governed run."""
+
+    service, log = SolverService(), AuditLog()
+    with scope() as gov, auditing(log), subject("pair"):
+        answers = run(service)
+    return (
+        [fingerprint(answer) for answer in answers],
+        {key: fp.to_dict() for key, fp in log.footprints.items()},
+        [
+            (event.subject, event.kind, event.site, event.budget, event.answer)
+            for event in gov.log
+        ],
+        service.queries,
+    )
+
+
+class TestBatchesMatchScalarCalls:
+    """A batch leaves exactly what its scalar calls leave, degradation
+    and audit notes included."""
+
+    @pytest.mark.parametrize("scope", [under_deadline, under_faults])
+    def test_sat_batch(self, scope):
+        batched = observe(scope, lambda s: s.sat_batch(batch_problems()))
+        scalar = observe(
+            scope, lambda s: [s.sat(p) for p in batch_problems()]
+        )
+        assert batched == scalar
+        assert batched[2], "the scope degraded nothing"
+
+    @pytest.mark.parametrize("scope", [under_deadline, under_faults])
+    def test_submit_batch(self, scope):
+        batched = observe(scope, lambda s: s.submit_batch(batch_queries()))
+        scalar = observe(
+            scope, lambda s: [scalar_answer(s, q) for q in batch_queries()]
+        )
+        assert batched == scalar
+        assert batched[2], "the scope degraded nothing"
+
+    def test_faults_leave_some_cells_exact(self):
+        _answers, _audit, degradations, queries = observe(
+            under_faults, lambda s: s.submit_batch(batch_queries())
+        )
+        assert 0 < len(degradations) < queries
 
 
 class TestCacheStats:
@@ -163,34 +248,6 @@ class TestCacheStats:
         p = bounded(x, 0, 5)
         assert service.sat(p) and service.sat(p)
         assert service.cache_stats() is None
-
-
-class TestMap:
-    def test_results_in_item_order(self, service):
-        assert service.map(lambda n: n * n, range(6)) == [
-            0, 1, 4, 9, 16, 25,
-        ]
-        assert service.tasks == 6
-
-    def test_serial_map_runs_inline(self):
-        service = SolverService()
-        order = []
-
-        def record(n):
-            order.append(n)
-            return n
-
-        service.map(record, [3, 1, 2])
-        assert order == [3, 1, 2]
-
-    def test_first_exception_in_item_order_wins(self, service):
-        def explode(n):
-            if n % 2:
-                raise ValueError(f"item {n}")
-            return n
-
-        with pytest.raises(ValueError, match="item 1"):
-            service.map(explode, [0, 1, 2, 3])
 
 
 class TestImportFootprint:
