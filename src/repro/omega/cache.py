@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 
 from ..obs import metrics as _metrics
 from .constraints import Constraint, Problem, canonicalize_problems
-from .errors import BudgetExhausted, OmegaComplexityError
+from .errors import OmegaComplexityError
 from .terms import LinearExpr, Variable, fresh_wildcard
 
 __all__ = [
@@ -66,13 +66,13 @@ class Raised:
     """A cached complexity failure: replayed as the same exception.
 
     Carries the structured fields of :class:`OmegaComplexityError` so a
-    replay is indistinguishable from the original raise.  ``exhausted``
-    marks a :class:`~repro.omega.errors.BudgetExhausted` — the omega entry
-    points never cache one and the store refuses to persist one: a
-    deadline failure describes the run, not the problem.
+    replay is indistinguishable from the original raise.  Only static
+    complexity failures are boxed: the omega entry points never cache a
+    :class:`~repro.omega.errors.BudgetExhausted`, because a deadline
+    failure describes the run, not the problem.
     """
 
-    __slots__ = ("message", "site", "budget", "limit", "spent", "exhausted")
+    __slots__ = ("message", "site", "budget", "limit", "spent")
 
     def __init__(
         self,
@@ -82,14 +82,12 @@ class Raised:
         budget: str | None = None,
         limit: float | None = None,
         spent: float | None = None,
-        exhausted: bool = False,
     ):
         self.message = message
         self.site = site
         self.budget = budget
         self.limit = limit
         self.spent = spent
-        self.exhausted = exhausted
 
     @classmethod
     def from_exception(cls, exc: OmegaComplexityError) -> "Raised":
@@ -99,20 +97,11 @@ class Raised:
             budget=exc.budget,
             limit=exc.limit,
             spent=exc.spent,
-            exhausted=isinstance(exc, BudgetExhausted),
         )
 
     def rebuild(self) -> OmegaComplexityError:
         """The exception this entry replays."""
 
-        if self.exhausted:
-            return BudgetExhausted(
-                self.message,
-                site=self.site or "unknown",
-                budget=self.budget or "unknown",
-                limit=self.limit,
-                spent=self.spent,
-            )
         return OmegaComplexityError(
             self.message,
             site=self.site,

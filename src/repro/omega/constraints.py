@@ -393,7 +393,12 @@ _UNSATISFIABLE: tuple = ((), NormalizeStatus.UNSATISFIABLE)
 def _first_sign(expr: LinearExpr) -> int:
     """The coefficient of ``expr``'s first term in (kind, name) order."""
 
-    return min(expr.terms.items(), key=lambda it: (it[0].kind, it[0].name))[1]
+    items = iter(expr.terms.items())
+    (name, kind), sign = next(items)
+    for (n, k), c in items:
+        if k < kind or (k == kind and n < name):
+            name, kind, sign = n, k, c
+    return sign
 
 
 def _normalize(
@@ -403,11 +408,10 @@ def _normalize(
 
     Constraints are collected by normal key (``LinearExpr.key()``, cached
     on the expression); the constraint kept under a key carries the
-    tightest constant.  The key of ``-expr`` is the key with every
-    coefficient negated, in the same order (a term's ``(name, kind)`` is
-    unique within a key, so the sort never reaches the coefficient), so
-    ``-expr`` itself is built only for a matched pair that must flip sign
-    to become an equality.  A constraint that normalization leaves
+    tightest constant.  The key of ``-expr`` is read from
+    ``LinearExpr.negated_key()``, also cached, so ``-expr`` itself is
+    built only for a matched pair that must flip sign to become an
+    equality.  A constraint that normalization leaves
     unchanged is passed through as the same object.
     """
 
@@ -459,11 +463,11 @@ def _normalize(
     for key, constraint in ineqs.items():
         if consumed and key in consumed:
             continue
-        neg_key = tuple([(n, k, -c) for n, k, c in key])
+        expr = constraint.expr
+        neg_key = expr.negated_key()
         other = ineqs.get(neg_key)
         if other is None or (consumed and neg_key in consumed):
             continue
-        expr = constraint.expr
         if -expr.constant > other.expr.constant:
             return _UNSATISFIABLE
         if -expr.constant == other.expr.constant:
@@ -494,7 +498,7 @@ def _normalize(
                 continue
             # equality: -a.x + k = 0 => a.x = k; inequality a.x >= -c
             # holds iff k >= -c i.e. k + c >= 0.
-            known = eqs.get(tuple([(n, k, -c) for n, k, c in key]))
+            known = eqs.get(constraint.expr.negated_key())
             if known is not None:
                 if known.expr.constant + constant < 0:
                     return _UNSATISFIABLE

@@ -248,38 +248,32 @@ def peel_constraints(
     EQ = Relation.EQ
     kept = constraints
     while True:
-        # Variables as (name, kind) pairs from the cached ``key()`` tuples:
-        # their hashes stay in C, a Variable's does not.  Sides: 1 bounded
-        # below, 2 above, 3 both or in an equality.
+        # Sides: 1 bounded below, 2 above, 3 both or in an equality.
         sides: dict = {}
         occurs: dict = {}
         get = sides.get
         count = occurs.get
         for constraint in kept:
             if constraint.relation is EQ:
-                for name, kind, _ in constraint.expr.key():
-                    var = (name, kind)
+                for var in constraint.expr.terms:
                     sides[var] = 3
                     occurs[var] = count(var, 0) + 1
             else:
-                for name, kind, coeff in constraint.expr.key():
-                    var = (name, kind)
+                for var, coeff in constraint.expr.terms.items():
                     sides[var] = get(var, 0) | (1 if coeff > 0 else 2)
                     occurs[var] = count(var, 0) + 1
         one_sided = {var for var, side in sides.items() if side != 3}
         private = {var for var, n in occurs.items() if n == 1}
         peeled = []
         for c in kept:
-            key = c.expr.key()
+            terms = c.expr.terms
             if c.relation is EQ:
                 if any(
-                    (coeff == 1 or coeff == -1) and (name, kind) in private
-                    for name, kind, coeff in key
+                    (coeff == 1 or coeff == -1) and var in private
+                    for var, coeff in terms.items()
                 ):
                     continue  # unit-defined
-            elif not one_sided.isdisjoint(
-                [(name, kind) for name, kind, _ in key]
-            ):
+            elif not one_sided.isdisjoint(terms):
                 continue  # one-sided
             peeled.append(c)
         if len(peeled) == len(kept):

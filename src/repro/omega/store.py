@@ -117,18 +117,11 @@ def _decode_problem(payload: list) -> Problem:
 
 
 def encode_value(value) -> str | None:
-    """A cached value as tagged JSON, or None when not storable.
-
-    Deadline/budget exhaustion (``Raised.exhausted``) describes one run,
-    not the problem, and is never persisted — mirroring the in-memory
-    cache policy.
-    """
+    """A cached value as tagged JSON, or None when not storable."""
 
     if isinstance(value, bool):
         return json.dumps(["b", value])
     if isinstance(value, Raised):
-        if value.exhausted:
-            return None
         return json.dumps(
             [
                 "r",

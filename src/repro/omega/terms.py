@@ -19,8 +19,8 @@ Variables come in three kinds:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -40,16 +40,29 @@ _VALID_KINDS = ("var", "sym", "wild")
 _wildcard_counter = itertools.count(1)
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    """An integer-valued variable, identified by name and kind."""
+class Variable(tuple):
+    """An integer-valued variable, identified by name and kind.
 
-    name: str
-    kind: VarKind = "var"
+    A ``Variable`` is the immutable pair ``(name, kind)``: a ``tuple``
+    subclass, so hashing, equality and ordering run in C on every
+    coefficient-dict lookup.  ``hash(v) == hash((name, kind))`` and
+    variables order by ``(name, kind)``.  One consequence: a variable
+    equals the plain tuple of its fields, ``Variable("x") == ("x",
+    "var")``, so containers must not mix variables with such tuples.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in _VALID_KINDS:
-            raise ValueError(f"unknown variable kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: VarKind = "var") -> "Variable":
+        if kind not in _VALID_KINDS:
+            raise ValueError(f"unknown variable kind {kind!r}")
+        return tuple.__new__(cls, (name, kind))
+
+    def __getnewargs__(self) -> tuple[str, VarKind]:
+        return tuple(self)
+
+    name = property(itemgetter(0))
+    kind = property(itemgetter(1))
 
     @property
     def is_wildcard(self) -> bool:
@@ -64,7 +77,7 @@ class Variable:
 
     # Arithmetic sugar: ``x + 1``, ``2 * x - y`` build LinearExpr values.
     def _as_expr(self) -> "LinearExpr":
-        return LinearExpr({self: 1}, 0)
+        return _expr({self: 1}, 0)
 
     def __add__(self, other: object) -> "LinearExpr":
         return self._as_expr() + other
@@ -98,11 +111,12 @@ class LinearExpr:
     Coefficients and the constant are Python ints (arbitrary precision, which
     matters: Fourier-Motzkin combinations multiply coefficients together).
     Zero-coefficient terms are never stored.  The hash, the sorted
-    :meth:`key` and :meth:`coefficients_gcd` are computed once and cached;
-    pickling drops the caches (string hashes differ between processes).
+    :meth:`key`, :meth:`negated_key` and :meth:`coefficients_gcd` are
+    computed once and cached; pickling drops the caches (string hashes
+    differ between processes).
     """
 
-    __slots__ = ("_terms", "_const", "_hash", "_key", "_gcd")
+    __slots__ = ("_terms", "_const", "_hash", "_key", "_neg_key", "_gcd")
 
     def __init__(self, terms: Mapping[Variable, int] | None = None, constant: int = 0):
         clean: dict[Variable, int] = {}
@@ -114,16 +128,29 @@ class LinearExpr:
                     clean[var] = coeff
         self._terms = clean
         self._const = int(constant)
-        self._hash: int | None = None
-        self._key: tuple | None = None
-        self._gcd: int | None = None
+        self._hash = self._key = self._neg_key = self._gcd = None
+
+    @classmethod
+    def _trusted(cls, terms: dict[Variable, int], constant: int) -> "LinearExpr":
+        """An expression over ``terms`` as given, without validation.
+
+        For this class's own arithmetic, whose results already hold only
+        nonzero ``int`` coefficients and an ``int`` constant; ``terms``
+        is taken over, not copied.
+        """
+
+        self = object.__new__(cls)
+        self._terms = terms
+        self._const = constant
+        self._hash = self._key = self._neg_key = self._gcd = None
+        return self
 
     def __getstate__(self) -> tuple:
         return self._terms, self._const
 
     def __setstate__(self, state: tuple) -> None:
         self._terms, self._const = state
-        self._hash = self._key = self._gcd = None
+        self._hash = self._key = self._neg_key = self._gcd = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -181,7 +208,7 @@ class LinearExpr:
                 terms[var] = merged
             else:
                 terms.pop(var, None)
-        return LinearExpr(terms, self._const + rhs._const)
+        return _expr(terms, self._const + rhs._const)
 
     __radd__ = __add__
 
@@ -192,7 +219,7 @@ class LinearExpr:
         return self._coerce(other) + (-self)
 
     def __neg__(self) -> "LinearExpr":
-        return LinearExpr({v: -c for v, c in self._terms.items()}, -self._const)
+        return _expr({v: -c for v, c in self._terms.items()}, -self._const)
 
     def __mul__(self, factor: object) -> "LinearExpr":
         if not isinstance(factor, int):
@@ -206,8 +233,8 @@ class LinearExpr:
                 )
             raise TypeError("linear expressions can only be scaled by integers")
         if factor == 0:
-            return LinearExpr({}, 0)
-        return LinearExpr(
+            return _expr({}, 0)
+        return _expr(
             {v: c * factor for v, c in self._terms.items()}, self._const * factor
         )
 
@@ -229,7 +256,7 @@ class LinearExpr:
             if r:
                 raise ValueError(f"{divisor} does not divide coefficient of {var}")
             terms[var] = q
-        return LinearExpr(terms, self._const // divisor)
+        return _expr(terms, self._const // divisor)
 
     def exact_div(self, divisor: int) -> "LinearExpr":
         """Divide coefficients *and* constant exactly."""
@@ -245,7 +272,7 @@ class LinearExpr:
         q, r = divmod(self._const, divisor)
         if r:
             raise ValueError(f"{divisor} does not divide constant {self._const}")
-        return LinearExpr(terms, q)
+        return _expr(terms, q)
 
     def substitute(self, var: Variable, replacement: "LinearExpr") -> "LinearExpr":
         """Return this expression with ``var`` replaced by ``replacement``."""
@@ -255,8 +282,7 @@ class LinearExpr:
             return self
         terms = dict(self._terms)
         del terms[var]
-        base = LinearExpr(terms, self._const)
-        return base + replacement * coeff
+        return _expr(terms, self._const) + replacement * coeff
 
     def evaluate(self, assignment: Mapping[Variable, int]) -> int:
         """Evaluate under a total assignment for this expression's variables."""
@@ -275,8 +301,20 @@ class LinearExpr:
         key = self._key
         if key is None:
             key = self._key = tuple(
-                sorted((v.name, v.kind, c) for v, c in self._terms.items())
+                sorted([(v[0], v[1], c) for v, c in self._terms.items()])
             )
+        return key
+
+    def negated_key(self) -> tuple:
+        """``(-self).key()``: :meth:`key` with every coefficient negated.
+
+        The order is the same, because a term's ``(name, kind)`` is unique
+        within a key and the sort never reaches the coefficient.
+        """
+
+        key = self._neg_key
+        if key is None:
+            key = self._neg_key = tuple([(n, k, -c) for n, k, c in self.key()])
         return key
 
     def __eq__(self, other: object) -> bool:
@@ -313,6 +351,9 @@ class LinearExpr:
             else:
                 parts.append(str(self._const))
         return "".join(parts)
+
+
+_expr = LinearExpr._trusted
 
 
 def term(var: Variable, coeff: int = 1) -> LinearExpr:

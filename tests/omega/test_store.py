@@ -54,14 +54,6 @@ def test_raised_round_trips_every_field():
     assert replayed.budget == raised.budget
     assert replayed.limit == raised.limit
     assert replayed.spent == raised.spent
-    assert not replayed.exhausted
-
-
-def test_exhausted_raised_is_never_encoded():
-    exhausted = Raised(
-        "deadline", site="omega.sat", budget="deadline_ms", exhausted=True
-    )
-    assert encode_value(exhausted) is None
 
 
 def test_problem_round_trip_preserves_constraint_order():

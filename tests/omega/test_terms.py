@@ -1,8 +1,14 @@
 """Unit tests for variables and linear expressions."""
 
+import copy
+import pickle
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.omega import LinearExpr, Variable, const, fresh_wildcard, term
+from repro.omega.constraints import _first_sign
 from repro.omega.terms import sum_exprs
 
 
@@ -32,6 +38,46 @@ class TestVariable:
             Variable("a"),
             Variable("b"),
         ]
+
+    def test_hash_is_the_hash_of_name_and_kind(self):
+        for name, kind in [("x", "var"), ("n", "sym"), ("_sigma3", "wild")]:
+            assert hash(Variable(name, kind)) == hash((name, kind))
+
+    def test_ordering_is_by_name_then_kind(self):
+        pool = [
+            Variable(name, kind)
+            for name in ("b", "a", "_w", "n")
+            for kind in ("wild", "var", "sym")
+        ]
+        assert sorted(pool) == sorted(pool, key=lambda v: (v.name, v.kind))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda v: pickle.loads(pickle.dumps(v)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_clones_are_equal_variables(self, clone):
+        v = Variable("n", "sym")
+        twin = clone(v)
+        assert type(twin) is Variable
+        assert twin == v and hash(twin) == hash(v)
+        assert (twin.name, twin.kind) == ("n", "sym")
+
+    def test_same_name_other_kind_differs(self):
+        assert Variable("x") != Variable("x", "sym")
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        assert Variable("x") == ("x", "var")
+
+    def test_arithmetic_sugar_builds_expressions(self):
+        x, y = Variable("x"), Variable("y")
+        expr = 2 * x + y
+        assert isinstance(expr, LinearExpr)
+        assert dict(expr.terms) == {x: 2, y: 1}
 
 
 class TestLinearExprConstruction:
@@ -168,3 +214,80 @@ class TestLinearExprOperations:
         assert str(self.x + 1) == "x+1"
         assert str(-self.x) == "-x"
         assert str(LinearExpr()) == "0"
+
+
+_POOL = [
+    Variable("i"),
+    Variable("j"),
+    Variable("n", "sym"),
+    Variable("m", "sym"),
+    Variable("_s1", "wild"),
+]
+
+_exprs = st.builds(
+    LinearExpr,
+    st.dictionaries(st.sampled_from(_POOL), st.integers(-6, 6), max_size=5),
+    st.integers(-20, 20),
+)
+
+_steps = st.one_of(
+    st.tuples(st.just("add"), _exprs),
+    st.tuples(st.just("sub"), _exprs),
+    st.tuples(st.just("neg")),
+    st.tuples(st.just("mul"), st.one_of(st.integers(-3, 3), st.booleans())),
+    st.tuples(st.just("subst"), st.sampled_from(_POOL), _exprs),
+    st.tuples(st.just("floor"), st.integers(1, 6)),
+)
+
+
+def _apply(expr, step):
+    op = step[0]
+    if op == "add":
+        return expr + step[1]
+    if op == "sub":
+        return expr - step[1]
+    if op == "neg":
+        return -expr
+    if op == "mul":
+        return expr * step[1]
+    if op == "subst":
+        return expr.substitute(step[1], step[2])
+    # A divisor of every coefficient (any divisor for a constant).
+    return expr.scale_and_floor(gcd(step[1], expr.coefficients_gcd()))
+
+
+class TestInternalArithmeticInvariants:
+    """The arithmetic builds results without re-validating them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_exprs, st.lists(_steps, max_size=8))
+    def test_results_hold_only_nonzero_int_coefficients(self, expr, steps):
+        for step in steps:
+            expr = _apply(expr, step)
+            assert all(type(c) is int and c for c in expr.terms.values())
+            assert type(expr.constant) is int
+            rebuilt = LinearExpr(dict(expr.terms), expr.constant)
+            assert expr == rebuilt and hash(expr) == hash(rebuilt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exprs)
+    def test_negated_key_negates_every_coefficient(self, expr):
+        assert expr.negated_key() == tuple(
+            (name, kind, -c) for name, kind, c in expr.key()
+        )
+        assert expr.negated_key() == (-expr).key()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exprs)
+    def test_first_sign_is_the_first_term_in_kind_name_order(self, expr):
+        if expr.is_constant():
+            return
+        first = min(expr.terms.items(), key=lambda it: (it[0].kind, it[0].name))
+        assert _first_sign(expr) == first[1]
+
+    def test_pickle_drops_the_cached_keys(self):
+        expr = 2 * Variable("x") - Variable("n", "sym") + 1
+        expr.key(), expr.negated_key()
+        twin = pickle.loads(pickle.dumps(expr))
+        assert twin._key is None and twin._neg_key is None
+        assert twin.negated_key() == expr.negated_key()
