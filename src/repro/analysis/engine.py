@@ -139,7 +139,8 @@ class AnalysisOptions:
     #: User assertions over symbolic constants, as omega Constraints on
     #: Variable(name, "sym").
     assertions: tuple[Constraint, ...] = ()
-    #: Record per-pair timings (adds a second, standard-only pass).
+    #: Record per-pair and per-kill timings, read off the spans of the
+    #: one analysis pass (under a private tracer if none is active).
     record_timings: bool = False
     #: Record a structured decision trail (why each dependence was killed,
     #: covered, refined or kept) in ``result.explain``.

@@ -33,18 +33,6 @@ Commands
     Regenerate the paper's Figures 3 and 4 from the built-in CHOLSKY
     kernel.
 
-``bench``
-    Run the benchmark harness over the paper corpus (cache on/off and
-    governed legs, interleaved trial by trial after a warmup,
-    median/IQR) and write the canonical
-    ``BENCH_omega.json`` artifact plus a ``results/`` table, appending a
-    one-line summary to ``results/bench_history.jsonl``.
-    ``--compare OLD.json`` gates the run against a baseline artifact
-    (nonzero exit on a median regression past ``--threshold``);
-    ``--against NEW.json`` compares two existing artifacts without
-    running; ``--profile`` adds a traced hotspot pass with
-    collapsed-stack (flamegraph) export.
-
 ``audit [FILE]``
     The precision scoreboard: flow-dependence pairs reported by each
     classical baseline (ZIV, SIV, GCD, Banerjee, combined) vs the Omega
@@ -68,26 +56,19 @@ Commands
     (``--default-deadline-ms``).  SIGTERM drains gracefully.  See
     ``docs/SERVICE.md``.
 
-``serve-bench``
-    Service benchmark: a cold leg, a warm leg after a simulated restart
-    (same store file, fresh process state — asserts persistent-tier
-    hits), and a concurrent-clients leg; verifies service answers are
-    bit-identical to direct ``analyze()`` and writes
-    ``results/serve_bench.json``.
-
 ``diff OLD NEW``
     Differential regression attribution: compare two run records (ledger
-    files or single-record JSON), bench artifacts, precision artifacts or
-    trace files and print a ranked suspects report — the metric, stage or
-    timing shifts most likely responsible for a regression.  ``--kind``
+    files or single-record JSON), precision artifacts or trace files and
+    print a ranked suspects report — the metric, stage or timing shifts
+    most likely responsible for a regression.  ``--kind``
     selects which record kind to compare from a ledger; ``--gate`` exits
     nonzero when any deterministic (configuration-independent) regression
     is among the suspects.
 
-Every ``analyze``/``bench``/``audit`` invocation appends one
-``repro.run/1`` record to the ledger at ``results/runs.jsonl``
-(``--ledger PATH`` redirects it, ``--no-ledger`` or ``REPRO_NO_LEDGER=1``
-suppresses it) — the cross-run layer ``diff`` consumes.
+Every ``analyze``/``audit`` invocation appends one ``repro.run/1``
+record to the ledger at ``results/runs.jsonl`` (``--ledger PATH``
+redirects it, ``--no-ledger`` or ``REPRO_NO_LEDGER=1`` suppresses it) —
+the cross-run layer ``diff`` consumes.
 """
 
 from __future__ import annotations
@@ -373,74 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cholsky", help="regenerate Figures 3 and 4 from the CHOLSKY kernel"
     )
 
-    bench_cmd = commands.add_parser(
-        "bench",
-        help="run the benchmark harness; write/compare BENCH_omega.json",
-    )
-    bench_cmd.add_argument(
-        "-o",
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("BENCH_omega.json"),
-        help="artifact output path (default: BENCH_omega.json)",
-    )
-    bench_cmd.add_argument(
-        "--suite",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="suite to run (repeatable; default: all suites)",
-    )
-    bench_cmd.add_argument(
-        "--trials",
-        type=_int_at_least(1),
-        default=5,
-        help="timed trials per suite and cache leg (default: 5)",
-    )
-    bench_cmd.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        help="untimed warmup iterations per leg (default: 1)",
-    )
-    bench_cmd.add_argument(
-        "--compare",
-        type=pathlib.Path,
-        metavar="OLD.json",
-        help="baseline artifact; exit nonzero when a median regresses",
-    )
-    bench_cmd.add_argument(
-        "--against",
-        type=pathlib.Path,
-        metavar="NEW.json",
-        help="with --compare: gate OLD against this artifact, skip the run",
-    )
-    bench_cmd.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="median regression tolerance for --compare (default: 0.25)",
-    )
-    bench_cmd.add_argument(
-        "--profile",
-        action="store_true",
-        help="also run one traced pass; write the hotspot table and "
-        "collapsed stacks under results/",
-    )
-    bench_cmd.add_argument(
-        "--results-dir",
-        type=pathlib.Path,
-        default=pathlib.Path("results"),
-        help="directory for the human-readable tables (default: results/)",
-    )
-    bench_cmd.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip appending to results/bench_history.jsonl",
-    )
-    _add_ledger_flags(bench_cmd)
-
     audit_cmd = commands.add_parser(
         "audit",
         help="precision scoreboard: baselines vs Omega, with the CI gate",
@@ -592,41 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_ledger_flags(serve_cmd)
 
-    serve_bench_cmd = commands.add_parser(
-        "serve-bench",
-        help=(
-            "service latency benchmark: cold vs warm-restart vs concurrent "
-            "clients, with persistent-tier hit accounting"
-        ),
-    )
-    serve_bench_cmd.add_argument(
-        "-o",
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("results/serve_bench.json"),
-        help="artifact output path (default: results/serve_bench.json)",
-    )
-    serve_bench_cmd.add_argument(
-        "--trials",
-        type=_int_at_least(1),
-        default=3,
-        help="timed submissions per corpus program and leg (default: 3)",
-    )
-    serve_bench_cmd.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        help="concurrent clients in the load leg (default: 4)",
-    )
-    serve_bench_cmd.add_argument(
-        "--store-dir",
-        type=pathlib.Path,
-        default=None,
-        metavar="DIR",
-        help="directory for the benchmark's store files (default: temp dir)",
-    )
-    _add_ledger_flags(serve_bench_cmd)
-
     diff_cmd = commands.add_parser(
         "diff",
         help="rank the likely causes of a regression between two runs",
@@ -634,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff_cmd.add_argument(
         "old",
         type=pathlib.Path,
-        help="baseline: run ledger/record, bench/precision artifact or trace",
+        help="baseline: run ledger/record, precision artifact or trace",
     )
     diff_cmd.add_argument(
         "new",
@@ -643,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff_cmd.add_argument(
         "--kind",
-        choices=("analyze", "bench", "audit"),
+        choices=("analyze", "audit"),
         help="which record kind to select when the inputs are run ledgers",
     )
     diff_cmd.add_argument(
@@ -725,17 +603,21 @@ def _load(path: pathlib.Path):
         raise InputError(f"{path}: {failure}") from None
 
 
-def _load_baseline(path: pathlib.Path, load, schema: str) -> dict:
-    """Read a JSON artifact with ``load`` and check its schema."""
+def _load_baseline(path: pathlib.Path) -> dict:
+    """Read a precision artifact (``audit --gate``/``--diff``) and check
+    its schema."""
+
+    from .reporting import load_precision
+    from .reporting.precision import SCHEMA
 
     try:
-        artifact = load(path)
+        artifact = load_precision(path)
     except OSError as failure:
         raise InputError(f"{path}: {failure.strerror or failure}") from None
     except ValueError as failure:  # JSON and UTF-8 decoding errors
         raise InputError(f"{path}: not a JSON artifact ({failure})") from None
-    if not isinstance(artifact, dict) or artifact.get("schema") != schema:
-        raise InputError(f"{path}: not a {schema} artifact")
+    if not isinstance(artifact, dict) or artifact.get("schema") != SCHEMA:
+        raise InputError(f"{path}: not a {SCHEMA} artifact")
     return artifact
 
 
@@ -923,119 +805,19 @@ def _cmd_queries(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .bench import (
-        DEFAULT_THRESHOLD,
-        SCHEMA,
-        SUITES,
-        compare,
-        guard_overhead_gate,
-        load_artifact,
-        profile_suites,
-        render_report,
-        run_bench,
-    )
-
-    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-
-    if args.against is not None and args.compare is None:
-        print("--against requires --compare OLD.json", file=sys.stderr)
-        return 2
-    # Load the baseline before the run, so a bad path costs nothing.
-    baseline = (
-        None
-        if args.compare is None
-        else _load_baseline(args.compare, load_artifact, SCHEMA)
-    )
-    if args.against is not None:
-        # Pure artifact-vs-artifact gate, no timing run.
-        comparison = compare(
-            baseline,
-            _load_baseline(args.against, load_artifact, SCHEMA),
-            threshold=threshold,
-        )
-        print(comparison.render())
-        return 0 if comparison.ok else 1
-
-    suites = None
-    if args.suite:
-        unknown = [name for name in args.suite if name not in SUITES]
-        if unknown:
-            print(
-                f"unknown suite(s): {', '.join(unknown)} "
-                f"(available: {', '.join(sorted(SUITES))})",
-                file=sys.stderr,
-            )
-            return 2
-        suites = [SUITES[name] for name in args.suite]
-
-    report = run_bench(
-        suites,
-        warmup=args.warmup,
-        trials=args.trials,
-        progress=lambda text: print(f"bench: {text}", file=sys.stderr),
-    )
-    report.write(args.out)
-    print(f"artifact written to {args.out}", file=sys.stderr)
-
-    args.results_dir.mkdir(parents=True, exist_ok=True)
-    if not args.no_history:
-        from .bench import append_history
-
-        history_path = args.results_dir / "bench_history.jsonl"
-        append_history(report.to_dict(), history_path)
-        print(f"history appended to {history_path}", file=sys.stderr)
-    ledger = _ledger_path(args)
-    if ledger is not None:
-        # No metrics registry here: collection inside the timed legs
-        # would skew the medians the artifact exists to report.
-        append_run(run_record("bench", artifact=report.to_dict()), ledger)
-        print(f"run recorded in {ledger}", file=sys.stderr)
-    table = render_report(report)
-    (args.results_dir / "bench_omega.txt").write_text(table)
-    print(table)
-
-    gates_ok, guard_message = guard_overhead_gate(report)
-    print(guard_message)
-
-    if args.profile:
-        profile = profile_suites(suites)
-        hotspots = profile.hotspot_table(limit=20)
-        (args.results_dir / "profile_omega.txt").write_text(hotspots + "\n")
-        profile.write_collapsed(args.results_dir / "profile_omega.folded")
-        print(hotspots)
-        print(
-            f"collapsed stacks written to "
-            f"{args.results_dir / 'profile_omega.folded'} "
-            "(feed to flamegraph.pl or speedscope)",
-            file=sys.stderr,
-        )
-
-    if baseline is not None:
-        comparison = compare(baseline, report.to_dict(), threshold=threshold)
-        print(comparison.render())
-        return 0 if (comparison.ok and gates_ok) else 1
-    return 0 if gates_ok else 1
-
-
 def _cmd_audit(args) -> int:
     from .obs.audit import ProvenanceRecord
     from .reporting import (
         compare_precision,
-        load_precision,
         precision_report,
         render_precision,
         why_records,
     )
-    from .reporting.precision import SCHEMA
-
-    def load_baseline(path):
-        return _load_baseline(path, load_precision, SCHEMA)
 
     if args.diff is not None:
         old_path, new_path = args.diff
         comparison = compare_precision(
-            load_baseline(old_path), load_baseline(new_path)
+            _load_baseline(old_path), _load_baseline(new_path)
         )
         print(comparison.render())
         return 0 if comparison.ok else 1
@@ -1077,7 +859,7 @@ def _cmd_audit(args) -> int:
         return 0
 
     # Load the baseline before the run, so a bad path costs nothing.
-    baseline = None if args.gate is None else load_baseline(args.gate)
+    baseline = None if args.gate is None else _load_baseline(args.gate)
     if args.file is not None:
         programs = [_load(args.file)]
         out = args.out
@@ -1154,39 +936,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from .bench.serve import render_serve_bench, run_serve_bench
-
-    artifact = run_serve_bench(
-        trials=args.trials,
-        clients=args.clients,
-        store_dir=args.store_dir,
-        progress=lambda text: print(f"serve-bench: {text}", file=sys.stderr),
-    )
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(artifact, indent=2) + "\n")
-    print(f"artifact written to {args.out}", file=sys.stderr)
-    ledger = _ledger_path(args)
-    if ledger is not None:
-        append_run(run_record("serve-bench", artifact=artifact), ledger)
-        print(f"run recorded in {ledger}", file=sys.stderr)
-    print(render_serve_bench(artifact))
-    warm = artifact["legs"]["warm_restart"]
-    if warm["store_hits"] <= 0:
-        print(
-            "error: the warm-restart leg took no persistent-tier hits",
-            file=sys.stderr,
-        )
-        return 1
-    if not artifact["identical"]:
-        print(
-            "error: service answers diverged from direct analyze()",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_diff(args) -> int:
     from .obs import diff_paths
 
@@ -1224,10 +973,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "parallel": _cmd_parallel,
         "queries": _cmd_queries,
         "cholsky": _cmd_cholsky,
-        "bench": _cmd_bench,
         "audit": _cmd_audit,
         "serve": _cmd_serve,
-        "serve-bench": _cmd_serve_bench,
         "diff": _cmd_diff,
     }
     try:

@@ -7,8 +7,7 @@ DNF pieces/cubes materialized (``dnf_size``).  :func:`governed` activates a
 budget on the current thread; the Omega core calls :func:`checkpoint` at
 the top of its loops and :func:`spend` wherever it does metered work.
 Both are no-ops — one thread-local attribute read — when nothing is
-active, so ungoverned runs pay nothing measurable (the ``guard`` benchmark
-leg regression-gates this).
+active, so ungoverned runs pay nothing measurable.
 
 The deadline is global to the governed scope; the work meters are *per
 query* (reset by the solver service at each top-level query, see

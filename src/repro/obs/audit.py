@@ -1,6 +1,6 @@
 """Precision audit: per-dependence provenance and exactness accounting.
 
-The benchmark harness watches how *fast* the pipeline is; this module
+The repository benchmark watches how *fast* the pipeline is; this module
 watches how *precise* it is.  When ``AnalysisOptions(audit=True)`` is set,
 an :class:`AuditLog` rides along with the analysis: the solver service
 notes every Omega query outcome against the :func:`repro.guard.subject`

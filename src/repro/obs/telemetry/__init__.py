@@ -16,7 +16,7 @@ per-run artifacts): everything needed to reason about analysis runs
     deterministic content-hash sampling, delivered in read-merge order.
 :mod:`repro.obs.telemetry.diff`
     ``python -m repro diff``: ranked suspects between two run records,
-    bench/precision artifacts or trace files, with a CI ``--gate``.
+    precision artifacts or trace files, with a CI ``--gate``.
 """
 
 from .context import RunContext, current_run, new_run_id, run_context

@@ -2,13 +2,12 @@
 
 ``python -m repro diff OLD NEW`` compares two artifacts and emits a
 ranked suspects report — *what most plausibly explains the change*
-between two runs — instead of the blunt pass/fail the bench and
-precision gates give.  Accepted inputs (auto-detected by schema):
+between two runs — instead of the blunt pass/fail the precision gate
+gives.  Accepted inputs (auto-detected by schema):
 
 * ``repro.run/1`` run records — single records or whole
   ``results/runs.jsonl`` ledgers (the newest record is used; ``--kind``
-  selects between ``analyze``/``bench``/``audit`` entries);
-* ``repro.bench/1`` artifacts (reusing :mod:`repro.bench.compare`);
+  selects between ``analyze``/``audit`` entries);
 * ``repro.precision/1`` artifacts (reusing ``compare_precision``);
 * trace files — Chrome-trace JSON or span JSONL — compared by
   per-stage *self* time via :class:`repro.obs.profile.Profile`.
@@ -74,7 +73,7 @@ class Suspect:
 class SuspectsReport:
     """The ranked suspects between two artifacts."""
 
-    kind: str  #: what was compared ("audit run records", "bench artifacts", ...)
+    kind: str  #: what was compared ("audit run records", "trace files", ...)
     old_name: str
     new_name: str
     suspects: list[Suspect] = field(default_factory=list)
@@ -132,8 +131,8 @@ def _looks_like_span(record: dict) -> bool:
 def load_input(path) -> tuple[str, object]:
     """Load one diff input; returns ``(type, payload)``.
 
-    ``type`` is ``"runs"`` (a list of run records), ``"bench"``,
-    ``"precision"`` or ``"trace"`` (a list of span events).
+    ``type`` is ``"runs"`` (a list of run records), ``"precision"`` or
+    ``"trace"`` (a list of span events).
     """
 
     from ..trace import SpanEvent
@@ -154,8 +153,6 @@ def load_input(path) -> tuple[str, object]:
     schema = payload.get("schema", "") if isinstance(payload, dict) else ""
     if schema == RUN_SCHEMA:
         return "runs", [payload]
-    if schema.startswith("repro.bench/"):
-        return "bench", payload
     if schema.startswith("repro.precision/"):
         return "precision", payload
     if isinstance(payload, dict) and "traceEvents" in payload:
@@ -327,75 +324,10 @@ def _diff_runs(report: SuspectsReport, old: dict, new: dict) -> None:
             "cumulative)",
         )
 
-    # Bench-kind records: compare the per-suite medians and ratios.
-    old_timing = old.get("timing")
-    new_timing = new.get("timing")
-    if old_timing and new_timing:
-        _diff_bench_timing(report, old_timing, new_timing)
-
-
-def _diff_bench_timing(
-    report: SuspectsReport, old_timing: dict, new_timing: dict
-) -> None:
-    """Suspects from the bench halves of two run records."""
-
-    for suite in sorted(set(old_timing) & set(new_timing)):
-        old_suite, new_suite = old_timing[suite], new_timing[suite]
-        for leg in sorted(
-            set(old_suite.get("median_s", {})) & set(new_suite.get("median_s", {}))
-        ):
-            old_m = old_suite["median_s"][leg]
-            new_m = new_suite["median_s"][leg]
-            if old_m <= 0:
-                continue
-            rel = (new_m - old_m) / old_m
-            if rel <= 0.25:
-                continue
-            report.add(
-                min(20.0, 4.0 * rel),
-                f"bench {suite}/{leg}: median {old_m:.4f}s -> {new_m:.4f}s "
-                f"({rel:+.0%})",
-            )
-        for ratio, better_high in (
-            ("cache_speedup", True),
-            ("guard_overhead", False),
-        ):
-            old_r = old_suite.get(ratio)
-            new_r = new_suite.get(ratio)
-            if old_r is None or new_r is None or old_r <= 0:
-                continue
-            worsened = (new_r < 0.8 * old_r) if better_high else (
-                new_r > 1.2 * old_r
-            )
-            if worsened:
-                report.add(
-                    12.0,
-                    f"bench {suite}: {ratio} {old_r:.2f} -> {new_r:.2f}",
-                )
-    for suite in sorted(set(old_timing) - set(new_timing)):
-        report.add(30.0, f"bench suite {suite} missing from new run", gate=True)
-
 
 # ---------------------------------------------------------------------------
-# Whole-artifact attribution (bench / precision / trace inputs)
+# Whole-artifact attribution (precision / trace inputs)
 # ---------------------------------------------------------------------------
-
-
-def _diff_bench(report: SuspectsReport, old: dict, new: dict) -> None:
-    from ...bench.compare import DEFAULT_THRESHOLD, compare
-
-    comparison = compare(old, new, threshold=DEFAULT_THRESHOLD)
-    for delta in comparison.deltas:
-        rel = delta.ratio - 1.0
-        if rel <= 0:
-            continue
-        gated = rel > comparison.threshold
-        score = 10.0 * rel + (20.0 if gated else 0.0)
-        if score < 1.0:
-            continue
-        report.add(score, f"bench {delta.describe()}", gate=gated)
-    for missing in comparison.missing:
-        report.add(30.0, f"bench {missing}: absent from new artifact", gate=True)
 
 
 def _diff_precision(report: SuspectsReport, old: dict, new: dict) -> None:
@@ -485,10 +417,6 @@ def diff_paths(
         return report
     old_name = pathlib.Path(old_path).name
     new_name = pathlib.Path(new_path).name
-    if old_type == "bench":
-        report = SuspectsReport("bench artifacts", old_name, new_name)
-        _diff_bench(report, old_payload, new_payload)
-        return report
     if old_type == "precision":
         report = SuspectsReport("precision artifacts", old_name, new_name)
         _diff_precision(report, old_payload, new_payload)

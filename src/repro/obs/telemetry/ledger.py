@@ -1,19 +1,15 @@
 """The run ledger: one structured record per CLI invocation.
 
-Every ``analyze`` / ``bench`` / ``audit`` run appends one ``repro.run/1``
-record to ``results/runs.jsonl`` — the cross-run memory the in-run
+Every ``analyze`` / ``audit`` run (and every ``serve`` request) appends
+one ``repro.run/1`` record to ``results/runs.jsonl`` — the cross-run memory the in-run
 layers (spans, metrics) cannot provide.  A record carries the run
 identity (``run_id``, ISO-8601 UTC timestamp, machine fingerprint, git
 SHA when available), the resolved analysis options, a full metrics
 snapshot with histogram quantiles, and a per-kind summary (dependence
-counts, degradations, precision totals, bench speedups).  ``python -m
-repro diff`` consumes pairs of these records to attribute regressions.
-
-The ledger generalizes ``results/bench_history.jsonl`` (PR 3): a bench
-run record embeds the same per-suite medians and speedup ratios the
-history line carried, plus the shared identity envelope, so one file
-now covers all three commands.  The history file keeps being written
-for backward compatibility.
+counts, degradations, precision totals).  ``python -m repro diff``
+consumes pairs of these records to attribute regressions.  Older
+ledgers may hold ``bench`` records from a since-deleted timing harness;
+they still load, and ``diff --kind`` skips them.
 
 **Stable vs volatile fields.**  A record is one run's honest snapshot,
 so most of it is volatile by nature: timestamps, machine details,
@@ -193,27 +189,6 @@ def _result_summary(result) -> dict:
     return summary
 
 
-def _bench_summary(artifact: dict) -> tuple[dict, dict]:
-    """(stable summary, volatile timing) halves of a bench artifact."""
-
-    suites = sorted(artifact.get("suites", {}))
-    timing: dict = {}
-    for name in suites:
-        suite = artifact["suites"][name]
-        entry: dict = {
-            "median_s": {
-                leg: round(data["median_s"], 6)
-                for leg, data in sorted(suite.get("legs", {}).items())
-                if "median_s" in data
-            }
-        }
-        for ratio in ("cache_speedup", "guard_overhead"):
-            if ratio in suite:
-                entry[ratio] = round(suite[ratio], 4)
-        timing[name] = entry
-    return {"suites": suites}, timing
-
-
 def _precision_summary(artifact: dict) -> dict:
     """The stable totals of a ``repro.precision/1`` artifact."""
 
@@ -244,8 +219,8 @@ def run_record(
 ) -> dict:
     """Build one ``repro.run/1`` record for an invocation of ``kind``.
 
-    ``kind`` is ``analyze`` / ``bench`` / ``audit``; ``artifact`` is the
-    bench or precision artifact the run produced (if any).  ``run_id``,
+    ``kind`` is ``analyze`` / ``audit`` / ``serve``; ``artifact`` is the
+    precision artifact the run produced (if any).  ``run_id``,
     ``when``, ``sha`` and ``machine`` are injectable for deterministic
     tests; ``run_id`` falls back to the active :class:`RunContext`
     before minting a fresh id.
@@ -269,13 +244,10 @@ def run_record(
     }
     if result is not None:
         record["summary"] = _result_summary(result)
-    if artifact is not None:
-        schema = artifact.get("schema", "")
-        if schema.startswith("repro.bench/"):
-            record["summary"], record["timing"] = _bench_summary(artifact)
-            record["settings"] = artifact.get("settings", {})
-        elif schema.startswith("repro.precision/"):
-            record["summary"] = _precision_summary(artifact)
+    if artifact is not None and artifact.get("schema", "").startswith(
+        "repro.precision/"
+    ):
+        record["summary"] = _precision_summary(artifact)
     if error is not None:
         record["error"] = error
     return record

@@ -80,8 +80,8 @@ def _implied_by_single(e: Constraint, other: Constraint) -> bool:
     if other.is_equality:
         if other.expr.key() == key:
             return other.expr.constant <= c
-        if (-other.expr).key() == key:
-            return (-other.expr).constant <= c
+        if other.expr.negated_key() == key:
+            return -other.expr.constant <= c
         return False
     if other.expr.key() == key:
         return other.expr.constant <= c

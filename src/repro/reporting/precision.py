@@ -1,18 +1,19 @@
 """The precision scoreboard and its CI gate.
 
-The benchmark harness (``repro.bench``) gates *speed*; this module gates
-*precision* — the paper's actual headline claim.  :func:`precision_report`
-runs the audited Omega pipeline (``AnalysisOptions(audit=True)``) and every
-classical baseline in :mod:`repro.baselines` over the corpus, and counts,
-per program, the flow-dependence pairs each would report.  The result is
-the ``results/precision_omega.json`` artifact (schema ``repro.precision/1``,
-written by ``python -m repro audit``): per-corpus baseline-vs-Omega counts,
-the false-dependence elimination rate, and the exact-vs-inexact breakdown
-from the provenance records.
+The repository benchmark (``perfbench/``) measures *speed*; this module
+gates *precision* — the paper's actual headline claim.
+:func:`precision_report` runs the audited Omega pipeline
+(``AnalysisOptions(audit=True)``) and every classical baseline in
+:mod:`repro.baselines` over the corpus, and counts, per program, the
+flow-dependence pairs each would report.  The result is the
+``results/precision_omega.json`` artifact (schema ``repro.precision/1``,
+written by ``python -m repro audit``): per-corpus baseline-vs-Omega
+counts, the false-dependence elimination rate, and the exact-vs-inexact
+breakdown from the provenance records.
 
-:func:`compare_precision` is the CI gate, in :mod:`repro.bench.compare`
-style: it fails when the elimination rate drops (more live pairs than the
-committed artifact) or when any exact answer becomes inexact.  Counts are
+:func:`compare_precision` is the CI gate: it fails when the elimination
+rate drops (more live pairs than the committed artifact) or when any
+exact answer becomes inexact.  Counts are
 integers and the audit layer is bit-identical with or without a solver
 cache, so the gate needs no tolerance threshold.
 """
@@ -320,7 +321,7 @@ class PrecisionDelta:
 
 @dataclass
 class PrecisionComparison:
-    """The precision gate verdict (``repro.bench.compare`` style)."""
+    """The precision gate verdict."""
 
     deltas: list[PrecisionDelta] = field(default_factory=list)
     missing: list[str] = field(default_factory=list)

@@ -1,6 +1,6 @@
 """A minimal client for the serve protocol (stdlib only).
 
-Used by the CLI smoke paths, the serve bench and the tests; real
+Used by the CLI smoke paths and the tests; real
 deployments can speak the protocol with any HTTP client.  The unix
 variant subclasses :class:`http.client.HTTPConnection` with a socket
 override — same wire bytes, different transport.

@@ -2,22 +2,27 @@
 
 import copy
 import json
+import pathlib
 from contextlib import nullcontext
 
 import pytest
 
 from repro.analysis import AnalysisOptions, analyze
+from repro.cli import main
 from repro.obs import (
     MetricsRegistry,
     SpanEvent,
     append_run,
     collecting,
     diff_paths,
+    read_runs,
     run_record,
 )
 from repro.obs.telemetry.diff import SuspectsReport, load_input
 from repro.omega import SolverCache, caching
 from repro.programs import cholsky
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 def recorded(tmp_path, name, cache=False, **options):
@@ -140,29 +145,31 @@ class TestLedgerSelection:
 
     def test_type_mismatch_rejected(self, tmp_path):
         _, runs_path = recorded(tmp_path, "r1")
-        bench_path = tmp_path / "bench.json"
-        bench_path.write_text(
-            json.dumps({"schema": "repro.bench/1", "suites": {}})
+        precision_path = tmp_path / "precision.json"
+        precision_path.write_text(
+            json.dumps({"schema": "repro.precision/1", "programs": {}})
         )
-        with pytest.raises(ValueError):
-            diff_paths(runs_path, bench_path)
+        with pytest.raises(ValueError, match="cannot compare"):
+            diff_paths(runs_path, precision_path)
+
+    def test_committed_ledger_gates_a_fresh_audit(self, tmp_path, capsys):
+        """What the CI ``diff`` job runs: the committed ledger (which still
+        holds a legacy ``bench`` record from the deleted timing harness)
+        against a fresh whole-corpus audit, ``--kind audit --gate``."""
+
+        committed = REPO / "results" / "runs.jsonl"
+        assert "bench" in {record["kind"] for record in read_runs(committed)}
+        fresh = tmp_path / "ci_runs.jsonl"
+        assert main(
+            ["audit", "--out", str(tmp_path / "p.json"), "--ledger", str(fresh)]
+        ) == 0
+        capsys.readouterr()
+        argv = ["diff", str(committed), str(fresh), "--kind", "audit", "--gate"]
+        assert main(argv) == 0
+        assert "gate: PASS" in capsys.readouterr().out
 
 
 class TestWholeArtifactInputs:
-    def test_bench_artifacts_reuse_the_bench_gate(self, tmp_path):
-        suite = {
-            "legs": {"default": {"median_s": 1.0}},
-        }
-        old = {"schema": "repro.bench/1", "suites": {"corpus": suite}}
-        new = json.loads(json.dumps(old))
-        new["suites"]["corpus"]["legs"]["default"]["median_s"] = 2.0
-        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
-        old_path.write_text(json.dumps(old))
-        new_path.write_text(json.dumps(new))
-        report = diff_paths(old_path, new_path)
-        assert not report.ok
-        assert any("corpus" in s.label for s in report.gate_failures)
-
     def test_trace_inputs_compare_self_times(self, tmp_path):
         def trace(path, slow):
             spans = [
@@ -183,9 +190,11 @@ class TestWholeArtifactInputs:
     def test_load_input_detects_each_type(self, tmp_path):
         _, runs_path = recorded(tmp_path, "r1")
         assert load_input(runs_path)[0] == "runs"
-        bench = tmp_path / "b.json"
+        # A legacy timing-harness artifact is not a diff input.
+        bench = tmp_path / "BENCH_omega.json"
         bench.write_text(json.dumps({"schema": "repro.bench/1", "suites": {}}))
-        assert load_input(bench)[0] == "bench"
+        with pytest.raises(ValueError, match="unrecognized artifact"):
+            load_input(bench)
         precision = tmp_path / "p.json"
         precision.write_text(
             json.dumps({"schema": "repro.precision/1", "programs": []})

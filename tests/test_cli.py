@@ -48,6 +48,25 @@ class TestParser:
         assert args.standard
         assert args.assertions == ["n <= m"]
 
+    @pytest.mark.parametrize("command", ["bench", "serve-bench"])
+    def test_removed_benchmark_commands_are_usage_errors(self, command):
+        """Names that are not commands, including the timing subcommands
+        ``perfbench/run.py`` replaced, are usage errors, not tracebacks."""
+
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", command],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=pathlib.Path(__file__).resolve().parent.parent,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage:")
+        assert f"invalid choice: '{command}'" in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 class TestAnalyzeCommand:
     def test_extended_kills(self, program_file, capsys):
@@ -216,139 +235,6 @@ class TestStatsHistograms:
         assert int(match.group(1)) > 0
 
 
-class TestBenchCommand:
-    def _artifact(self, path, medians):
-        import json
-
-        payload = {
-            "schema": "repro.bench/1",
-            "suites": {
-                suite: {
-                    "legs": {
-                        leg: {"median_s": median}
-                        for leg, median in legs.items()
-                    }
-                }
-                for suite, legs in medians.items()
-            },
-        }
-        path.write_text(json.dumps(payload))
-        return path
-
-    def test_bench_writes_artifact_and_table(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_omega.json"
-        results = tmp_path / "results"
-        code = main(
-            [
-                "bench",
-                "--suite",
-                "symbolic",
-                "--trials",
-                "1",
-                "--warmup",
-                "0",
-                "--out",
-                str(out),
-                "--results-dir",
-                str(results),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro.bench/1"
-        assert set(payload["suites"]["symbolic"]["legs"]) == {
-            "on",
-            "off",
-            "guard",
-        }
-        assert (results / "bench_omega.txt").exists()
-        assert "cache speedup" in capsys.readouterr().out
-
-    def test_bench_profile_writes_hotspots_and_stacks(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        code = main(
-            [
-                "bench",
-                "--suite",
-                "symbolic",
-                "--trials",
-                "1",
-                "--warmup",
-                "0",
-                "--profile",
-                "--out",
-                str(tmp_path / "b.json"),
-                "--results-dir",
-                str(results),
-            ]
-        )
-        assert code == 0
-        assert "self%" in (results / "profile_omega.txt").read_text()
-        folded = (results / "profile_omega.folded").read_text()
-        assert folded.strip()
-        path, micros = folded.splitlines()[0].rsplit(" ", 1)
-        assert int(micros) > 0 and path
-        assert "self%" in capsys.readouterr().out
-
-    def test_compare_against_itself_exits_zero(self, tmp_path, capsys):
-        artifact = self._artifact(
-            tmp_path / "old.json", {"corpus": {"on": 1.0, "off": 1.5}}
-        )
-        code = main(
-            ["bench", "--compare", str(artifact), "--against", str(artifact)]
-        )
-        assert code == 0
-        assert "gate: PASS" in capsys.readouterr().out
-
-    def test_compare_detects_inflated_median(self, tmp_path, capsys):
-        old = self._artifact(
-            tmp_path / "old.json", {"corpus": {"on": 1.0, "off": 1.5}}
-        )
-        inflated = self._artifact(
-            tmp_path / "new.json", {"corpus": {"on": 1.0, "off": 1.5 * 1.26}}
-        )
-        code = main(["bench", "--compare", str(old), "--against", str(inflated)])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "gate: FAIL" in out
-        assert "REGRESSED" in out
-
-    def test_compare_threshold_flag(self, tmp_path):
-        old = self._artifact(
-            tmp_path / "old.json", {"corpus": {"on": 1.0, "off": 1.5}}
-        )
-        slower = self._artifact(
-            tmp_path / "new.json", {"corpus": {"on": 1.1, "off": 1.5}}
-        )
-        assert main(
-            ["bench", "--compare", str(old), "--against", str(slower)]
-        ) == 0
-        assert main(
-            [
-                "bench",
-                "--compare",
-                str(old),
-                "--against",
-                str(slower),
-                "--threshold",
-                "0.05",
-            ]
-        ) == 1
-
-    def test_against_requires_compare(self, tmp_path, capsys):
-        artifact = self._artifact(
-            tmp_path / "a.json", {"corpus": {"on": 1.0, "off": 1.0}}
-        )
-        assert main(["bench", "--against", str(artifact)]) == 2
-        assert "--compare" in capsys.readouterr().err
-
-    def test_unknown_suite_rejected(self, capsys):
-        assert main(["bench", "--suite", "nope"]) == 2
-        assert "unknown suite" in capsys.readouterr().err
-
-
 class TestRobustness:
     """--deadline-ms / --strict and the REPRO_FAULTS chaos hook."""
 
@@ -401,40 +287,6 @@ class TestRobustness:
         assert data["degraded"] is True
         assert data["degradations"]
         assert all(entry["site"] for entry in data["degradations"])
-
-
-class TestBenchHistory:
-    def test_bench_appends_history_line(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        args = [
-            "bench", "--suite", "symbolic", "--trials", "1", "--warmup", "0",
-            "--out", str(tmp_path / "b.json"), "--results-dir", str(results),
-        ]
-        assert main(args) == 0
-        history = results / "bench_history.jsonl"
-        assert "history appended" in capsys.readouterr().err
-        lines = history.read_text().splitlines()
-        assert len(lines) == 1
-        entry = json.loads(lines[0])
-        assert entry["schema"] == "repro.bench-history/1"
-        assert "symbolic" in entry["suites"]
-        assert entry["when"]
-        # A second run appends, never overwrites.
-        assert main(args) == 0
-        assert len(history.read_text().splitlines()) == 2
-
-    def test_no_history_flag_skips_append(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        assert main(
-            [
-                "bench", "--suite", "symbolic", "--trials", "1",
-                "--warmup", "0", "--no-history",
-                "--out", str(tmp_path / "b.json"),
-                "--results-dir", str(results),
-            ]
-        ) == 0
-        assert not (results / "bench_history.jsonl").exists()
-        assert "history appended" not in capsys.readouterr().err
 
 
 class TestAuditCommand:
@@ -793,27 +645,6 @@ class TestServeCommands:
         assert main(["serve", "--no-tcp", "--no-store"]) == 2
         assert "--unix-socket" in capsys.readouterr().err
 
-    def test_serve_bench_writes_artifact_and_gates(self, tmp_path, capsys):
-        out_path = tmp_path / "serve_bench.json"
-        assert main(
-            [
-                "serve-bench",
-                "-o",
-                str(out_path),
-                "--trials",
-                "1",
-                "--clients",
-                "1",
-                "--store-dir",
-                str(tmp_path / "stores"),
-            ]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "identical" in captured.out
-        artifact = json.loads(out_path.read_text())
-        assert artifact["legs"]["warm_restart"]["store_hits"] > 0
-
-
 class TestOutFlagsCreateParents:
     """Every output flag writes into a directory that does not exist yet.
 
@@ -847,30 +678,6 @@ class TestOutFlagsCreateParents:
         assert main(["audit", str(program_file), "--out", str(out)]) == 0
         assert json.loads(out.read_text())
 
-    def test_bench_out(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "dir" / "x.json"
-        assert main(
-            [
-                "bench", "--suite", "symbolic", "--trials", "1",
-                "--warmup", "0", "--no-history", "--no-ledger",
-                "--out", str(out),
-                "--results-dir", str(tmp_path / "missing" / "results"),
-            ]
-        ) == 0
-        assert json.loads(out.read_text())["schema"] == "repro.bench/1"
-
-    def test_serve_bench_out_and_store_dir(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "dir" / "serve_bench.json"
-        assert main(
-            [
-                "serve-bench", "--out", str(out), "--trials", "1",
-                "--clients", "1",
-                "--store-dir", str(tmp_path / "missing" / "stores"),
-            ]
-        ) == 0
-        assert json.loads(out.read_text())["legs"]
-
-
 # -- unusable inputs fail cleanly -------------------------------------------
 
 #: Each way a program file can be unusable: (id, set-up returning the path,
@@ -898,6 +705,13 @@ BAD_PROGRAMS = [
 
 def _write_bytes(path, data):
     path.write_bytes(data)
+    return path
+
+
+def _precision_artifact(path):
+    """The smallest file ``audit --diff`` loads as a baseline."""
+
+    path.write_text(json.dumps({"schema": "repro.precision/1"}))
     return path
 
 
@@ -951,13 +765,11 @@ class TestUnusableProgramFiles:
 class TestBaselinesLoadBeforeTheRun:
     @pytest.fixture
     def no_runs(self, monkeypatch):
-        import repro.bench
         import repro.reporting
 
         def refuse(*args, **kwargs):
             raise AssertionError("the run started before the baseline loaded")
 
-        monkeypatch.setattr(repro.bench, "run_bench", refuse)
         monkeypatch.setattr(repro.reporting, "precision_report", refuse)
 
     @pytest.fixture(
@@ -989,17 +801,16 @@ class TestBaselinesLoadBeforeTheRun:
         assert main(["audit", str(program_file), "--gate", str(path)]) == 2
         assert_clean_error(capsys, path, reason)
 
-    def test_bench_compare(self, bad_baseline, no_runs, capsys):
+    def test_audit_diff_old(self, bad_baseline, no_runs, tmp_path, capsys):
+        good = _precision_artifact(tmp_path / "good.json")
         path, reason = bad_baseline
-        assert main(["bench", "--compare", str(path)]) == 2
+        assert main(["audit", "--diff", str(path), str(good)]) == 2
         assert_clean_error(capsys, path, reason)
 
-    def test_bench_against(self, bad_baseline, tmp_path, capsys):
-        good = TestBenchCommand()._artifact(
-            tmp_path / "good.json", {"corpus": {"on": 1.0}}
-        )
+    def test_audit_diff_new(self, bad_baseline, no_runs, tmp_path, capsys):
+        good = _precision_artifact(tmp_path / "good.json")
         path, reason = bad_baseline
-        assert main(["bench", "--compare", str(good), "--against", str(path)]) == 2
+        assert main(["audit", "--diff", str(good), str(path)]) == 2
         assert_clean_error(capsys, path, reason)
 
     def test_wrong_schema_names_the_expected_one(self, tmp_path, no_runs, capsys):
@@ -1026,17 +837,6 @@ class TestNumericFlags:
         assert len(errors) == 1
         assert f"argument {flag}" in errors[0]
         assert "Traceback" not in captured.err
-
-    def test_bench_trials(self, capsys, tmp_path):
-        self.assert_rejected(
-            capsys,
-            ["bench", "--trials", "0", "--out", str(tmp_path / "b.json")],
-            "--trials",
-        )
-        assert not (tmp_path / "b.json").exists()
-
-    def test_serve_bench_trials(self, capsys):
-        self.assert_rejected(capsys, ["serve-bench", "--trials", "0"], "--trials")
 
     def test_serve_max_inflight(self, capsys):
         self.assert_rejected(
