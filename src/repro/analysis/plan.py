@@ -1,24 +1,23 @@
-"""The single-pass query planner: group pairs, share base systems.
+"""The single-pass query planner: share base systems and FM prefixes.
 
 ``QueryPlan`` is built once per analysis run, governed or not, and threads
 through :func:`repro.analysis.dependences.compute_dependences` into the
 direction-vector search.  It contributes two kinds of sharing:
 
 *Base systems.*  Every candidate pair re-derives the same iteration-space
-constraints for its two statement instances.  The plan groups candidate
-pairs (flow/anti/output/input) by shared iteration space and builds each
-statement instance's constraint system once per role prefix, reusing it
-across all pairs of the group.  Sharing is restricted to *pure* instances
-— affine subscripts and bounds, unit steps — whose construction mints no
-fresh occurrence or wildcard variables, so a shared instance is
-constraint-for-constraint identical to the one
-:func:`repro.analysis.problem.build_pair_problem` builds on its own and
-results stay bit-identical.
+constraints for its two statement instances.  The plan builds each
+statement instance's constraint system once per role prefix and reuses
+it across every pair (flow/anti/output/input) that access takes part in.
+Sharing is restricted to *pure* instances — affine subscripts and bounds,
+unit steps — whose construction mints no fresh occurrence or wildcard
+variables, so a shared instance is constraint-for-constraint identical to
+the one :func:`repro.analysis.problem.build_pair_problem` builds on its
+own and results stay bit-identical.
 
 *FM prefixes.*  Each pair's full problem is exactly reduced onto its
 distance variables (:mod:`repro.omega.partial`) through the
 :class:`repro.solver.plan.PlanSpace` memo, so the expensive elimination
-prefix is computed once per group and reused by every sibling branch of
+prefix is computed once and reused by every sibling branch of
 the direction-vector tree and by every other pair with the same
 iteration space.  Reductions are best-effort: one that runs out of budget
 or hits an injected fault leaves its core unreduced (see
@@ -53,7 +52,7 @@ def _affine(expr) -> bool:
 
 
 class QueryPlan:
-    """Grouped candidate pairs plus the shared solver-side plan state."""
+    """Shared statement instances plus the shared solver-side plan state."""
 
     def __init__(
         self,
@@ -71,39 +70,6 @@ class QueryPlan:
         self._instances: dict[tuple[int, str], InstanceContext] = {}
         self._pure: dict[int, bool] = {}
         self._lock = threading.Lock()
-        self.groups = self._form_groups()
-
-    # -- grouping -------------------------------------------------------
-    def _signature(self, src: Access, dst: Access) -> tuple:
-        """Pairs with the same signature share iteration-space systems."""
-
-        return (
-            tuple(id(loop) for loop in src.statement.loops),
-            tuple(id(loop) for loop in dst.statement.loops),
-            src.array,
-        )
-
-    def _form_groups(self) -> dict[tuple, list[tuple[Access, Access]]]:
-        writes = self.program.writes()
-        reads = self.program.reads()
-        groups: dict[tuple, list[tuple[Access, Access]]] = {}
-        candidates = [
-            (src, dst)
-            for sources, targets in (
-                (writes, writes),  # output
-                (reads, writes),   # anti
-                (writes, reads),   # flow
-                (reads, reads),    # input
-            )
-            for src in sources
-            for dst in targets
-            if src.array == dst.array
-        ]
-        for src, dst in candidates:
-            groups.setdefault(self._signature(src, dst), []).append((src, dst))
-        _metrics.inc("solver.plan.groups", len(groups))
-        _metrics.inc("solver.plan.pairs_planned", len(candidates))
-        return groups
 
     # -- shared base systems --------------------------------------------
     def _is_pure(self, access: Access) -> bool:
@@ -159,7 +125,7 @@ class QueryPlan:
         return ctx
 
     def pair_problem(self, src: Access, dst: Access) -> PairProblem:
-        """The pair problem, derived from the group's shared instances."""
+        """The pair problem, derived from the shared instances."""
 
         return build_pair_problem(
             src,

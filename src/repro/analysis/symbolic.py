@@ -75,9 +75,7 @@ def _single_piece(problem: Problem, keep: Sequence[Variable]) -> tuple[Problem, 
     if projection.exact_union and len(projection.pieces) == 1:
         return projection.pieces[0], True
     if projection.exact_union and not projection.pieces:
-        false = Problem(name="FALSE")
-        false.add_ge(-1)
-        return false, True
+        return Problem.false(), True
     return projection.real, False
 
 

@@ -10,8 +10,8 @@ nothing is collecting.  Three cooperating parts:
     :func:`tracing`; exports Chrome-trace/Perfetto JSON and JSONL.
 ``repro.obs.metrics``
     A :class:`MetricsRegistry` of counters, gauges and fixed-bucket
-    histograms, activated with :func:`collecting`; subsumes the legacy
-    ``repro.omega.OmegaStats`` (now a facade over this registry).
+    histograms, activated with :func:`collecting`; the Omega solver's
+    counters are its ``omega.*`` metrics.
 ``repro.obs.explain``
     The structured per-dependence decision trail behind
     ``analyze(..., AnalysisOptions(explain=True))`` and the CLI's

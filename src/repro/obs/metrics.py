@@ -1,7 +1,6 @@
 """Metrics registry: counters, gauges and fixed-bucket histograms.
 
-The registry generalizes the solver-local ``OmegaStats`` of early versions:
-any layer of the pipeline records named metrics through the module-level
+Any layer of the pipeline records named metrics through the module-level
 :func:`inc` / :func:`observe` / :func:`set_gauge` helpers, and every
 registry pushed with :func:`collecting` on the *current thread* receives
 them.  Outside any ``collecting`` block the helpers return immediately, so
@@ -49,7 +48,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 
 #: Well-known counters, pre-registered at zero in every registry.
 CATALOG: tuple[str, ...] = (
-    # Omega solver core (the legacy OmegaStats fields).
+    # Omega solver core (repro.omega.solve).
     "omega.satisfiability_tests",
     "omega.eliminations",
     "omega.inexact_eliminations",
@@ -79,8 +78,6 @@ CATALOG: tuple[str, ...] = (
     # Solver service boundary (repro.solver).
     "solver.queries",
     # Query planner (repro.analysis.plan / repro.solver.plan).
-    "solver.plan.groups",
-    "solver.plan.pairs_planned",
     "solver.plan.base_systems",
     "solver.plan.base_reused",
     "solver.plan.cores_built",

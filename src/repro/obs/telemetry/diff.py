@@ -200,11 +200,14 @@ def _quantile_sums(record: dict) -> dict:
 
 
 def _hit_rate(counters: dict) -> float | None:
+    """The solver cache hit rate; None for a run that never consulted a
+    cache (an uncached run has no rate, not a 0% one)."""
+
     hits = counters.get("omega.cache.hits", 0)
     misses = counters.get("omega.cache.misses", 0)
     total = hits + misses
     if total == 0:
-        return 0.0
+        return None
     return hits / total
 
 

@@ -58,14 +58,11 @@ DEFAULT_LEDGER = pathlib.Path("results/runs.jsonl")
 #: analysis semantics and audited precision.
 STABLE_COUNTER_PREFIXES = ("analysis.", "omega.precision.")
 
-#: Individual stable counters: call-site-driven service/planner totals
-#: (every query submission and plan construction happens in
-#: deterministic order, whatever answers it).
+#: Individual stable counters: call-site-driven service totals (every
+#: query submission happens in deterministic order, whatever answers it).
 STABLE_COUNTERS = frozenset(
     {
         "solver.queries",
-        "solver.plan.groups",
-        "solver.plan.pairs_planned",
         "guard.degradations",
         "guard.budget_exhausted",
     }

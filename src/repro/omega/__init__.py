@@ -63,7 +63,7 @@ from .presburger import (
 from .project import Projection, project, project_away
 from .redblack import combined_projection_gist, gist_of_projection
 from .simplify import find_witness, simplify
-from .solve import OmegaStats, collect_stats, is_satisfiable
+from .solve import is_satisfiable
 from .terms import LinearExpr, Variable, const, fresh_wildcard, term
 
 __all__ = [
@@ -100,8 +100,6 @@ __all__ = [
     "PartialElimination",
     # solving
     "is_satisfiable",
-    "OmegaStats",
-    "collect_stats",
     # projection
     "project",
     "project_away",

@@ -14,8 +14,8 @@ Design:
   normalization, deduplication, alpha-renaming, sorted constraints), so
   structurally identical queries collide even when variable names differ
   (pair problems mint fresh wildcards on every rebuild).
-* Activation is thread-local and scoped, exactly like ``collect_stats`` /
-  ``repro.obs`` registries: ``with caching(SolverCache()):`` makes the
+* Activation is thread-local and scoped, exactly like the ``repro.obs``
+  metrics registries: ``with caching(SolverCache()):`` makes the
   cache visible to every solver entry point on the current thread.
   Nothing installs one by default: :func:`repro.analysis.analyze` runs
   uncached unless its caller activates a cache (``repro.serve`` does, and

@@ -212,6 +212,17 @@ class Problem:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    @classmethod
+    def false(cls, name: str = "FALSE") -> "Problem":
+        """The unsatisfiable problem ``-1 >= 0``.
+
+        :meth:`normalized` turns a contradiction into an *empty* problem,
+        which reads as TRUE, so a FALSE answer carries this explicit
+        witness instead.
+        """
+
+        return cls([Constraint(LinearExpr({}, -1), Relation.GE)], name)
+
     def copy(self) -> "Problem":
         duplicate = Problem(self.constraints, self.name)
         duplicate._norm = self._norm

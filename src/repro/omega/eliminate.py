@@ -27,7 +27,7 @@ PLDI'92 paper builds on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..guard import budget as _guard
 from ..obs import metrics as _metrics
@@ -35,8 +35,9 @@ from ..obs import off as _obs_off
 from ..obs.trace import span as _span
 from .constraints import Constraint, NormalizeStatus, Problem, Relation
 from .errors import OmegaComplexityError, OmegaError
-from .kernel import combine_shadows
 from .terms import LinearExpr, Variable, fresh_wildcard
+
+_expr = LinearExpr._trusted
 
 __all__ = [
     "mod_hat",
@@ -46,6 +47,8 @@ __all__ = [
     "fourier_motzkin",
     "FMResult",
     "choose_variable",
+    "eliminable",
+    "shadow_walk",
 ]
 
 # Safety valve: equality elimination provably terminates, but a bug would
@@ -120,7 +123,7 @@ def _solve_for_unit(
     coeff = expr.coeff(var)
     if coeff not in (1, -1):
         raise OmegaError(f"{var} does not have a unit coefficient in {expr}")
-    rest = expr + LinearExpr({var: -coeff})
+    rest = expr.without(var)
     # coeff*var + rest = 0  =>  var = -rest/coeff
     return (-rest) * coeff  # dividing by +-1 == multiplying
 
@@ -207,14 +210,14 @@ def _eliminate_equalities(
             # equality, which becomes a stride constraint once u is renamed
             # to a wildcard.
             u, a_u = eliminable[0]
-            rest = expr + LinearExpr({u: -a_u})  # r, so a_u*u + r = 0
+            rest = expr.without(u)  # r, so a_u*u + r = 0
             scaled: list[Constraint] = []
             for c in current.constraints:
                 if c is target or not c.coeff(u):
                     scaled.append(c)
                     continue
                 c_u = c.coeff(u)
-                c_rest = c.expr + LinearExpr({u: -c_u})
+                c_rest = c.expr.without(u)
                 # |a_u| * c.expr = c_u*sign(a_u)*(a_u*u) + |a_u|*c_rest
                 #               -> -c_u*sign(a_u)*r + |a_u|*c_rest
                 sign = 1 if a_u > 0 else -1
@@ -272,14 +275,6 @@ class FMResult:
     splinters: list[Problem] = field(default_factory=list)
 
 
-def _split_bound(constraint: Constraint, var: Variable) -> tuple[int, LinearExpr]:
-    """Write ``constraint`` as ``coeff*var + rest >= 0`` and return both."""
-
-    coeff = constraint.coeff(var)
-    rest = constraint.expr + LinearExpr({var: -coeff})
-    return coeff, rest
-
-
 def fourier_motzkin(
     problem: Problem,
     var: Variable,
@@ -330,20 +325,44 @@ def _fourier_motzkin(
                 f"fourier_motzkin({var}) called with live equality {constraint}"
             )
         if coeff > 0:
-            lowers.append((coeff, constraint.expr + LinearExpr({var: -coeff})))
+            lowers.append((coeff, constraint.expr.without(var)))
         else:
-            uppers.append((-coeff, constraint.expr + LinearExpr({var: coeff * -1})))
+            uppers.append((-coeff, constraint.expr.without(var)))
 
     # Unbounded on one side: the projection just drops the constraints.
     if not lowers or not uppers:
         shadow = Problem(keep, problem.name)
         return FMResult(var, True, shadow, shadow.copy())
 
-    # The cross product runs on the row kernel (repro.omega.kernel).
-    # For each pair:
-    # real shadow  a*beta <= b*alpha   =>  b*alpha - a*beta >= 0,
-    # dark shadow additionally tightened by (a-1)*(b-1) when inexact.
-    real_cs, dark_cs, exact = combine_shadows(lowers, uppers)
+    # Cross every lower bound b*var + lo >= 0 with every upper bound
+    # -a*var + up >= 0.  The real shadow is b*up + a*lo >= 0; the dark
+    # shadow tightens its constant by (a-1)*(b-1), and an exact pair
+    # (a == 1 or b == 1) gives both shadows the same constraint object.
+    # Terms go in in sorted variable order, so the emitted constraints do
+    # not depend on the order of the bounds' terms.
+    columns = sorted({v for _, rest in lowers + uppers for v in rest.terms})
+    real_cs: list[Constraint] = []
+    dark_cs: list[Constraint] = []
+    exact = True
+    GE = Relation.GE
+    for b, lo in lowers:
+        lo_terms = lo.terms
+        for a, up in uppers:
+            up_terms = up.terms
+            terms = {}
+            for v in columns:
+                coeff = up_terms.get(v, 0) * b + lo_terms.get(v, 0) * a
+                if coeff:
+                    terms[v] = coeff
+            constant = up.constant * b + lo.constant * a
+            real_c = Constraint(_expr(terms, constant), GE)
+            real_cs.append(real_c)
+            adjust = (a - 1) * (b - 1)
+            if adjust:
+                exact = False
+                dark_cs.append(Constraint(_expr(terms, constant - adjust), GE))
+            else:
+                dark_cs.append(real_c)
     dark = Problem([*keep, *dark_cs], problem.name)
     real = Problem([*keep, *real_cs], problem.name)
 
@@ -388,7 +407,10 @@ def _fourier_motzkin(
 
 
 def choose_variable(
-    problem: Problem, candidates: Iterable[Variable]
+    problem: Problem,
+    candidates: Iterable[Variable],
+    *,
+    max_growth: int | None = None,
 ) -> tuple[Variable | None, bool]:
     """Pick the next variable to eliminate and whether it is exact.
 
@@ -399,6 +421,10 @@ def choose_variable(
     2. an exact elimination (every lower/upper pair has a unit coefficient),
        minimizing the number of generated constraints,
     3. otherwise the variable with the cheapest estimated splintering.
+
+    With ``max_growth`` only the first two kinds qualify, and an exact
+    elimination only when it adds at most ``max_growth`` constraints;
+    ``(None, False)`` when no candidate does.
     """
 
     best: Variable | None = None
@@ -414,6 +440,8 @@ def choose_variable(
             for c_up in uppers
         )
         growth = len(lowers) * len(uppers) - len(lowers) - len(uppers)
+        if max_growth is not None and (not exact or growth > max_growth):
+            continue
         if exact:
             score = (0, growth)
         else:
@@ -426,3 +454,54 @@ def choose_variable(
             best_exact = exact
             best_score = score
     return best, best_exact
+
+
+def eliminable(problem: Problem, keep: frozenset[Variable]) -> frozenset[Variable]:
+    """Variables outside ``keep`` that Fourier-Motzkin may eliminate.
+
+    After equality elimination with ``keep`` protected, the only wildcards
+    left inside equalities are stride-locked (they exactly encode a
+    divisibility constraint on kept variables) and must stay; wildcards
+    occurring solely in inequalities are ordinary FM candidates.
+    """
+
+    locked: set[Variable] = set()
+    for constraint in problem.constraints:
+        if constraint.is_equality:
+            locked.update(v for v in constraint.variables() if v.is_wildcard)
+    return frozenset(
+        v for v in problem.variables() if v not in keep and v not in locked
+    )
+
+
+def shadow_walk(
+    problem: Problem, keep: frozenset[Variable], site: str, *, dark: bool = False
+) -> Problem | None:
+    """Eliminate every variable outside ``keep`` along one shadow.
+
+    Each step eliminates equalities (``keep`` protected), checkpoints at
+    ``site``, then takes the real shadow of one Fourier-Motzkin step
+    (the dark shadow when ``dark``), without splinters.  Returns the
+    final normalized problem over ``keep``, or None when the shadow is
+    empty.  The real walk over-approximates the integer projection (the
+    paper's Real Shadow T); the dark walk under-approximates it.
+    """
+
+    current = problem
+    while True:
+        outcome = eliminate_equalities(current, protected=keep)
+        if not outcome.satisfiable:
+            return None
+        current = outcome.problem
+        _guard.checkpoint(site)
+        candidates = eliminable(current, keep)
+        if not candidates:
+            normalized, status = current.normalized()
+            if status is NormalizeStatus.UNSATISFIABLE:
+                return None
+            return normalized
+        var, _ = choose_variable(current, candidates)
+        fm = fourier_motzkin(current, var, want_splinters=False)
+        current, status = (fm.dark if dark else fm.real).normalized()
+        if status is NormalizeStatus.UNSATISFIABLE:
+            return None

@@ -177,9 +177,7 @@ def _gist(
     name = f"gist {p.name}"
     p_norm, p_status = p.normalized()
     if p_status is NormalizeStatus.UNSATISFIABLE:
-        false = Problem(name=name)
-        false.add_ge(-1)
-        return false
+        return Problem.false(name)
     p_constraints: list[Constraint] = []
     for constraint in p_norm.constraints:
         if constraint.is_equality and any(

@@ -33,29 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .constraints import (
-    Constraint,
-    LinearExpr,
-    NormalizeStatus,
-    Problem,
-    Relation,
-)
-from .eliminate import eliminate_equalities, fourier_motzkin
+from .constraints import Constraint, NormalizeStatus, Problem
+from .eliminate import choose_variable, eliminate_equalities, fourier_motzkin
 from .errors import BudgetExhausted, OmegaComplexityError
 
 __all__ = ["PartialElimination", "partial_eliminate"]
-
-
-def _false_problem(name: str | None = None) -> Problem:
-    """The canonical unsatisfiable problem (``-1 >= 0``).
-
-    ``Problem.normalized()`` returns an *empty* problem on contradiction,
-    and an empty problem is trivially satisfiable — so an unsat core must
-    carry an explicit witness of falsehood for later probes to answer
-    ``False`` through the ordinary satisfiability path.
-    """
-
-    return Problem([Constraint(LinearExpr({}, -1), Relation.GE)], name)
 
 
 @dataclass(frozen=True)
@@ -106,46 +88,6 @@ class PartialElimination:
         )
 
 
-def _choose_exact(
-    problem: Problem, keep: frozenset, max_growth: int
-):
-    """An eliminable variable whose FM step is exact, or None.
-
-    Candidates are variables outside ``keep`` that occur in no equality
-    (equality elimination has already run; survivors are protected-only or
-    stride equalities whose wildcard FM must not touch).  Free variables
-    (unbounded on a side) are always taken; otherwise only eliminations
-    whose every lower/upper coefficient pair contains a unit *and* whose
-    constraint-count growth stays within ``max_growth``.
-    """
-
-    pinned = set(keep)
-    for constraint in problem.constraints:
-        if constraint.is_equality:
-            pinned.update(constraint.variables())
-    best = None
-    best_growth = None
-    for var in sorted(problem.variables()):
-        if var in pinned:
-            continue
-        lowers, uppers = problem.bounds_on(var)
-        if not lowers or not uppers:
-            return var
-        exact = all(
-            c_lo.coeff(var) == 1 or -c_up.coeff(var) == 1
-            for c_lo in lowers
-            for c_up in uppers
-        )
-        if not exact:
-            continue
-        growth = len(lowers) * len(uppers) - len(lowers) - len(uppers)
-        if growth > max_growth:
-            continue
-        if best_growth is None or growth < best_growth:
-            best, best_growth = var, growth
-    return best
-
-
 def partial_eliminate(
     problem: Problem,
     keep: Iterable | Sequence,
@@ -180,11 +122,21 @@ def _partial_eliminate(
     eliminated = 0
     outcome = eliminate_equalities(problem, protected=keep)
     if not outcome.satisfiable:
-        return PartialElimination(_false_problem(problem.name), keep, 1)
+        return PartialElimination(Problem.false(problem.name), keep, 1)
     current = outcome.problem
     eliminated += len(outcome.substitutions)
     while True:
-        var = _choose_exact(current, keep, max_growth)
+        # Equality elimination has run: the equalities left are
+        # protected-only or strides, whose variables FM must not touch.
+        pinned = set(keep)
+        for constraint in current.constraints:
+            if constraint.is_equality:
+                pinned.update(constraint.variables())
+        var, _ = choose_variable(
+            current,
+            [v for v in current.variables() if v not in pinned],
+            max_growth=max_growth,
+        )
         if var is None:
             return PartialElimination(current, keep, eliminated)
         result = fourier_motzkin(current, var, want_splinters=False)
@@ -193,7 +145,7 @@ def _partial_eliminate(
         eliminated += 1
         if status is NormalizeStatus.UNSATISFIABLE:
             return PartialElimination(
-                _false_problem(problem.name), keep, eliminated
+                Problem.false(problem.name), keep, eliminated
             )
         if status is NormalizeStatus.TAUTOLOGY:
             return PartialElimination(
@@ -202,7 +154,7 @@ def _partial_eliminate(
         outcome = eliminate_equalities(shadow, protected=keep)
         if not outcome.satisfiable:
             return PartialElimination(
-                _false_problem(problem.name), keep, eliminated
+                Problem.false(problem.name), keep, eliminated
             )
         current = outcome.problem
         eliminated += len(outcome.substitutions)

@@ -14,8 +14,8 @@ points" — the :class:`Projection` result exposes exactly this structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from ..guard import budget as _guard
 from ..obs import metrics as _metrics
@@ -23,7 +23,13 @@ from ..obs import off as _obs_off
 from ..obs.trace import span as _span
 from . import cache as _cache
 from .constraints import NormalizeStatus, Problem
-from .eliminate import choose_variable, eliminate_equalities, fourier_motzkin
+from .eliminate import (
+    choose_variable,
+    eliminable,
+    eliminate_equalities,
+    fourier_motzkin,
+    shadow_walk,
+)
 from .errors import BudgetExhausted, OmegaComplexityError
 from .solve import is_satisfiable
 from .terms import Variable
@@ -32,14 +38,6 @@ __all__ = ["Projection", "project", "project_away"]
 
 _MAX_PIECES = 256
 _MAX_DEPTH = 200
-
-
-def _false() -> Problem:
-    """The unsatisfiable problem ``FALSE`` (``-1 >= 0``)."""
-
-    unsat = Problem(name="FALSE")
-    unsat.add_ge(-1)
-    return unsat
 
 
 @dataclass
@@ -66,7 +64,7 @@ class Projection:
 
         if self.pieces:
             return self.pieces[0]
-        return _false()
+        return Problem.false()
 
     def is_empty(self) -> bool:
         """True iff the projection certainly has no integer points.
@@ -154,13 +152,13 @@ def _project(problem: Problem, kept: frozenset[Variable]) -> Projection:
         # fallback below would just keep spending against a spent budget).
         raise
     except OmegaComplexityError:
-        # Give up on exactness: fall back to the dark-shadow-only track,
-        # which is still a sound under-approximation, and a real-shadow
-        # walk of its own.
-        pieces = []
-        _project_dark_only(problem, kept, pieces)
+        # Give up on exactness: fall back to one dark-shadow walk, which
+        # is still a sound under-approximation, and a real-shadow walk of
+        # its own.
+        dark = shadow_walk(problem, kept, "omega.project", dark=True)
+        pieces = [] if dark is None else [dark]
         exact = False
-        real = _project_real(problem, kept)
+        real = _real_shadow(problem, kept)
     splintered = len(pieces) > 1 or not exact
     return Projection(kept, pieces, real, exact_union=exact, splintered=splintered)
 
@@ -179,22 +177,11 @@ def project_away(problem: Problem, eliminate: Iterable[Variable]) -> Projection:
     return project(problem, keep)
 
 
-def _eliminable(problem: Problem, kept: frozenset[Variable]) -> frozenset[Variable]:
-    """Variables that still need (and can take) Fourier-Motzkin elimination.
+def _real_shadow(problem: Problem, kept: frozenset[Variable]) -> Problem:
+    """The Real Shadow T: eliminate everything via real shadows only."""
 
-    After equality elimination with ``kept`` protected, the only wildcards
-    left inside equalities are stride-locked (they exactly encode a
-    divisibility constraint on kept variables) and must stay; wildcards
-    occurring solely in inequalities are ordinary FM candidates.
-    """
-
-    locked: set[Variable] = set()
-    for constraint in problem.constraints:
-        if constraint.is_equality:
-            locked.update(v for v in constraint.variables() if v.is_wildcard)
-    return frozenset(
-        v for v in problem.variables() if v not in kept and v not in locked
-    )
+    real = shadow_walk(problem, kept, "omega.project")
+    return Problem.false() if real is None else real
 
 
 def _project_pieces(
@@ -226,16 +213,16 @@ def _project_pieces(
     top = depth == 0
     outcome = eliminate_equalities(problem, protected=kept)
     if not outcome.satisfiable:
-        return _false() if top else None
+        return Problem.false() if top else None
     current = outcome.problem
 
     while True:
         _guard.checkpoint("omega.project")
-        candidates = _eliminable(current, kept)
+        candidates = eliminable(current, kept)
         if not candidates:
             normalized, status = current.normalized()
             if status is NormalizeStatus.UNSATISFIABLE:
-                return _false() if top else None
+                return Problem.false() if top else None
             if is_satisfiable(normalized):
                 if len(out) >= _MAX_PIECES:
                     raise OmegaComplexityError(
@@ -256,75 +243,14 @@ def _project_pieces(
         if fm.exact:
             current, status = fm.real.normalized()
             if status is NormalizeStatus.UNSATISFIABLE:
-                return _false() if top else None
+                return Problem.false() if top else None
             outcome = eliminate_equalities(current, protected=kept)
             if not outcome.satisfiable:
-                return _false() if top else None
+                return Problem.false() if top else None
             current = outcome.problem
             continue
         # pi_var(current) = dark UNION pieces-of-splinters, exactly.
         _project_pieces(fm.dark, kept, out, depth + 1)
         for splinter in fm.splinters:
             _project_pieces(splinter, kept, out, depth + 1)
-        if not top:
-            return None
-        current, status = fm.real.normalized()
-        if status is NormalizeStatus.UNSATISFIABLE:
-            return _false()
-        return _project_real(current, kept)
-
-
-def _project_dark_only(
-    problem: Problem, kept: frozenset[Variable], out: list[Problem]
-) -> None:
-    """Fallback: a single dark-track piece (sound under-approximation)."""
-
-    outcome = eliminate_equalities(problem, protected=kept)
-    if not outcome.satisfiable:
-        return
-    current = outcome.problem
-    while True:
-        _guard.checkpoint("omega.project")
-        candidates = _eliminable(current, kept)
-        if not candidates:
-            normalized, status = current.normalized()
-            if status is not NormalizeStatus.UNSATISFIABLE:
-                out.append(normalized)
-            return
-        var, _ = choose_variable(current, candidates)
-        assert var is not None
-        fm = fourier_motzkin(current, var, want_splinters=False)
-        current, status = fm.dark.normalized()
-        if status is NormalizeStatus.UNSATISFIABLE:
-            return
-        outcome = eliminate_equalities(current, protected=kept)
-        if not outcome.satisfiable:
-            return
-        current = outcome.problem
-
-
-def _project_real(problem: Problem, kept: frozenset[Variable]) -> Problem:
-    """The Real Shadow T: eliminate everything via real shadows only."""
-
-    outcome = eliminate_equalities(problem, protected=kept)
-    if not outcome.satisfiable:
-        return _false()
-    current = outcome.problem
-    while True:
-        _guard.checkpoint("omega.project")
-        candidates = _eliminable(current, kept)
-        if not candidates:
-            normalized, status = current.normalized()
-            if status is NormalizeStatus.UNSATISFIABLE:
-                return _false()
-            return normalized
-        var, _ = choose_variable(current, candidates)
-        assert var is not None
-        fm = fourier_motzkin(current, var, want_splinters=False)
-        current, status = fm.real.normalized()
-        if status is NormalizeStatus.UNSATISFIABLE:
-            return _false()
-        outcome = eliminate_equalities(current, protected=kept)
-        if not outcome.satisfiable:
-            return _false()
-        current = outcome.problem
+        return _real_shadow(fm.real, kept) if top else None

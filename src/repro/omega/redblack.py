@@ -31,13 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constraints import Constraint, NormalizeStatus, Problem, Relation
+from .constraints import Constraint, Problem, Relation
 from .eliminate import _solve_for_unit, choose_variable
-from .errors import OmegaComplexityError
 from .gist import gist
 from .project import project
-from .solve import is_satisfiable
-from .terms import LinearExpr, Variable
+from .terms import Variable
 
 __all__ = ["gist_of_projection", "combined_projection_gist"]
 
@@ -164,10 +162,10 @@ def _eliminate_colored(
         if lowers and uppers:
             for lo in lowers:
                 b = lo.constraint.coeff(var)
-                lo_rest = lo.constraint.expr + LinearExpr({var: -b})
+                lo_rest = lo.constraint.expr.without(var)
                 for up in uppers:
                     a = -up.constraint.coeff(var)
-                    up_rest = up.constraint.expr + LinearExpr({var: a})
+                    up_rest = up.constraint.expr.without(var)
                     if a != 1 and b != 1:
                         raise _FallBack  # inexact pair: shadows diverge
                     combined = up_rest * b + lo_rest * a
@@ -220,9 +218,7 @@ def gist_of_projection(
         if projection.exact_union and len(projection.pieces) == 1:
             return projection.pieces[0]
         if projection.exact_union and not projection.pieces:
-            false = Problem(name="FALSE")
-            false.add_ge(-1)
-            return false
+            return Problem.false()
         return projection.real
 
     return gist(single(pq_projection), single(p_projection))

@@ -9,8 +9,6 @@ while pinning previous choices, which both tests and diagnostics use.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .constraints import NormalizeStatus, Problem
 from .errors import OmegaError
 from .gist import gist
@@ -31,15 +29,11 @@ def simplify(problem: Problem) -> Problem:
 
     normalized, status = problem.normalized()
     if status is NormalizeStatus.UNSATISFIABLE:
-        false = Problem(name=problem.name or "FALSE")
-        false.add_ge(-1)
-        return false
+        return Problem.false(problem.name or "FALSE")
     if status is NormalizeStatus.TAUTOLOGY:
         return Problem(name=problem.name)
     if not is_satisfiable(normalized):
-        false = Problem(name=problem.name or "FALSE")
-        false.add_ge(-1)
-        return false
+        return Problem.false(problem.name or "FALSE")
     result = gist(normalized, Problem())
     result.name = problem.name
     return result

@@ -284,6 +284,13 @@ class LinearExpr:
         del terms[var]
         return _expr(terms, self._const) + replacement * coeff
 
+    def without(self, var: Variable) -> "LinearExpr":
+        """This expression with ``var``'s term dropped."""
+
+        terms = dict(self._terms)
+        terms.pop(var, None)
+        return _expr(terms, self._const)
+
     def evaluate(self, assignment: Mapping[Variable, int]) -> int:
         """Evaluate under a total assignment for this expression's variables."""
 

@@ -25,14 +25,16 @@ from repro.programs import cholsky
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
-def recorded(tmp_path, name, cache=False, **options):
+def recorded(tmp_path, name, cache=False, cache_size=None, **options):
     """One analyze run record written to its own single-record ledger
-    (with ``cache``, under its own solver-cache scope)."""
+    (with ``cache``, under its own solver-cache scope, of ``cache_size``
+    entries when given)."""
 
     opts = AnalysisOptions(extended=True, audit=True, **options)
     registry = MetricsRegistry()
+    sized = {} if cache_size is None else {"maxsize": cache_size}
     with collecting(registry):
-        with caching(SolverCache()) if cache else nullcontext():
+        with caching(SolverCache(**sized)) if cache else nullcontext():
             result = analyze(cholsky(), opts)
     record = run_record(
         "analyze",
@@ -51,20 +53,30 @@ def recorded(tmp_path, name, cache=False, **options):
 
 
 class TestInjectedRegressionRanking:
-    def test_disabled_cache_ranks_the_cache_suspect_first(self, tmp_path):
-        """The acceptance scenario: a cache-off run diffed against a
-        cache-on baseline must put the hit-rate drop at the top."""
+    def test_starved_cache_ranks_hit_rate_first(self, tmp_path):
+        """A one-entry cache diffed against a full-size cache baseline
+        must put the hit-rate drop at the top."""
 
         _, old_path = recorded(tmp_path, "cacheon", cache=True)
-        _, new_path = recorded(tmp_path, "cacheoff", cache=False)
+        _, new_path = recorded(tmp_path, "starved", cache=True, cache_size=1)
         report = diff_paths(old_path, new_path)
-        assert report.ranked, "expected suspects for a disabled cache"
+        assert report.ranked, "expected suspects for a starved cache"
         top = report.ranked[0]
         assert "cache hit-rate dropped" in top.label
         assert top.score > report.ranked[1].score if len(report.ranked) > 1 else True
         # Config-only change: nothing deterministic regressed.
         assert report.ok
         assert "gate: PASS" in report.render()
+
+    def test_uncached_run_has_no_hit_rate_suspect(self, tmp_path):
+        """An uncached run never consults a cache: it has no hit rate,
+        so a cached baseline shows no hit-rate drop against it."""
+
+        _, old_path = recorded(tmp_path, "cacheon", cache=True)
+        _, new_path = recorded(tmp_path, "cacheoff", cache=False)
+        report = diff_paths(old_path, new_path)
+        assert not any("hit-rate" in s.label for s in report.suspects)
+        assert report.ok
 
     def test_precision_drift_gates_and_outranks_noise(self, tmp_path):
         old, old_path = recorded(tmp_path, "before")

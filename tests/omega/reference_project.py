@@ -7,6 +7,11 @@ answer: the same pieces, the same real shadow, the same exactness flags.
 This module keeps the straightforward implementation so the contract
 tests can compare the two.
 
+The fallback's dark-shadow-only walk and the eliminable-variable rule
+are copied here as they were, so the oracle imports only the Omega
+primitives (equality elimination, Fourier-Motzkin, the variable chooser)
+and none of the projection code it checks.
+
 The tracks are exposed separately (:func:`reference_pieces`,
 :func:`reference_real`) because both mint fresh wildcards: a caller that
 wants names comparable with the one-walk projection restarts the
@@ -23,13 +28,7 @@ from repro.omega.eliminate import (
     fourier_motzkin,
 )
 from repro.omega.errors import BudgetExhausted, OmegaComplexityError
-from repro.omega.project import (
-    _MAX_DEPTH,
-    _MAX_PIECES,
-    Projection,
-    _eliminable,
-    _project_dark_only,
-)
+from repro.omega.project import _MAX_DEPTH, _MAX_PIECES, Projection
 from repro.omega.solve import is_satisfiable
 from repro.omega.terms import Variable
 
@@ -112,6 +111,53 @@ def _pieces(
         for splinter in fm.splinters:
             _pieces(splinter, kept, out, depth + 1)
         return
+
+
+def _project_dark_only(
+    problem: Problem, kept: frozenset[Variable], out: list[Problem]
+) -> None:
+    """Fallback: a single dark-track piece (sound under-approximation)."""
+
+    outcome = eliminate_equalities(problem, protected=kept)
+    if not outcome.satisfiable:
+        return
+    current = outcome.problem
+    while True:
+        _guard.checkpoint("omega.project")
+        candidates = _eliminable(current, kept)
+        if not candidates:
+            normalized, status = current.normalized()
+            if status is not NormalizeStatus.UNSATISFIABLE:
+                out.append(normalized)
+            return
+        var, _ = choose_variable(current, candidates)
+        assert var is not None
+        fm = fourier_motzkin(current, var, want_splinters=False)
+        current, status = fm.dark.normalized()
+        if status is NormalizeStatus.UNSATISFIABLE:
+            return
+        outcome = eliminate_equalities(current, protected=kept)
+        if not outcome.satisfiable:
+            return
+        current = outcome.problem
+
+
+def _eliminable(problem: Problem, kept: frozenset[Variable]) -> frozenset[Variable]:
+    """Variables that still need (and can take) Fourier-Motzkin elimination.
+
+    After equality elimination with ``kept`` protected, the only wildcards
+    left inside equalities are stride-locked (they exactly encode a
+    divisibility constraint on kept variables) and must stay; wildcards
+    occurring solely in inequalities are ordinary FM candidates.
+    """
+
+    locked: set[Variable] = set()
+    for constraint in problem.constraints:
+        if constraint.is_equality:
+            locked.update(v for v in constraint.variables() if v.is_wildcard)
+    return frozenset(
+        v for v in problem.variables() if v not in kept and v not in locked
+    )
 
 
 def _false() -> Problem:

@@ -1,5 +1,7 @@
 """Unit tests for mod-hat, equality elimination, and Fourier-Motzkin."""
 
+import random
+
 import pytest
 
 from repro.omega import (
@@ -11,7 +13,9 @@ from repro.omega import (
     mod_hat,
     substitute,
 )
+from repro.omega.constraints import Constraint, Relation
 from repro.omega.eliminate import choose_variable
+from repro.omega.terms import LinearExpr
 
 from tests.util import brute_force_solutions
 
@@ -218,6 +222,87 @@ class TestFourierMotzkin:
         assert got == reference
 
 
+def random_bounds(rng, count, magnitude=9):
+    """``count`` random (coeff, rest) pairs over a shared variable set."""
+
+    names = [Variable(name) for name in ("i", "j", "k", "n")]
+    bounds = []
+    for _ in range(count):
+        coeff = rng.randint(1, magnitude)
+        terms = {
+            var: rng.randint(-magnitude, magnitude)
+            for var in rng.sample(names, rng.randint(0, len(names)))
+        }
+        bounds.append((coeff, LinearExpr(terms, rng.randint(-50, 50))))
+    return bounds
+
+
+def bounds_problem(lowers, uppers):
+    """``b*z + lo >= 0`` for each lower, ``-a*z + up >= 0`` for each upper."""
+
+    p = Problem()
+    for b, lo in lowers:
+        p.add(Constraint(LinearExpr({z: b}) + lo, Relation.GE))
+    for a, up in uppers:
+        p.add(Constraint(LinearExpr({z: -a}) + up, Relation.GE))
+    return p
+
+
+class TestShadowCrossProduct:
+    """The lower x upper cross product of one Fourier-Motzkin step."""
+
+    def test_exact_on_huge_coefficients(self):
+        # Coefficients far beyond 64 bits must come through exactly.
+        big = 1 << 64
+        lowers = [(3, LinearExpr({x: big}, 1))]
+        uppers = [(2, LinearExpr({x: -big}, 5))]
+        fm = fourier_motzkin(bounds_problem(lowers, uppers), z)
+        assert not fm.exact
+        (constraint,) = fm.real.constraints
+        # real = b*up + a*lo with b=3, a=2.
+        assert constraint.expr.coeff(x) == 3 * -big + 2 * big
+        assert constraint.expr.constant == 3 * 5 + 2 * 1
+        (tightened,) = fm.dark.constraints
+        assert tightened.expr.constant == constraint.expr.constant - 2
+
+    def test_pairs_match_sparse_arithmetic_in_order(self):
+        # Lower-major, upper-minor, each pair exactly ``b*up + a*lo``,
+        # with the terms in sorted variable order.
+        rng = random.Random(425)
+        for _ in range(40):
+            lowers = random_bounds(rng, rng.randint(1, 4))
+            uppers = random_bounds(rng, rng.randint(1, 4))
+            fm = fourier_motzkin(
+                bounds_problem(lowers, uppers), z, want_splinters=False
+            )
+            real, dark = [], []
+            for b, lo in lowers:
+                for a, up in uppers:
+                    combined = up * b + lo * a
+                    real.append(Constraint(combined, Relation.GE))
+                    dark.append(
+                        Constraint(combined - (a - 1) * (b - 1), Relation.GE)
+                    )
+            assert fm.real.constraints == real
+            assert fm.dark.constraints == dark
+            assert fm.exact == all(
+                a == 1 or b == 1 for b, _ in lowers for a, _ in uppers
+            )
+            for r, d in zip(fm.real.constraints, fm.dark.constraints):
+                assert (r is d) == (r == d)
+                assert list(r.expr.terms) == sorted(r.expr.terms)
+
+    def test_exact_pairs_share_the_constraint_object(self):
+        fm = fourier_motzkin(
+            bounds_problem(
+                [(1, LinearExpr({y: 1}, 0))], [(5, LinearExpr({y: -1}, 9))]
+            ),
+            z,
+        )
+        assert fm.exact
+        assert fm.real.constraints[0] is fm.dark.constraints[0]
+
+
 class TestChooseVariable:
     def test_prefers_unbounded(self):
         p = Problem().add_ge(x - y).add_bounds(0, y, 5).add_le(3 * z, y).add_le(
@@ -242,3 +327,20 @@ class TestChooseVariable:
     def test_none_for_empty_candidates(self):
         var, _ = choose_variable(Problem(), [])
         assert var is None
+
+    def test_max_growth_admits_only_cheap_exact_eliminations(self):
+        p = (
+            Problem()
+            .add_bounds(0, x, 5)
+            .add_le(3 * z, x)
+            .add_le(x, 5 * z)
+            .add_bounds(0, z, 5)
+        )
+        # x is exact and adds 2*2 - 2 - 2 = 0 constraints; z is inexact.
+        assert choose_variable(p, [x, z], max_growth=0) == (x, True)
+        assert choose_variable(p, [x, z], max_growth=-1) == (None, False)
+        # An unbounded variable qualifies whatever the limit.
+        assert choose_variable(p.add_ge(y - x), [x, y], max_growth=-1) == (
+            y,
+            True,
+        )

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import analyze
 from repro.obs import MetricsRegistry, collecting
-from repro.omega import Problem, Variable, collect_stats
+from repro.omega import Problem, Variable
 from repro.omega import terms as _terms
 from repro.omega.errors import OmegaComplexityError
 from repro.programs import timing_corpus
@@ -63,7 +63,7 @@ def counted(run):
     counts Fourier-Motzkin steps, ``omega.fm_inexact`` the inexact ones)."""
 
     registry = MetricsRegistry()
-    with collect_stats(), collecting(registry):
+    with collecting(registry):
         result = run()
     return result, registry
 

@@ -3,14 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.omega import (
-    OmegaStats,
-    Problem,
-    Variable,
-    collect_stats,
-    ge,
-    is_satisfiable,
-)
+from repro.obs import MetricsRegistry, collecting
+from repro.omega import Problem, Variable, ge, is_satisfiable
 
 from tests.util import boxed, brute_force_satisfiable
 
@@ -109,25 +103,28 @@ class TestBasicSatisfiability:
 
 class TestStats:
     def test_stats_collection(self):
-        with collect_stats() as stats:
+        with collecting(MetricsRegistry()) as stats:
             is_satisfiable(Problem().add_bounds(0, x, 5))
-        assert stats.satisfiability_tests == 1
-        assert stats.eliminations >= 1
+        assert stats.counter("omega.satisfiability_tests") == 1
+        assert stats.counter("omega.eliminations") >= 1
 
     def test_nested_stats(self):
-        with collect_stats() as outer:
-            with collect_stats() as inner:
+        with collecting(MetricsRegistry()) as outer:
+            with collecting(MetricsRegistry()) as inner:
                 is_satisfiable(Problem().add_bounds(0, x, 5))
             is_satisfiable(Problem().add_bounds(0, y, 5))
-        assert inner.satisfiability_tests == 1
-        assert outer.satisfiability_tests == 2
+        assert inner.counter("omega.satisfiability_tests") == 1
+        assert outer.counter("omega.satisfiability_tests") == 2
 
     def test_merge(self):
-        a = OmegaStats(satisfiability_tests=1)
-        b = OmegaStats(satisfiability_tests=2, eliminations=3)
+        a = MetricsRegistry()
+        a.inc("omega.satisfiability_tests")
+        b = MetricsRegistry()
+        b.inc("omega.satisfiability_tests", 2)
+        b.inc("omega.eliminations", 3)
         a.merge(b)
-        assert a.satisfiability_tests == 3
-        assert a.eliminations == 3
+        assert a.counter("omega.satisfiability_tests") == 3
+        assert a.counter("omega.eliminations") == 3
 
 
 # ---------------------------------------------------------------------------

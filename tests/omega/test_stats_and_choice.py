@@ -1,10 +1,11 @@
-"""Solver statistics and variable-choice behavior."""
+"""Solver counters and variable-choice behavior."""
 
 import pytest
 
-from repro.omega import Problem, Variable, collect_stats, is_satisfiable
+from repro.obs import MetricsRegistry, collecting
+from repro.obs.metrics import current_registry
+from repro.omega import Problem, Variable, is_satisfiable
 from repro.omega.eliminate import choose_variable
-from repro.omega.solve import current_stats
 
 x = Variable("x")
 y = Variable("y")
@@ -14,11 +15,11 @@ z = Variable("z")
 class TestStatsCounters:
     def test_exact_problem_no_inexact_steps(self):
         p = Problem().add_bounds(0, x, 5).add_le(x, y).add_le(y, 10)
-        with collect_stats() as stats:
+        with collecting(MetricsRegistry()) as stats:
             is_satisfiable(p)
-        assert stats.eliminations >= 1
-        assert stats.inexact_eliminations == 0
-        assert stats.splinters_examined == 0
+        assert stats.counter("omega.eliminations") >= 1
+        assert stats.counter("omega.inexact_eliminations") == 0
+        assert stats.counter("omega.splinters_examined") == 0
 
     def test_inexact_problem_counts_shadows(self):
         # Coefficients force non-unit lower/upper pairs on every variable.
@@ -31,11 +32,11 @@ class TestStatsCounters:
             .add_bounds(0, y, 9)
             .add_bounds(0, z, 9)
         )
-        with collect_stats() as stats:
+        with collecting(MetricsRegistry()) as stats:
             is_satisfiable(p)
         # Some elimination was inexact; either the dark shadow answered or
         # splinters were consulted.
-        assert stats.eliminations >= 1
+        assert stats.counter("omega.eliminations") >= 1
 
     def test_dark_shadow_hit_recorded(self):
         p = (
@@ -45,22 +46,25 @@ class TestStatsCounters:
             .add_bounds(0, x, 12)
             .add_bounds(6, y, 12)
         )
-        with collect_stats() as stats:
+        with collecting(MetricsRegistry()) as stats:
             assert is_satisfiable(p)
-        if stats.inexact_eliminations:
-            assert stats.dark_shadow_hits + stats.splinters_examined >= 1
+        if stats.counter("omega.inexact_eliminations"):
+            assert stats.counter("omega.dark_shadow_hits") + stats.counter("omega.splinters_examined") >= 1
 
     def test_current_stats_inside_context(self):
-        assert current_stats() is None
-        with collect_stats() as stats:
-            assert current_stats() is stats
-        assert current_stats() is None
+        assert current_registry() is None
+        with collecting(MetricsRegistry()) as stats:
+            assert current_registry() is stats
+            is_satisfiable(Problem().add_bounds(0, x, 5))
+        assert current_registry() is None
+        is_satisfiable(Problem().add_bounds(0, y, 5))
+        assert stats.counter("omega.satisfiability_tests") == 1
 
     def test_satisfiability_test_counter(self):
-        with collect_stats() as stats:
+        with collecting(MetricsRegistry()) as stats:
             is_satisfiable(Problem().add_ge(x))
             is_satisfiable(Problem().add_ge(y))
-        assert stats.satisfiability_tests == 2
+        assert stats.counter("omega.satisfiability_tests") == 2
 
 
 class TestChooseVariable:

@@ -550,12 +550,14 @@ class TestDiffCommand:
     def test_diff_ranks_injected_cache_regression(
         self, program_file, tmp_path, capsys
     ):
+        # A one-entry cache: an uncached run has no hit rate to drop.
         with caching(SolverCache()):
             cached = self.ledgered(program_file, tmp_path, "cached")
-        uncached = self.ledgered(program_file, tmp_path, "uncached")
+        with caching(SolverCache(maxsize=1)):
+            starved = self.ledgered(program_file, tmp_path, "starved")
         capsys.readouterr()
         assert main(
-            ["diff", str(cached), str(uncached), "--gate"]
+            ["diff", str(cached), str(starved), "--gate"]
         ) == 0  # config change: not a deterministic regression
         out = capsys.readouterr().out
         first_suspect = [
