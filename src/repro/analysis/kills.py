@@ -12,19 +12,21 @@ The left side is the victim dependence's own problem (already a
 conjunction, thanks to restraint vectors).  The right side needs a fresh
 instance of B; the two execution orders are disjunctions over carrier
 levels, so we enumerate case pairs, project each onto (i, k, Sym), and test
-the implication against the union of all resulting pieces.
+the implication against the union of all resulting pieces.  A B that reads
+an index array kills nothing: its function values would sit on the
+existential side, free to suit the kill.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..guard import budget as _guard
 from ..ir.ast import Access
 from ..obs.audit import note_conservative as _note_conservative
 from ..obs.instrument import metrics as _metrics
 from ..obs.instrument import span as _span
-from ..omega import Problem, Variable
+from ..omega import Problem
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from ..solver import SolverQuery, implies_union, submit_batch
 from .dependences import Dependence
@@ -200,6 +202,12 @@ class KillTester:
             lhs = _translate(b_sub, b_ctx, self.symbols, extra_domain)
             rhs = _translate(c_sub, pair.dst_ctx, self.symbols, extra_domain)
             coupling.add_eq(lhs, rhs)
+        # B reads an index array (in its bounds, or in a subscript the
+        # loop above translated).  A sound kill must hold for every
+        # interpretation of that function, but the projection below
+        # would let the solver pick B's values to suit the kill: decline.
+        if b_ctx.occurrences:
+            return False
 
         ab_cases = execution_order_cases(pair.src_ctx, b_ctx)
         bc_cases = execution_order_cases(b_ctx, pair.dst_ctx)
@@ -218,12 +226,6 @@ class KillTester:
             + pair.sym_vars()
         )
         keep_set = set(keep)
-        # Symbolic variables minted for B's own uterm occurrences belong to
-        # the existential side and must be projected away with B's loop
-        # variables.
-        b_side_syms = {occ.value_var for occ in b_ctx.occurrences}
-        for occ in b_ctx.occurrences:
-            b_side_syms.update(occ.arg_vars)
         cases = [
             Problem(
                 list(victim.problem.constraints)
@@ -247,8 +249,7 @@ class KillTester:
                     [
                         v
                         for v in case.variables()
-                        if v in keep_set
-                        or (v.is_symbolic and v not in b_side_syms)
+                        if v in keep_set or v.is_symbolic
                     ],
                 )
                 for case in survivors

@@ -29,8 +29,8 @@ from typing import Iterable, Sequence
 from ..ir.ast import Access
 from ..omega import Constraint, LinearExpr, Problem, Variable
 from ..solver import gist, gist_of_projection, is_satisfiable, project
-from .dependences import Dependence, DependenceKind, compute_dependences
-from .problem import PairProblem, SymbolTable, UTermOccurrence, build_pair_problem
+from .dependences import DependenceKind
+from .problem import SymbolTable, UTermOccurrence, build_pair_problem
 from .vectors import RestraintVector, restraint_vectors
 
 __all__ = [
@@ -70,15 +70,6 @@ class SymbolicCondition:
         return f"{self.restraint}: {format_problem(self.condition)}"
 
 
-def _single_piece(problem: Problem, keep: Sequence[Variable]) -> tuple[Problem, bool]:
-    projection = project(problem, keep)
-    if projection.exact_union and len(projection.pieces) == 1:
-        return projection.pieces[0], True
-    if projection.exact_union and not projection.pieces:
-        return Problem.false(), True
-    return projection.real, False
-
-
 def dependence_conditions(
     src: Access,
     dst: Access,
@@ -115,7 +106,7 @@ def dependence_conditions(
         # Section 3.3.2: combined red/black projection-and-gist (with the
         # independent-projection fallback when an elimination is inexact).
         condition = gist_of_projection(p, pair.coupling, keep)
-        p_proj, p_exact = _single_piece(p, keep)
+        p_proj, p_exact = project(p, keep).single()
         conditions.append(
             SymbolicCondition(restraint, condition, p_proj, exact=p_exact)
         )
@@ -282,11 +273,11 @@ def generate_query(
         )
         pq = p.conjoin(pair.coupling)
         keep = value_vars + arg_vars + plain_syms
-        p_proj, _ = _single_piece(p, keep)
-        pq_proj, _ = _single_piece(pq, keep)
+        p_proj, _ = project(p, keep).single()
+        pq_proj, _ = project(pq, keep).single()
         condition = gist(pq_proj, p_proj)
         context_keep = arg_vars + plain_syms
-        context, _ = _single_piece(p, context_keep)
+        context, _ = project(p, context_keep).single()
         arg_names = tuple(
             sorted({renaming[a] for a in arg_vars if a in renaming})
         )

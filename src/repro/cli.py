@@ -55,20 +55,6 @@ Commands
     degrades to sound superset answers rather than erroring
     (``--default-deadline-ms``).  SIGTERM drains gracefully.  See
     ``docs/SERVICE.md``.
-
-``diff OLD NEW``
-    Differential regression attribution: compare two run records (ledger
-    files or single-record JSON), precision artifacts or trace files and
-    print a ranked suspects report — the metric, stage or timing shifts
-    most likely responsible for a regression.  ``--kind``
-    selects which record kind to compare from a ledger; ``--gate`` exits
-    nonzero when any deterministic (configuration-independent) regression
-    is among the suspects.
-
-Every ``analyze``/``audit`` invocation appends one ``repro.run/1``
-record to the ledger at ``results/runs.jsonl`` (``--ledger PATH``
-redirects it, ``--no-ledger`` or ``REPRO_NO_LEDGER=1`` suppresses it) —
-the cross-run layer ``diff`` consumes.
 """
 
 from __future__ import annotations
@@ -76,7 +62,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import pathlib
 import sys
 from contextlib import ExitStack
@@ -97,17 +82,14 @@ from .obs import (
     MetricsRegistry,
     RunContext,
     Tracer,
-    append_run,
     collecting,
     new_run_id,
     prometheus_text,
     publishing,
     run_context,
-    run_record,
     tracing,
     write_otlp_jsonl,
 )
-from .obs.telemetry.ledger import DEFAULT_LEDGER
 from .reporting import flow_tables
 
 __all__ = ["main", "build_parser"]
@@ -315,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
             "bit-identical, repeat runs answer from the store)"
         ),
     )
-    _add_ledger_flags(analyze_cmd)
 
     trace_cmd = commands.add_parser(
         "trace", help="run the analysis under the tracer, write Chrome-trace JSON"
@@ -420,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --deadline-ms: raise on budget exhaustion instead",
     )
-    _add_ledger_flags(audit_cmd)
 
     serve_cmd = commands.add_parser(
         "serve",
@@ -503,81 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MS",
         help="hard cap on any requested deadline_ms",
     )
-    _add_ledger_flags(serve_cmd)
-
-    diff_cmd = commands.add_parser(
-        "diff",
-        help="rank the likely causes of a regression between two runs",
-    )
-    diff_cmd.add_argument(
-        "old",
-        type=pathlib.Path,
-        help="baseline: run ledger/record, precision artifact or trace",
-    )
-    diff_cmd.add_argument(
-        "new",
-        type=pathlib.Path,
-        help="candidate of the same input type as OLD",
-    )
-    diff_cmd.add_argument(
-        "--kind",
-        choices=("analyze", "audit"),
-        help="which record kind to select when the inputs are run ledgers",
-    )
-    diff_cmd.add_argument(
-        "--gate",
-        action="store_true",
-        help=(
-            "exit nonzero when a deterministic (configuration-independent) "
-            "regression is among the suspects"
-        ),
-    )
-    diff_cmd.add_argument(
-        "-o",
-        "--out",
-        type=pathlib.Path,
-        metavar="PATH",
-        help="also write the suspects report to PATH",
-    )
     return parser
-
-
-def _add_ledger_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--ledger",
-        type=pathlib.Path,
-        nargs="?",
-        const=DEFAULT_LEDGER,
-        default=None,
-        metavar="PATH",
-        help=(
-            "append this run's record to PATH (default: results/runs.jsonl; "
-            "an explicit --ledger overrides REPRO_NO_LEDGER)"
-        ),
-    )
-    cmd.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="skip the run ledger entirely",
-    )
-
-
-def _ledger_path(args) -> pathlib.Path | None:
-    """Where to append this invocation's run record, or None to skip.
-
-    ``--no-ledger`` always wins; an explicit ``--ledger`` force-enables
-    (so tests and CI can opt back in under ``REPRO_NO_LEDGER``); the
-    environment kill-switch covers everything else; the default is
-    ``results/runs.jsonl``.
-    """
-
-    if args.no_ledger:
-        return None
-    if args.ledger is not None:
-        return args.ledger
-    if os.environ.get("REPRO_NO_LEDGER", "").strip() not in ("", "0"):
-        return None
-    return DEFAULT_LEDGER
 
 
 class InputError(Exception):
@@ -634,11 +540,10 @@ def _cmd_analyze(args) -> int:
         options.deadline_ms = args.deadline_ms
     if args.strict:
         options.policy = "raise"
-    ledger = _ledger_path(args)
     tracer = Tracer() if (args.trace_out or args.otlp_out) else None
     registry = (
         MetricsRegistry()
-        if (args.stats or args.metrics_out or args.prom_out or ledger)
+        if (args.stats or args.metrics_out or args.prom_out)
         else None
     )
     bus: EventBus | None = None
@@ -674,25 +579,7 @@ def _cmd_analyze(args) -> int:
                 "rerun without --strict for a sound conservative answer",
                 file=sys.stderr,
             )
-            if ledger is not None:
-                append_run(
-                    run_record(
-                        "analyze",
-                        program=program.name,
-                        options=options,
-                        registry=registry,
-                        error=str(failure),
-                    ),
-                    ledger,
-                )
             return 2
-        record = run_record(
-            "analyze",
-            program=program.name,
-            options=options,
-            registry=registry,
-            result=result,
-        )
     if args.json:
         from .reporting import result_to_json
 
@@ -760,9 +647,6 @@ def _cmd_analyze(args) -> int:
             f"{len(bus.events)} events written to {args.events_out}",
             file=sys.stderr,
         )
-    if ledger is not None:
-        append_run(record, ledger)
-        print(f"run recorded in {ledger}", file=sys.stderr)
     return 0
 
 
@@ -866,22 +750,10 @@ def _cmd_audit(args) -> int:
     else:
         programs = None  # the whole corpus
         out = args.out or pathlib.Path("results/precision_omega.json")
-    ledger = _ledger_path(args)
-    registry = MetricsRegistry() if ledger is not None else None
-    with ExitStack() as stack:
-        stack.enter_context(run_context(RunContext(run_id=new_run_id())))
-        if registry is not None:
-            stack.enter_context(collecting(registry))
-        artifact = precision_report(
-            programs,
-            progress=lambda name: print(f"audit: {name}", file=sys.stderr),
-        )
-        if ledger is not None:
-            append_run(
-                run_record("audit", registry=registry, artifact=artifact),
-                ledger,
-            )
-            print(f"run recorded in {ledger}", file=sys.stderr)
+    artifact = precision_report(
+        programs,
+        progress=lambda name: print(f"audit: {name}", file=sys.stderr),
+    )
     if args.json:
         print(json.dumps(artifact, indent=2))
     else:
@@ -905,7 +777,6 @@ def _cmd_serve(args) -> int:
         return 2
     kwargs: dict = {
         "store_path": None if args.no_store else args.store,
-        "ledger_path": _ledger_path(args),
         "max_inflight": args.max_inflight,
         "queue_depth": args.queue_depth,
         "queue_timeout_s": args.queue_timeout_s,
@@ -936,25 +807,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_diff(args) -> int:
-    from .obs import diff_paths
-
-    try:
-        report = diff_paths(args.old, args.new, kind=args.kind)
-    except (OSError, ValueError) as failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return 2
-    text = report.render()
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
-        print(f"report written to {args.out}", file=sys.stderr)
-    if args.gate:
-        return 0 if report.ok else 1
-    return 0
-
-
 def _cmd_cholsky(_args) -> int:
     from .programs import cholsky
 
@@ -975,7 +827,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "cholsky": _cmd_cholsky,
         "audit": _cmd_audit,
         "serve": _cmd_serve,
-        "diff": _cmd_diff,
     }
     try:
         return handlers[args.command](args)

@@ -88,18 +88,11 @@ from .telemetry import (  # noqa: E402
     EventBus,
     JsonlSink,
     RunContext,
-    SuspectsReport,
-    append_run,
     current_bus,
     current_run,
-    diff_paths,
-    last_run,
     new_run_id,
     publishing,
-    read_runs,
     run_context,
-    run_record,
-    stable_view,
 )
 
 __all__ = [
@@ -142,18 +135,11 @@ __all__ = [
     "EventBus",
     "JsonlSink",
     "RunContext",
-    "SuspectsReport",
-    "append_run",
     "current_bus",
     "current_run",
-    "diff_paths",
-    "last_run",
     "new_run_id",
     "publishing",
-    "read_runs",
     "run_context",
-    "run_record",
-    "stable_view",
     # exporters
     "otlp_spans",
     "prometheus_text",

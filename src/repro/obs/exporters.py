@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .metrics import MetricsRegistry
 from .trace import SpanEvent, _jsonable

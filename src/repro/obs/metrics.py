@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 __all__ = [
     "CATALOG",
@@ -130,7 +130,6 @@ CATALOG: tuple[str, ...] = (
     # Telemetry pipeline (repro.obs.telemetry).
     "obs.events.emitted",
     "obs.events.sampled_out",
-    "obs.runs.recorded",
 )
 
 #: Well-known gauges.  Gauges are point-in-time values, so they are not

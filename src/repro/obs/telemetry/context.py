@@ -3,10 +3,10 @@
 A :class:`RunContext` names one unit of attributable work: the ``run_id``
 identifies a whole CLI invocation (or server process run), the optional
 ``request_id`` one request multiplexed into it — the shape ``python -m
-repro serve`` will need.  Activating a context with :func:`run_context`
-makes it visible to the ledger (run records carry the id), the event bus
-(every event is stamped) and the exporters (the OTLP trace id derives
-from it).
+repro serve`` uses.  Activating a context with :func:`run_context`
+makes it visible to the event bus (every event is stamped), the
+analysis root span and the exporters (the OTLP trace id derives from
+it).
 
 Like every other obs stack, the context stack is thread-local and the
 fast path is one list check: :func:`current_run` returns ``None``

@@ -43,7 +43,7 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from ..obs import metrics as _metrics
-from .constraints import Constraint, Problem, canonicalize_problems
+from .constraints import Constraint, Problem
 from .errors import OmegaComplexityError
 from .terms import LinearExpr, Variable, fresh_wildcard
 

@@ -21,12 +21,11 @@ the configured complexity budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .constraints import Constraint, Problem, Relation, eq as _eq, ge as _ge
+from .constraints import Constraint, Problem, eq as _eq, ge as _ge
 from .errors import OmegaComplexityError
-from .gist import implies as _implies_problem
 from .project import project_away
 from .solve import is_satisfiable
 from .terms import LinearExpr, Variable

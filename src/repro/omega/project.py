@@ -75,6 +75,17 @@ class Projection:
 
         return not self.pieces
 
+    def single(self) -> tuple[Problem, bool]:
+        """The projection as one conjunction, and whether it is exact.
+
+        An exact union gives its one piece (FALSE when it has none);
+        anything else gives the Real Shadow, an over-approximation.
+        """
+
+        if self.exact_union and len(self.pieces) <= 1:
+            return self.dark, True
+        return self.real, False
+
     def __str__(self) -> str:
         body = " OR ".join(f"({p})" for p in self.pieces) or "FALSE"
         return body

@@ -211,14 +211,6 @@ def gist_of_projection(
     fast = combined_projection_gist(p, q, keep)
     if fast is not None:
         return fast
-    p_projection = project(p, keep)
-    pq_projection = project(p.conjoin(q), keep)
-
-    def single(projection) -> Problem:
-        if projection.exact_union and len(projection.pieces) == 1:
-            return projection.pieces[0]
-        if projection.exact_union and not projection.pieces:
-            return Problem.false()
-        return projection.real
-
-    return gist(single(pq_projection), single(p_projection))
+    p_single, _ = project(p, keep).single()
+    pq_single, _ = project(p.conjoin(q), keep).single()
+    return gist(pq_single, p_single)

@@ -20,9 +20,9 @@ Degrade-don't-die, layer by layer:
 4. Anything unexpected → status ``error`` in-band.  The daemon never
    turns an analysis problem into a transport failure and never exits.
 
-Every request gets a ``repro.run/1`` ledger record (kind ``serve``)
-when a ledger is configured, a ``serve.request_seconds`` histogram
-observation and ``serve.*`` counters in the server registry.
+Every request gets a ``serve.request_seconds`` histogram observation
+and ``serve.*`` counters in the server registry, which ``/stats``
+reports.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from ..ir import IRError, parse
 from ..obs import (
     MetricsRegistry,
     RunContext,
-    append_run,
     collecting,
     new_run_id,
     run_context,
-    run_record,
 )
 from ..obs import metrics as _metrics
 from ..omega.cache import SolverCache
@@ -81,7 +79,6 @@ class ServeApp:
         self,
         *,
         store_path=None,
-        ledger_path=None,
         max_inflight: int = 4,
         queue_depth: int = 16,
         queue_timeout_s: float = 1.0,
@@ -105,7 +102,6 @@ class ServeApp:
             queue_depth=queue_depth,
             queue_timeout_s=queue_timeout_s,
         )
-        self.ledger_path = ledger_path
         self.default_deadline_ms = default_deadline_ms
         self.max_deadline_ms = max_deadline_ms
         self.result_cache_size = result_cache_size
@@ -346,7 +342,6 @@ class ServeApp:
             self._result_cache_put((source_digest, options_key), envelope)
         if self.store is not None:
             self.store.flush()
-        self._record(request, program.name, options, result)
         return envelope
 
     def _build_options(self, request: dict) -> tuple[AnalysisOptions, tuple]:
@@ -400,27 +395,7 @@ class ServeApp:
             while len(self._result_cache) > self.result_cache_size:
                 self._result_cache.popitem(last=False)
 
-    # -- telemetry -------------------------------------------------------
-
-    def _record(self, request, program_name, options, result) -> None:
-        if self.ledger_path is None:
-            return
-        try:
-            record = run_record(
-                "serve",
-                program=program_name,
-                options=options,
-                registry=self.registry,
-                result=result,
-            )
-            record["serve"] = {
-                "op": request["op"],
-                "admission": self.admission.stats(),
-                "store": self.store.stats() if self.store else None,
-            }
-            append_run(record, self.ledger_path)
-        except Exception:  # noqa: BLE001 - telemetry must not kill serving
-            pass
+    # -- introspection ---------------------------------------------------
 
     def stats(self) -> dict:
         """The /stats snapshot: every layer's counters in one place."""

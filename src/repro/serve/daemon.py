@@ -53,7 +53,7 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.app  # type: ignore[attr-defined]
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # the ledger and metrics are the access log
+        pass  # the metrics registry (/stats) is the access log
 
     def address_string(self) -> str:
         # AF_UNIX peers have no (host, port); never reverse-resolve.

@@ -38,6 +38,41 @@ def deps_between(program, src_label, dst_label, kind=DependenceKind.FLOW, array=
     return found
 
 
+def missed_flows(source, n=3, **contents):
+    """The flows the interpreter observes that ``analyze()`` kills.
+
+    Each keyword names an index array and lists its contents from index
+    1; every other array element reads 0.  A flow is missed when no live
+    dependence between its two accesses admits its distance.
+    """
+
+    from repro.ir import run_program, value_based_flows
+
+    program = parse(source)
+
+    def initial(address):
+        name, index = address
+        values = contents.get(name)
+        return 0 if values is None else values[index[0] - 1]
+
+    live = analyze(program).live_flow()
+    trace = run_program(program, {"n": n}, initial)
+    return sorted(
+        (
+            flow.source.statement.label,
+            flow.destination.statement.label,
+            flow.distance,
+        )
+        for flow in value_based_flows(trace)
+        if not any(
+            dep.src is flow.source
+            and dep.dst is flow.destination
+            and any(v.admits(flow.distance) for v in dep.directions)
+            for dep in live
+        )
+    )
+
+
 class TestCovering:
     def test_full_overwrite_covers(self):
         program = parse(
@@ -306,45 +341,62 @@ class TestGroundTruthCorpus:
         assert actual <= live_pairs
         assert not (actual & dead_pairs)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "analyze() kills the (+,*) flow the interpreter observes; see "
-            "the ROADMAP item 'An unsound kill when an index array bounds "
-            "a loop'"
-        ),
-    )
-    def test_index_array_loop_bound_keeps_observed_flows(self):
-        from repro.ir import run_program, value_based_flows
-
-        program = parse(
+    #: Index arrays in the killer's loop bounds: (program, contents).
+    INDEX_BOUND_CASES = {
+        "len": (
             """
             array x[1:n]
             for i := 1 to n do
               for k := 1 to len(i) do
                 x(i) := x(i) - x(col(k))
+            """,
+            dict(len=[2, 2, 2], col=[1, 2]),
+        ),
+        "csr": (
             """
+            array x[1:n]
+            for i := 1 to n do
+              for k := rowptr(i) to rowptr(i+1)-1 do
+                x(i) := x(i) - x(col(k))
+            """,
+            dict(rowptr=[1, 3, 4, 6], col=[1, 2, 1, 2, 3]),
+        ),
+        # Row 1 is empty: s1's x(1) reaches s3 with no s2 in between.
+        "forward-substitution": (
+            """
+            for i := 1 to n do {
+              x(i) := b(i)
+              for k := rowptr(i) to rowptr(i+1)-1 do
+                x(i) := x(i) - a(k) * x(col(k))
+              x(i) := x(i) * d(i)
+            }
+            """,
+            dict(rowptr=[1, 1, 2, 4], col=[1, 1, 2]),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(INDEX_BOUND_CASES))
+    def test_index_array_loop_bound_keeps_observed_flows(self, case):
+        source, contents = self.INDEX_BOUND_CASES[case]
+        assert missed_flows(source, **contents) == []
+
+    @pytest.mark.parametrize(
+        "declaration", ["", "array x[1:n]"], ids=["unbounded", "bounded"]
+    )
+    def test_write_through_an_index_array_keeps_observed_flows(
+        self, declaration
+    ):
+        # p permutes 1 and 2, so iteration 1's x(p(1)) := b(1) writes
+        # x(2), not x(1): s1's x(1) still reaches s3.
+        missed = missed_flows(
+            declaration
+            + """
+            for i := 1 to n do {
+              x(i) := a(i)
+              x(p(i)) := b(i)
+              c(i) := x(i)
+            }
+            """,
+            p=[2, 1, 3],
         )
-        col = [1, 2]
-
-        def initial(address):
-            name, index = address
-            if name == "len":
-                return 2
-            if name == "col":
-                return col[index[0] - 1]
-            return 0
-
-        live = analyze(program).live_flow()
-        trace = run_program(program, {"n": 3}, initial)
-        missed = [
-            flow.distance
-            for flow in value_based_flows(trace)
-            if not any(
-                dep.src is flow.source
-                and dep.dst is flow.destination
-                and any(v.admits(flow.distance) for v in dep.directions)
-                for dep in live
-            )
-        ]
         assert missed == []

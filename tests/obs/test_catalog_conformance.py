@@ -68,7 +68,6 @@ class TestCatalogConformance:
         found = {(kind, name) for kind, name, _ in emitted_names()}
         assert ("counter", "analysis.pairs_analyzed") in found
         assert ("counter", "obs.events.emitted") in found
-        assert ("counter", "obs.runs.recorded") in found
         assert ("histogram", "analysis.pair_seconds") in found
         assert ("gauge", "omega.cache.size") in found
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis import AnalysisOptions, analyze
 from repro.ir import parse
-from repro.obs.telemetry.ledger import read_runs
 from repro.reporting import result_to_dict
 from repro.serve import ServeApp
 
@@ -235,21 +234,17 @@ def test_tiny_deadline_degrades_soundly_never_500s(app):
         assert app.stats()["result_cache"]["size"] == 0
 
 
-def test_ledger_records_serve_runs(tmp_path):
-    ledger = tmp_path / "serve_runs.jsonl"
-    app = ServeApp(store_path=tmp_path / "store.db", ledger_path=ledger)
+def test_requests_write_nothing_under_the_working_directory(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    app = ServeApp()
     try:
-        submit(app, "recurrence", RECURRENCE)
+        http, envelope = submit(app, "recurrence", RECURRENCE)
     finally:
         app.close()
-    records = read_runs(ledger)
-    assert len(records) == 1
-    record = records[0]
-    assert record["kind"] == "serve"
-    assert record["program"] == "recurrence"
-    assert record["serve"]["op"] == "analyze"
-    assert record["serve"]["store"]["writes"] > 0
-    assert "backend" not in record
+    assert http == 200 and envelope["status"] == "ok"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_handle_never_raises_even_on_garbage(app):

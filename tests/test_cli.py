@@ -67,6 +67,21 @@ class TestParser:
         assert f"invalid choice: '{command}'" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["diff", "a", "b"], ["analyze", "x.loop", "--ledger", "x"]],
+        ids=["diff", "ledger"],
+    )
+    def test_removed_ledger_surface_is_a_usage_error(self, argv, capsys):
+        """The retired run-ledger command and flag are usage errors."""
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "Traceback" not in err
+
 
 class TestAnalyzeCommand:
     def test_extended_kills(self, program_file, capsys):
@@ -404,61 +419,15 @@ class TestAuditCommand:
 
 
 class TestTelemetryFlags:
-    def test_ledger_flag_appends_a_run_record(self, program_file, tmp_path):
-        ledger = tmp_path / "runs.jsonl"
-        assert main(
-            ["analyze", str(program_file), "--ledger", str(ledger)]
-        ) == 0
-        assert main(
-            ["analyze", str(program_file), "--ledger", str(ledger)]
-        ) == 0
-        records = [
-            json.loads(line) for line in ledger.read_text().splitlines()
-        ]
-        assert len(records) == 2
-        first = records[0]
-        assert first["schema"] == "repro.run/1"
-        assert first["kind"] == "analyze"
-        assert first["program"] == "kill"
-        assert first["options"]["extended"] is True
-        assert first["metrics"]["counters"]["analysis.pairs_analyzed"] > 0
-        assert records[0]["run_id"] != records[1]["run_id"]
-
-    def test_no_ledger_and_env_suppression(self, program_file, tmp_path):
-        # conftest sets REPRO_NO_LEDGER=1: without an explicit --ledger
-        # nothing is written, with --no-ledger nothing ever is.
-        import repro.obs.telemetry.ledger as ledger_mod
-
+    def test_runs_write_only_the_requested_outputs(
+        self, program_file, tmp_path, monkeypatch, capsys
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
         assert main(["analyze", str(program_file)]) == 0
-        assert not ledger_mod.DEFAULT_LEDGER.exists() or True  # no write here
-        assert main(["analyze", str(program_file), "--no-ledger"]) == 0
-
-    def test_error_runs_are_recorded(self, program_file, tmp_path, capsys):
-        ledger = tmp_path / "runs.jsonl"
-        assert main(
-            [
-                "analyze", str(program_file),
-                "--deadline-ms", EXPIRED_MS, "--strict",
-                "--ledger", str(ledger),
-            ]
-        ) == 2
-        record = json.loads(ledger.read_text().splitlines()[0])
-        assert record["kind"] == "analyze"
-        assert record["error"]
-
-    def test_audit_records_precision_totals(self, program_file, tmp_path):
-        ledger = tmp_path / "runs.jsonl"
-        assert main(
-            [
-                "audit", str(program_file),
-                "--out", str(tmp_path / "p.json"),
-                "--ledger", str(ledger),
-            ]
-        ) == 0
-        record = json.loads(ledger.read_text().splitlines()[0])
-        assert record["kind"] == "audit"
-        assert record["summary"]["totals"]["pairs"] > 0
-        assert record["metrics"]["counters"]["solver.queries"] >= 0
+        assert main(["audit", str(program_file), "--out", "p.json"]) == 0
+        assert sorted(path.name for path in work.rglob("*")) == ["p.json"]
 
     def test_events_out_streams_lifecycle(self, program_file, tmp_path):
         events_path = tmp_path / "events.jsonl"
@@ -518,8 +487,6 @@ class TestTelemetryFlags:
         assert str(args.prom_out) == "results/metrics.prom"
         args = build_parser().parse_args(["analyze", "x.loop", "--events-out"])
         assert str(args.events_out) == "results/events.jsonl"
-        args = build_parser().parse_args(["analyze", "x.loop", "--ledger"])
-        assert str(args.ledger) == "results/runs.jsonl"
 
     def test_metrics_out_creates_parent_directories(
         self, program_file, tmp_path
@@ -529,76 +496,6 @@ class TestTelemetryFlags:
             ["analyze", str(program_file), "--metrics-out", str(nested)]
         ) == 0
         assert json.loads(nested.read_text())["counters"]
-
-
-class TestDiffCommand:
-    def ledgered(self, program_file, tmp_path, name, *flags):
-        path = tmp_path / f"{name}.jsonl"
-        assert main(
-            ["analyze", str(program_file), "--ledger", str(path), *flags]
-        ) == 0
-        return path
-
-    def test_diff_equivalent_runs(self, program_file, tmp_path, capsys):
-        a = self.ledgered(program_file, tmp_path, "a")
-        capsys.readouterr()
-        assert main(["diff", str(a), str(a)]) == 0
-        out = capsys.readouterr().out
-        assert "differential attribution" in out
-        assert "no suspects" in out
-
-    def test_diff_ranks_injected_cache_regression(
-        self, program_file, tmp_path, capsys
-    ):
-        # A one-entry cache: an uncached run has no hit rate to drop.
-        with caching(SolverCache()):
-            cached = self.ledgered(program_file, tmp_path, "cached")
-        with caching(SolverCache(maxsize=1)):
-            starved = self.ledgered(program_file, tmp_path, "starved")
-        capsys.readouterr()
-        assert main(
-            ["diff", str(cached), str(starved), "--gate"]
-        ) == 0  # config change: not a deterministic regression
-        out = capsys.readouterr().out
-        first_suspect = [
-            line for line in out.splitlines() if line.strip().startswith("1 ")
-        ][0]
-        assert "cache hit-rate dropped" in first_suspect
-        assert "gate: PASS" in out
-
-    def test_diff_gate_fails_on_degradations(
-        self, program_file, tmp_path, capsys
-    ):
-        calm = self.ledgered(program_file, tmp_path, "calm")
-        stormy = self.ledgered(
-            program_file, tmp_path, "stormy", "--deadline-ms", EXPIRED_MS
-        )
-        capsys.readouterr()
-        assert main(["diff", str(calm), str(stormy), "--gate"]) == 1
-        out = capsys.readouterr().out
-        assert "gate: FAIL" in out
-        assert "degradations" in out
-
-    def test_diff_without_gate_exits_zero(
-        self, program_file, tmp_path, capsys
-    ):
-        calm = self.ledgered(program_file, tmp_path, "calm")
-        stormy = self.ledgered(
-            program_file, tmp_path, "stormy", "--deadline-ms", EXPIRED_MS
-        )
-        capsys.readouterr()
-        assert main(["diff", str(calm), str(stormy)]) == 0
-
-    def test_diff_writes_report_file(self, program_file, tmp_path, capsys):
-        a = self.ledgered(program_file, tmp_path, "a")
-        report_path = tmp_path / "deep" / "suspects.txt"
-        assert main(["diff", str(a), str(a), "--out", str(report_path)]) == 0
-        assert "differential attribution" in report_path.read_text()
-
-    def test_diff_rejects_bad_inputs(self, tmp_path, capsys):
-        missing = tmp_path / "nope.json"
-        assert main(["diff", str(missing), str(missing)]) == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestStoreFlag:
@@ -650,9 +547,8 @@ class TestServeCommands:
 class TestOutFlagsCreateParents:
     """Every output flag writes into a directory that does not exist yet.
 
-    ``--metrics-out`` and ``diff --out`` are covered by
-    ``test_metrics_out_creates_parent_directories`` and
-    ``test_diff_writes_report_file``.
+    ``--metrics-out`` is covered by
+    ``test_metrics_out_creates_parent_directories``.
     """
 
     @pytest.mark.parametrize(
@@ -662,7 +558,6 @@ class TestOutFlagsCreateParents:
             "--prom-out",
             "--otlp-out",
             "--events-out",
-            "--ledger",
         ],
     )
     def test_analyze_out_flag(self, flag, program_file, tmp_path):
