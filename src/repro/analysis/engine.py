@@ -21,20 +21,20 @@ wraps its phases and per-pair work in ``span(...)`` blocks and derives
 :class:`PairRecord` / :class:`KillTiming` durations from them, so the same
 substrate feeds the figures, Chrome-trace export and the metrics registry.
 
-When an observer is on (``explain=True``, ``audit=True`` or an active
-event bus) the engine writes each per-pair fact exactly once, as one
+When an observer is on (``explain=True`` or ``audit=True``) the engine
+writes each per-pair fact exactly once, as one
 :class:`repro.obs.explain.Step` in pipeline order.  At the end of each
 read it builds the read's provenance records from the steps and the
 dependences' final state.  At the read-order merge point, the explain
-decisions and the ``pair.*`` events are derived from the same steps and
-records.  With no observer on, nothing is recorded.
+decisions are derived from the same steps and records.  With no
+observer on, nothing is recorded.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import asdict as _asdict, dataclass, field, replace as _replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..guard import Budget, DegradationLog
 from ..guard import budget as _guard
@@ -53,8 +53,6 @@ from ..obs.instrument import metrics as _metrics
 from ..obs.instrument import span as _span
 from ..obs.instrument import tracing as _tracing
 from ..obs.instrument import tracing_active as _tracing_active
-from ..obs.telemetry.context import current_run as _current_run
-from ..obs.telemetry.events import EventBus, current_bus as _current_bus
 from ..omega import Constraint
 from ..solver import SolverService, current_cache, current_service
 from .cover import cover_quick_reject, covers_destination, terminates_source
@@ -64,7 +62,7 @@ from .dependences import (
     DependenceStatus,
     compute_dependences,
 )
-from .kills import KillTester, kill_quick_reject
+from .kills import KillTester
 from .plan import QueryPlan
 from .problem import SymbolTable, common_depth
 from .refine import refine_dependence
@@ -80,7 +78,7 @@ class _ReadSink:
     the engine merges sinks in read order afterwards, so every view of
     the trail follows read order."""
 
-    #: Record the per-pair trail: explain, audit or an event bus is on.
+    #: Record the per-pair trail: explain or audit is on.
     trail: bool
     #: The trail: one step per action on a dependence, in pipeline order.
     steps: list[Step] = field(default_factory=list)
@@ -206,8 +204,6 @@ class Analyzer:
         self.terminators: dict[Access, list[Dependence]] = {}
         self.audit: AuditLog | None = AuditLog() if options.audit else None
         self.result.audit = self.audit
-        #: The live event bus, when one is publishing (set by :meth:`run`).
-        self.bus: EventBus | None = None
         #: The solver service every query of this run goes through (set by
         #: :meth:`run`; adopted or private, see there).
         self.service: SolverService | None = None
@@ -254,9 +250,6 @@ class Analyzer:
                 )
             if self.audit is not None:
                 stack.enter_context(_auditing(self.audit))
-            self.bus = _current_bus()
-            if self.bus is not None:
-                self.bus.emit("run.start", self.program.name)
             # The query planner drives every run, governed or not: core
             # reductions are best-effort (see ``PlanSpace.core``) and every
             # probe still crosses the service as its own shielded query.
@@ -266,20 +259,10 @@ class Analyzer:
                 assertions=self.options.assertions,
                 array_bounds=self.program.array_bounds,
             )
-            # Attribute the run's root span to the active RunContext so
-            # exported traces carry the request identity.
-            span_attrs = {"program": self.program.name}
-            context = _current_run()
-            if context is not None:
-                span_attrs["run"] = context.run_id
-                if context.request_id is not None:
-                    span_attrs["request"] = context.request_id
-            with _span("analysis.analyze", **span_attrs) as sp:
+            with _span("analysis.analyze", program=self.program.name) as sp:
                 self._run_phases()
             if self.audit is not None:
                 self._finalize_audit()
-            if self.bus is not None:
-                self._emit_run_end()
             if sp.duration:
                 _metrics.observe("analysis.analyze_seconds", sp.duration)
             stats = service.cache_stats()
@@ -383,31 +366,6 @@ class Analyzer:
         _metrics.inc("omega.precision.independent", independent)
         _metrics.inc("omega.precision.inexact", inexact)
 
-    def _emit_run_end(self) -> None:
-        """Deliver run-level terminal events, deterministically ordered.
-
-        Degradation events are sorted by (subject, kind, answer), so the
-        stream does not depend on the order queries degraded in.
-        """
-
-        if self.result.degradations is not None:
-            noted = sorted(
-                (event.subject or "", event.kind, event.answer)
-                for event in self.result.degradations
-            )
-            for subject, kind, answer in noted:
-                self.bus.emit(
-                    "degradation",
-                    subject or None,
-                    stage=kind,
-                    detail=answer,
-                )
-        counts = (
-            f"flow={len(self.result.flow)} anti={len(self.result.anti)} "
-            f"output={len(self.result.output)}"
-        )
-        self.bus.emit("run.end", self.program.name, detail=counts)
-
     def _run_phases(self) -> None:
         """The single-pass plan-driven traversal.
 
@@ -431,7 +389,7 @@ class Analyzer:
             self.result.anti.extend(sink.anti)
             self.result.provenance.extend(sink.anti_provenance)
         steps: list[Step] = []
-        for read, (per_read, sink) in zip(reads, outcomes):
+        for per_read, sink in outcomes:
             self.result.pair_records.extend(sink.pair_records)
             self.result.kill_timings.extend(sink.kill_timings)
             self.result.flow.extend(per_read)
@@ -446,8 +404,6 @@ class Analyzer:
                     for record in sink.records
                     if record.verdict == "reported"
                 )
-            if self.bus is not None:
-                self._emit_pair_events(read, writes, sink.records)
         if self.options.explain:
             self.result.explain = explain_view(steps)
         if self.options.input_deps:
@@ -463,7 +419,7 @@ class Analyzer:
     ) -> tuple[list[Dependence], "_ReadSink"]:
         """Both dependence directions of one read, in one plan-driven task."""
 
-        sink = _ReadSink(bool(self.options.explain or self.audit or self.bus))
+        sink = _ReadSink(self.options.explain or self.options.audit)
         for dst in writes:
             if read.array != dst.array:
                 continue
@@ -602,29 +558,6 @@ class Analyzer:
             for dep in per_read:
                 sink.records.append(self._dependence_record(dep, sink.steps))
         return per_read, sink
-
-    def _emit_pair_events(
-        self,
-        read: Access,
-        writes: Sequence[Access],
-        records: Sequence[ProvenanceRecord],
-    ) -> None:
-        """Deliver one read's ``pair.start`` events (one per write of the
-        read's array) and its ``pair.verdict`` events (one per record)."""
-
-        for write in writes:
-            if write.array == read.array:
-                self.bus.emit("pair.start", f"flow: {write} -> {read}")
-        for record in records:
-            detail = record.verdict
-            if record.decided_by is not None:
-                detail += f" by {record.decided_by}"
-            self.bus.emit(
-                "pair.verdict",
-                record.subject,
-                stage=record.stage,
-                detail=detail,
-            )
 
     def _analyze_pair(
         self, write: Access, read: Access, sink: "_ReadSink"

@@ -14,13 +14,12 @@ Uses :mod:`networkx` for the graph algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import networkx as nx
 
-from ..ir.ast import Loop, Program, Statement
-from .dependences import Dependence, DependenceKind, DependenceStatus
+from ..ir.ast import Loop, Statement
+from .dependences import DependenceKind, DependenceStatus
 from .results import AnalysisResult
 
 __all__ = [

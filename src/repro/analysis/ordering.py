@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..ir.ast import Access
-from ..omega import Constraint, LinearExpr, Problem, Variable, eq, le
+from ..omega import Constraint, Variable, eq, le
 from .problem import InstanceContext, common_depth, syntactically_forward
 
 __all__ = ["execution_order_cases", "order_case_constraints"]

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..ir.affine import AffineExpr, UTerm
-from ..ir.ast import Access, ArrayRef, IRError, Loop, Program, Statement
+from ..ir.ast import Access, IRError
 from ..omega import LinearExpr, Problem, Variable, fresh_wildcard
 
 __all__ = [

@@ -20,9 +20,6 @@ not automatically find the partial refinement in Example 5" — ours does.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Sequence
-
 from ..guard import budget as _guard
 from ..obs.audit import note_conservative as _note_conservative
 from ..obs.instrument import metrics as _metrics
@@ -31,7 +28,7 @@ from ..omega import Problem, Variable
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from ..solver import implies_union, is_satisfiable, project
 from .dependences import Dependence
-from .vectors import STAR, DirComponent, DirectionVector, component_bounds, direction_vectors
+from .vectors import DirComponent, component_bounds, direction_vectors
 
 __all__ = ["refine_dependence", "RefinementOutcome"]
 

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..guard import DegradationLog
 from ..ir.ast import Access, Program
 from ..obs.audit import AuditLog, ProvenanceRecord
 from ..obs.explain import ExplainLog
 from ..obs.trace import Tracer
-from .dependences import Dependence, DependenceKind, DependenceStatus
+from .dependences import Dependence, DependenceStatus
 
 __all__ = ["PairCategory", "PairRecord", "KillTiming", "AnalysisResult"]
 

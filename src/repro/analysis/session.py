@@ -16,14 +16,12 @@ Dependences refuted by an answered query are reported with status
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..ir.ast import Access, Program
 from ..ir.parser import _Parser
 from ..ir.lexer import tokenize
-from ..omega import Constraint, LinearExpr, Problem, Variable, eq as oeq, ge as oge, le as ole
+from ..omega import Constraint, LinearExpr, Variable, eq as oeq, le as ole
 from .dependences import DependenceKind, DependenceStatus
 from .engine import AnalysisOptions, analyze
 from .results import AnalysisResult

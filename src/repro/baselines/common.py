@@ -10,10 +10,9 @@ symbolic term makes the classical tests answer MAYBE.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from ..ir.affine import AffineExpr
 from ..ir.ast import Access
 
 __all__ = ["Verdict", "DimensionProblem", "dimension_problems", "VarRange"]

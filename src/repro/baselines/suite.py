@@ -10,16 +10,10 @@ baselines report the Figure 4 dead dependences as real.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..ir.ast import Access, Program
 from .banerjee import banerjee_directions
-from .common import (
-    DimensionProblem,
-    Verdict,
-    dimension_problems,
-    pair_loop_ranges,
-)
+from .common import Verdict, dimension_problems, pair_loop_ranges
 from .gcdtest import gcd_test
 from .siv import siv_test
 from .ziv import ziv_test

@@ -12,16 +12,9 @@ Commands
     summary (plus solver-cache counters under ``--store``),
     ``--trace-out`` / ``--metrics-out`` write the Chrome-trace and
     metrics snapshots (defaulting into ``results/`` when given without a
-    path),
-    ``--events-out`` streams per-pair lifecycle events as JSONL
-    (``--event-sample`` keeps a deterministic fraction), ``--prom-out``
-    writes a Prometheus text-format exposition and ``--otlp-out`` an
-    OTLP-style span JSONL.  The run is uncached; ``--store`` backs it
-    with a solver cache over the persistent tier (identical results).
-
-``trace FILE``
-    Run the extended analysis under the span tracer and write a
-    Chrome-trace / Perfetto-compatible JSON (and optionally JSONL events).
+    path), and ``--audit --json`` adds the per-pair provenance records.
+    The run is uncached; ``--store`` backs it with a solver cache over
+    the persistent tier (identical results).
 
 ``parallel FILE``
     Loop-by-loop parallelization report (with privatization suggestions).
@@ -65,7 +58,7 @@ import math
 import pathlib
 import sys
 from contextlib import ExitStack
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import (
     AnalysisOptions,
@@ -76,20 +69,7 @@ from .analysis import (
 )
 from .guard import BudgetExhausted, injecting, plan_from_env
 from .ir import IRError, LexError, ParseError, parse
-from .obs import (
-    EventBus,
-    JsonlSink,
-    MetricsRegistry,
-    RunContext,
-    Tracer,
-    collecting,
-    new_run_id,
-    prometheus_text,
-    publishing,
-    run_context,
-    tracing,
-    write_otlp_jsonl,
-)
+from .obs import MetricsRegistry, Tracer, collecting, tracing
 from .reporting import flow_tables
 
 __all__ = ["main", "build_parser"]
@@ -131,7 +111,15 @@ _positive_float = _float_where(
     lambda value: math.isfinite(value) and value > 0,
     "a positive finite number",
 )
-_fraction = _float_where(lambda value: 0 <= value <= 1, "a number in [0, 1]")
+
+
+def _assertion(text: str):
+    """argparse type: one ``--assert`` symbolic assertion."""
+
+    try:
+        return parse_assertion(text)
+    except (ValueError, ParseError, LexError, IRError) as failure:
+        raise argparse.ArgumentTypeError(f"bad assertion: {failure}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_cmd.add_argument(
         "--assert",
         dest="assertions",
+        type=_assertion,
         action="append",
         default=[],
         metavar="TEXT",
@@ -242,49 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     analyze_cmd.add_argument(
-        "--prom-out",
-        type=pathlib.Path,
-        nargs="?",
-        const=pathlib.Path("results/metrics.prom"),
-        metavar="PATH",
-        help=(
-            "write the metrics registry as a Prometheus text-format "
-            "exposition (default PATH: results/metrics.prom)"
-        ),
-    )
-    analyze_cmd.add_argument(
-        "--otlp-out",
-        type=pathlib.Path,
-        nargs="?",
-        const=pathlib.Path("results/otlp_spans.jsonl"),
-        metavar="PATH",
-        help=(
-            "write the analysis spans as deterministic OTLP-style JSONL "
-            "(default PATH: results/otlp_spans.jsonl)"
-        ),
-    )
-    analyze_cmd.add_argument(
-        "--events-out",
-        type=pathlib.Path,
-        nargs="?",
-        const=pathlib.Path("results/events.jsonl"),
-        metavar="PATH",
-        help=(
-            "stream per-pair lifecycle events as JSONL "
-            "(default PATH: results/events.jsonl)"
-        ),
-    )
-    analyze_cmd.add_argument(
-        "--event-sample",
-        type=_fraction,
-        default=1.0,
-        metavar="RATE",
-        help=(
-            "fraction of per-pair events to keep, chosen deterministically "
-            "by content hash (default: 1.0; run-level events always kept)"
-        ),
-    )
-    analyze_cmd.add_argument(
         "--store",
         type=pathlib.Path,
         nargs="?",
@@ -296,29 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
             "tier at PATH (default PATH: results/omega_store.db; results are "
             "bit-identical, repeat runs answer from the store)"
         ),
-    )
-
-    trace_cmd = commands.add_parser(
-        "trace", help="run the analysis under the tracer, write Chrome-trace JSON"
-    )
-    trace_cmd.add_argument("file", type=pathlib.Path)
-    trace_cmd.add_argument(
-        "-o",
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("results/trace.json"),
-        help="Chrome-trace output path (default: results/trace.json)",
-    )
-    trace_cmd.add_argument(
-        "--jsonl",
-        type=pathlib.Path,
-        metavar="PATH",
-        help="also write one JSON span event per line to PATH",
-    )
-    trace_cmd.add_argument(
-        "--standard",
-        action="store_true",
-        help="trace the conservative memory-based analysis instead",
     )
 
     parallel_cmd = commands.add_parser(
@@ -527,12 +450,30 @@ def _load_baseline(path: pathlib.Path) -> dict:
     return artifact
 
 
+def _write_output(
+    path: pathlib.Path, write: Callable[[pathlib.Path], object]
+) -> None:
+    """Create ``path``'s parent directory and call ``write(path)``.
+
+    A path that cannot be written is an :class:`InputError`.
+    """
+
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as failure:
+        reason = failure.strerror or str(failure)
+        if failure.filename is not None and failure.filename != str(path):
+            reason += f": {failure.filename}"
+        raise InputError(f"{path}: {reason}") from None
+
+
 def _cmd_analyze(args) -> int:
     program = _load(args.file)
     options = AnalysisOptions(
         extended=not args.standard,
         partial_refine=args.partial_refine,
-        assertions=tuple(parse_assertion(text) for text in args.assertions),
+        assertions=tuple(args.assertions),
         explain=args.explain,
         audit=args.audit,
     )
@@ -540,23 +481,13 @@ def _cmd_analyze(args) -> int:
         options.deadline_ms = args.deadline_ms
     if args.strict:
         options.policy = "raise"
-    tracer = Tracer() if (args.trace_out or args.otlp_out) else None
-    registry = (
-        MetricsRegistry()
-        if (args.stats or args.metrics_out or args.prom_out)
-        else None
-    )
-    bus: EventBus | None = None
+    tracer = Tracer() if args.trace_out else None
+    registry = MetricsRegistry() if (args.stats or args.metrics_out) else None
     with ExitStack() as stack:
-        stack.enter_context(run_context(RunContext(run_id=new_run_id())))
         if tracer is not None:
             stack.enter_context(tracing(tracer))
         if registry is not None:
             stack.enter_context(collecting(registry))
-        if args.events_out is not None:
-            sink = stack.enter_context(JsonlSink(args.events_out))
-            bus = EventBus(sink, sample=args.event_sample)
-            stack.enter_context(publishing(bus))
         fault_plan = plan_from_env()
         if fault_plan is not None:
             stack.enter_context(injecting(fault_plan))
@@ -625,46 +556,15 @@ def _cmd_analyze(args) -> int:
                         f"({tier['path']})"
                         + (" DISABLED" if tier.get("disabled") else "")
                     )
-    if args.trace_out and tracer is not None:
-        args.trace_out.parent.mkdir(parents=True, exist_ok=True)
-        tracer.write_chrome_trace(args.trace_out)
+    if tracer is not None:
+        _write_output(args.trace_out, tracer.write_chrome_trace)
         print(f"trace written to {args.trace_out}", file=sys.stderr)
-    if args.otlp_out and tracer is not None:
-        count = write_otlp_jsonl(tracer.events, args.otlp_out)
-        print(
-            f"{count} OTLP spans written to {args.otlp_out}", file=sys.stderr
-        )
     if args.metrics_out and registry is not None:
-        args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
-        args.metrics_out.write_text(registry.to_json() + "\n")
-        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
-    if args.prom_out and registry is not None:
-        args.prom_out.parent.mkdir(parents=True, exist_ok=True)
-        args.prom_out.write_text(prometheus_text(registry))
-        print(f"exposition written to {args.prom_out}", file=sys.stderr)
-    if args.events_out is not None and bus is not None:
-        print(
-            f"{len(bus.events)} events written to {args.events_out}",
-            file=sys.stderr,
+        _write_output(
+            args.metrics_out,
+            lambda path: path.write_text(registry.to_json() + "\n"),
         )
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    program = _load(args.file)
-    options = AnalysisOptions(extended=not args.standard)
-    tracer = Tracer()
-    with tracing(tracer):
-        analyze(program, options)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    tracer.write_chrome_trace(args.out)
-    if args.jsonl:
-        args.jsonl.parent.mkdir(parents=True, exist_ok=True)
-        tracer.write_jsonl(args.jsonl)
-    names = tracer.span_names()
-    print(f"{len(tracer.events)} spans ({len(names)} sites) written to {args.out}")
-    for name in sorted(names):
-        print(f"  {name}")
+        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     return 0
 
 
@@ -754,13 +654,10 @@ def _cmd_audit(args) -> int:
         programs,
         progress=lambda name: print(f"audit: {name}", file=sys.stderr),
     )
-    if args.json:
-        print(json.dumps(artifact, indent=2))
-    else:
-        print(render_precision(artifact))
+    text = json.dumps(artifact, indent=2)
+    print(text if args.json else render_precision(artifact))
     if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(artifact, indent=2) + "\n")
+        _write_output(out, lambda path: path.write_text(text + "\n"))
         print(f"artifact written to {out}", file=sys.stderr)
     if baseline is not None:
         comparison = compare_precision(baseline, artifact)
@@ -821,7 +718,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "analyze": _cmd_analyze,
-        "trace": _cmd_trace,
         "parallel": _cmd_parallel,
         "queries": _cmd_queries,
         "cholsky": _cmd_cholsky,

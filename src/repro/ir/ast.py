@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .affine import AffineExpr, UTerm, affine
+from .affine import AffineExpr
 
 __all__ = ["ArrayRef", "Statement", "Loop", "Declaration", "Program", "Access", "IRError"]
 

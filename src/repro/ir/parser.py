@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .affine import AffineExpr, UTerm, affine, uterm_ref, var
-from .ast import ArrayRef, Declaration, IRError, Loop, Node, Program, Statement
+from .ast import ArrayRef, Declaration, Loop, Node, Program, Statement
 from .lexer import Token, tokenize
 
 __all__ = ["ParseError", "parse", "parse_statement_list"]

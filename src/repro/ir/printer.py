@@ -7,7 +7,7 @@ also what the examples and reports show to users.
 from __future__ import annotations
 
 from .affine import AffineExpr
-from .ast import Declaration, Loop, Node, Program, Statement
+from .ast import Declaration, Node, Program, Statement
 
 __all__ = ["to_text"]
 

@@ -7,7 +7,7 @@ nothing is collecting.  Three cooperating parts:
 ``repro.obs.trace``
     ``span("omega.project", ...)`` context managers with thread-local span
     stacks and nesting, recorded by a :class:`Tracer` activated with
-    :func:`tracing`; exports Chrome-trace/Perfetto JSON and JSONL.
+    :func:`tracing`; exports Chrome-trace/Perfetto JSON.
 ``repro.obs.metrics``
     A :class:`MetricsRegistry` of counters, gauges and fixed-bucket
     histograms, activated with :func:`collecting`; the Omega solver's
@@ -53,7 +53,6 @@ from .trace import (
     Tracer,
     chrome_trace,
     current_tracer,
-    read_jsonl,
     span,
     tracing,
 )
@@ -73,26 +72,13 @@ def off() -> bool:
 
 
 # Imported after ``off`` is defined: ``audit`` pulls in ``instrument``,
-# which reads ``off`` from this package at import time.  ``telemetry``
-# and ``exporters`` follow for the same reason (and so the run-context
-# and event-bus propagation providers register on package import).
+# which reads ``off`` from this package at import time.
 from .audit import (  # noqa: E402
     AuditLog,
     ProvenanceRecord,
     QueryFootprint,
     auditing,
     current_audit,
-)
-from .exporters import otlp_spans, prometheus_text, write_otlp_jsonl  # noqa: E402
-from .telemetry import (  # noqa: E402
-    EventBus,
-    JsonlSink,
-    RunContext,
-    current_bus,
-    current_run,
-    new_run_id,
-    publishing,
-    run_context,
 )
 
 __all__ = [
@@ -103,7 +89,6 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "current_tracer",
-    "read_jsonl",
     "span",
     "tracing",
     "tracing_active",
@@ -131,17 +116,4 @@ __all__ = [
     "QueryFootprint",
     "auditing",
     "current_audit",
-    # telemetry
-    "EventBus",
-    "JsonlSink",
-    "RunContext",
-    "current_bus",
-    "current_run",
-    "new_run_id",
-    "publishing",
-    "run_context",
-    # exporters
-    "otlp_spans",
-    "prometheus_text",
-    "write_otlp_jsonl",
 ]

@@ -2,9 +2,9 @@
 
 The analysis engine writes one :class:`Step` per action it takes on a
 dependence.  That trail is the one per-pair record; provenance events
-(:meth:`Step.event`), ``pair.*`` events and the explain log are views of
-it.  With ``AnalysisOptions(explain=True)`` the engine turns the trail,
-in pipeline order, into an :class:`ExplainLog` (:func:`explain_view`),
+(:meth:`Step.event`) and the explain log are its two views.  With
+``AnalysisOptions(explain=True)`` the engine turns the trail, in pipeline
+order, into an :class:`ExplainLog` (:func:`explain_view`),
 human-renderable (:meth:`ExplainLog.render`, behind ``python -m repro
 analyze FILE --explain``) and machine-readable (:meth:`ExplainLog.to_dict`).
 """

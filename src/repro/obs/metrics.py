@@ -127,9 +127,6 @@ CATALOG: tuple[str, ...] = (
     "serve.slow_clients",
     "serve.result_cache.hits",
     "serve.result_cache.misses",
-    # Telemetry pipeline (repro.obs.telemetry).
-    "obs.events.emitted",
-    "obs.events.sampled_out",
 )
 
 #: Well-known gauges.  Gauges are point-in-time values, so they are not

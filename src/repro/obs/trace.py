@@ -12,13 +12,9 @@ block still measures a real duration — exposed as ``Span.duration`` — so
 the per-phase latency histograms are populated without paying for event
 storage.
 
-Exporters:
-
-* :meth:`Tracer.to_chrome_trace` / :meth:`Tracer.write_chrome_trace` emit
-  the Chrome ``traceEvents`` JSON format, loadable in ``chrome://tracing``
-  and Perfetto, with one complete ("ph": "X") event per span;
-* :meth:`Tracer.write_jsonl` emits one JSON object per line, for streaming
-  consumers and ad-hoc ``jq`` analysis.
+:meth:`Tracer.to_chrome_trace` / :meth:`Tracer.write_chrome_trace` export
+the Chrome ``traceEvents`` JSON format, loadable in ``chrome://tracing``
+and Perfetto, with one complete ("ph": "X") event per span.
 
 Attribute values are kept as the objects passed in and only stringified at
 export time, so hot instrumented sites never pay for formatting.
@@ -32,7 +28,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .metrics import _registries as _metrics_stack
 
@@ -43,7 +39,6 @@ __all__ = [
     "active",
     "chrome_trace",
     "current_tracer",
-    "read_jsonl",
     "span",
     "tracing",
 ]
@@ -60,31 +55,6 @@ class SpanEvent:
     parent: str | None = None
     depth: int = 0
     attrs: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ts": self.start,
-            "dur": self.duration,
-            "tid": self.thread_id,
-            "parent": self.parent,
-            "depth": self.depth,
-            "args": {key: _jsonable(value) for key, value in self.attrs.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, record: Mapping) -> "SpanEvent":
-        """Rebuild a span event from a :meth:`to_dict` / JSONL record."""
-
-        return cls(
-            record["name"],
-            record["ts"],
-            record["dur"],
-            record.get("tid", 0),
-            record.get("parent"),
-            record.get("depth", 0),
-            dict(record.get("args", {})),
-        )
 
     @property
     def end(self) -> float:
@@ -119,31 +89,6 @@ class Tracer:
     def write_chrome_trace(self, path) -> None:
         with open(path, "w") as sink:
             json.dump(self.to_chrome_trace(), sink, indent=1)
-
-    def write_jsonl(self, path) -> None:
-        origin = min((event.start for event in self.events), default=0.0)
-        with open(path, "w") as sink:
-            for event in self.events:
-                record = event.to_dict()
-                record["ts"] = event.start - origin
-                sink.write(json.dumps(record))
-                sink.write("\n")
-
-
-def read_jsonl(path) -> list[SpanEvent]:
-    """Load span events written by :meth:`Tracer.write_jsonl`.
-
-    Attribute values come back as their exported (JSON) forms; parent /
-    depth / thread relationships round-trip exactly, so the events can be
-    fed straight into :class:`repro.obs.profile.Profile`.
-    """
-
-    with open(path) as source:
-        return [
-            SpanEvent.from_dict(json.loads(line))
-            for line in source
-            if line.strip()
-        ]
 
 
 def chrome_trace(events: Iterable[SpanEvent], *, origin: float | None = None) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..analysis.dependences import Dependence, DependenceStatus
+from ..analysis.dependences import Dependence
 from ..analysis.results import AnalysisResult
 
 __all__ = ["DependenceRow", "flow_rows", "flow_tables", "format_rows"]

@@ -31,19 +31,13 @@ import hashlib
 import json
 import threading
 import time
+import uuid
 from collections import OrderedDict
-from contextlib import ExitStack
 
 from ..analysis import AnalysisOptions, analyze, parse_assertion
 from ..guard import faults as _faults
 from ..ir import IRError, parse
-from ..obs import (
-    MetricsRegistry,
-    RunContext,
-    collecting,
-    new_run_id,
-    run_context,
-)
+from ..obs import MetricsRegistry, collecting
 from ..obs import metrics as _metrics
 from ..omega.cache import SolverCache
 from ..omega.store import PersistentStore
@@ -105,7 +99,7 @@ class ServeApp:
         self.default_deadline_ms = default_deadline_ms
         self.max_deadline_ms = max_deadline_ms
         self.result_cache_size = result_cache_size
-        self.run_id = new_run_id()
+        self.run_id = uuid.uuid4().hex[:12]
         self.started_at = time.time()
         self.draining = threading.Event()
         self._result_cache: OrderedDict = OrderedDict()
@@ -148,8 +142,7 @@ class ServeApp:
         """
 
         started = time.monotonic()
-        with ExitStack() as stack:
-            stack.enter_context(collecting(self.registry))
+        with collecting(self.registry):
             self.requests += 1
             _metrics.inc("serve.requests")
             if isinstance(payload, (bytes, bytearray)):
@@ -224,11 +217,6 @@ class ServeApp:
                     ),
                 )
             with ticket:
-                stack.enter_context(
-                    run_context(
-                        RunContext(run_id=self.run_id, request_id=request_id)
-                    )
-                )
                 envelope = self._analysis_op(request, request_id)
             if plan is not None and plan.maybe_serve(
                 "serve.respond", ("slow-client",)

@@ -4,8 +4,8 @@ Every ``analyze()`` run goes through the single-pass query planner.  A
 governed run — a budget, a deadline or a fault plan — additionally arms
 the checkpoint machinery, meters each core reduction on its own and
 shields each probe.  When no budget runs out and no fault fires, none of
-that may show: dependences, statuses, explain trails, audit provenance
-and the event stream stay byte-identical to the default run, uncached
+that may show: dependences, statuses, explain trails and audit
+provenance stay byte-identical to the default run, uncached
 and under a ``caching(SolverCache())`` scope.  The fuzzed corpus guards
 shapes no curated example happens to cover.
 """
@@ -18,14 +18,7 @@ import pytest
 from repro.analysis import AnalysisOptions, analyze
 from repro.guard import Budget, FaultPlan, injecting
 from repro.omega import SolverCache, caching
-from repro.obs import (
-    EventBus,
-    MetricsRegistry,
-    RunContext,
-    collecting,
-    publishing,
-    run_context,
-)
+from repro.obs import MetricsRegistry, collecting
 from repro.programs import PAPER_EXAMPLES, cholsky, corpus_programs
 from repro.reporting import result_to_dict
 
@@ -53,23 +46,21 @@ def snapshot(result):
 
 
 def observe(program, faults=None, cache=False, **options):
-    """(snapshot, event stream) of one run under its own bus (and, with
-    ``cache``, its own solver-cache scope)."""
+    """The snapshot of one run (with ``cache``, in its own solver-cache
+    scope)."""
 
-    bus = EventBus()
     scope = (
         injecting(FaultPlan(seed=1, rate=faults))
         if faults is not None
         else nullcontext()
     )
     cached = caching(SolverCache()) if cache else nullcontext()
-    context = run_context(RunContext("deadbeef0001"))
-    with scope, cached, context, publishing(bus):
+    with scope, cached:
         result = analyze(program, AnalysisOptions(**options))
     if faults is not None or options.keys() & {"budget", "deadline_ms"}:
         assert result.degradations is not None
         assert not result.degraded()
-    return snapshot(result), bus.events
+    return snapshot(result)
 
 
 def assert_governed_identical(program, **options):

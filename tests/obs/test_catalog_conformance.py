@@ -4,8 +4,8 @@ Walks every module under ``src/repro`` with the AST and collects the
 string-literal names passed to ``inc(...)``, ``observe(...)`` and
 ``set_gauge(...)`` (bare or attribute calls — ``_metrics.inc``,
 ``registry.observe`` and friends all count).  Every name found must be
-declared in the metrics catalog, so ``--stats`` tables, run records,
-the Prometheus exposition and ``repro diff`` never surface a series the
+declared in the metrics catalog, so ``--stats`` tables, ``--metrics-out``
+snapshots and the serve ``/stats`` report never surface a series the
 catalog does not document.
 """
 
@@ -67,7 +67,7 @@ class TestCatalogConformance:
     def test_the_scan_actually_sees_the_hot_paths(self):
         found = {(kind, name) for kind, name, _ in emitted_names()}
         assert ("counter", "analysis.pairs_analyzed") in found
-        assert ("counter", "obs.events.emitted") in found
+        assert ("counter", "serve.requests") in found
         assert ("histogram", "analysis.pair_seconds") in found
         assert ("gauge", "omega.cache.size") in found
 

@@ -3,8 +3,6 @@
 import json
 import threading
 
-import pytest
-
 from repro.obs import trace
 from repro.obs.trace import (
     Span,
@@ -116,13 +114,6 @@ class TestExport:
             "omega.project",
         }
 
-    def test_write_jsonl(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        self._traced().write_jsonl(path)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) == 2
-        assert all("name" in line and "dur" in line for line in lines)
-
     def test_attrs_stringified_lazily(self):
         class Weird:
             def __str__(self):
@@ -230,57 +221,3 @@ class TestDeterministicExport:
         assert json.dumps(
             _record_tree(_TREE).to_chrome_trace(), sort_keys=True
         ) == json.dumps(reordered.to_chrome_trace(), sort_keys=True)
-
-
-class TestJsonlRoundTrip:
-    def test_parent_child_relationships_round_trip(self, tmp_path):
-        from repro.obs.trace import read_jsonl
-
-        path = tmp_path / "spans.jsonl"
-        _record_tree(_TREE).write_jsonl(path)
-        events = read_jsonl(path)
-        assert [(e.name, e.parent, e.depth) for e in events] == [
-            (name, parent, depth)
-            for name, _start, _dur, parent, depth in _TREE
-        ]
-        assert all(e.thread_id == 7 for e in events)
-        # Timestamps are rebased to the first event, durations exact.
-        assert events[0].start == 0.0
-        assert events[1].start == pytest.approx(0.5)
-        assert [e.duration for e in events] == [2.0, 1.0, 0.25]
-
-    def test_round_tripped_events_profile_identically(self, tmp_path):
-        from repro.obs.profile import Profile
-        from repro.obs.trace import read_jsonl
-
-        path = tmp_path / "spans.jsonl"
-        tracer = Tracer()
-        with tracing(tracer):
-            with span("outer"):
-                with span("inner"):
-                    pass
-        tracer.write_jsonl(path)
-        direct = Profile.from_tracer(tracer)
-        revived = Profile.from_events(read_jsonl(path))
-        assert {
-            name: (entry.count, entry.cumulative, entry.self_time)
-            for name, entry in direct.profiles.items()
-        } == {
-            name: (entry.count, entry.cumulative, entry.self_time)
-            for name, entry in revived.profiles.items()
-        }
-
-    def test_live_traced_tree_round_trips(self, tmp_path):
-        from repro.obs.trace import read_jsonl
-
-        path = tmp_path / "live.jsonl"
-        tracer = Tracer()
-        with tracing(tracer):
-            with span("analysis.pair", src="w", dst="r"):
-                with span("omega.project"):
-                    pass
-        tracer.write_jsonl(path)
-        by_name = {e.name: e for e in read_jsonl(path)}
-        assert by_name["omega.project"].parent == "analysis.pair"
-        assert by_name["omega.project"].depth == 1
-        assert by_name["analysis.pair"].attrs == {"src": "w", "dst": "r"}

@@ -1,5 +1,5 @@
-"""Golden trails: the explain render, the event stream and the provenance
-JSON of every curated program, pinned across commits.
+"""Golden trails: the explain render and the provenance JSON of every
+curated program, pinned across commits.
 
 The identity suites elsewhere compare configurations of one commit
 against each other (cache on/off, governed or not).  This suite compares
@@ -7,7 +7,7 @@ the current code against files recorded from an earlier one, so a
 refactor of how the engine records its per-pair decisions is proven
 byte-identical, not just self-consistent.
 
-Each (configuration, program) pair is stored as three sha256 digests in
+Each (configuration, program) pair is stored as two sha256 digests in
 ``golden/trail_sha256.json``; ``example1`` and ``CHOLSKY`` under the
 default configuration are also stored as full text, so a failure there
 shows a readable diff.  Regenerate the files, only when a change is
@@ -21,13 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from contextlib import nullcontext
 from functools import lru_cache
 
 import pytest
 
 from repro.analysis import AnalysisOptions, analyze
-from repro.obs import EventBus, RunContext, publishing, run_context
 from repro.programs import PAPER_EXAMPLES, corpus_programs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -44,7 +42,7 @@ CONFIGS = {
 #: Programs whose default-configuration trails are stored in full.
 FULL_TEXT = ("example1", "CHOLSKY")
 
-VIEWS = ("explain", "events", "provenance")
+VIEWS = ("explain", "provenance")
 
 #: Every explain action the engine can take (``repro.obs.explain``).
 ACTIONS = {"refined", "covers", "covered", "terminated", "killed", "kept"}
@@ -62,30 +60,18 @@ def programs() -> dict:
 PROGRAMS = programs()
 
 
-def run(program, config: str, *, explain=True, audit=True, bus=True):
+def run(program, config: str, *, explain=True, audit=True):
     """One analysis with the chosen observers on; returns its views.
 
     A view whose observer is off comes back as None.
     """
 
-    events = EventBus() if bus else None
-    with run_context(RunContext("golden000001")), (
-        publishing(events) if bus else nullcontext()
-    ):
-        result = analyze(
-            program,
-            AnalysisOptions(explain=explain, audit=audit, **CONFIGS[config]),
-        )
+    result = analyze(
+        program,
+        AnalysisOptions(explain=explain, audit=audit, **CONFIGS[config]),
+    )
     views = {
         "explain": result.explain.render() if explain else None,
-        "events": (
-            "".join(
-                json.dumps(event, sort_keys=True) + "\n"
-                for event in events.events
-            )
-            if bus
-            else None
-        ),
         "provenance": (
             "".join(
                 json.dumps(record.to_dict(), sort_keys=True) + "\n"
@@ -109,7 +95,7 @@ def digest(text: str) -> str:
 
 
 def full_text_path(name: str, view: str) -> pathlib.Path:
-    suffix = {"explain": "txt", "events": "jsonl", "provenance": "jsonl"}
+    suffix = {"explain": "txt", "provenance": "jsonl"}
     return GOLDEN / f"{name}.{view}.{suffix[view]}"
 
 
@@ -169,9 +155,8 @@ def test_each_view_is_the_same_when_its_observer_runs_alone(config, name):
     together, _ = observed(config, name)
     program = PROGRAMS[name]
     alone = {
-        "explain": run(program, config, audit=False, bus=False)[0],
-        "events": run(program, config, explain=False, audit=False)[0],
-        "provenance": run(program, config, explain=False, bus=False)[0],
+        "explain": run(program, config, audit=False)[0],
+        "provenance": run(program, config, explain=False)[0],
     }
     for view in VIEWS:
         assert alone[view][view] == together[view], view

@@ -6,7 +6,7 @@ cache, and a cache must change no answer and no trail.  Each analysis
 here runs in a scope of its own that one earlier analysis of the same
 program has already filled, so the queries it keys are answered from
 the cache — replayed results, replayed ``Raised`` outcomes and all — and
-its explain, events and provenance views must match the uncached
+its explain and provenance views must match the uncached
 digests.
 """
 

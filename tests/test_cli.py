@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from repro.analysis import parse_assertion
 from repro.cli import build_parser, main
 from repro.omega import SolverCache, caching
 
@@ -46,7 +47,7 @@ class TestParser:
             ["analyze", "x.loop", "--standard", "--assert", "n <= m"]
         )
         assert args.standard
-        assert args.assertions == ["n <= m"]
+        assert args.assertions == [parse_assertion("n <= m")]
 
     @pytest.mark.parametrize("command", ["bench", "serve-bench"])
     def test_removed_benchmark_commands_are_usage_errors(self, command):
@@ -69,11 +70,25 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [["diff", "a", "b"], ["analyze", "x.loop", "--ledger", "x"]],
-        ids=["diff", "ledger"],
+        [
+            ["diff", "a", "b"],
+            ["analyze", "x.loop", "--ledger", "x"],
+            ["trace", "x.loop"],
+            ["analyze", "x.loop", "--events-out", "e.jsonl"],
+            ["analyze", "x.loop", "--event-sample", "1"],
+            ["analyze", "x.loop", "--prom-out", "m.prom"],
+            ["analyze", "x.loop", "--otlp-out", "s.jsonl"],
+        ],
+        ids=[
+            "diff", "ledger",
+            "trace", "events-out", "event-sample", "prom-out", "otlp-out",
+        ],
     )
     def test_removed_ledger_surface_is_a_usage_error(self, argv, capsys):
-        """The retired run-ledger command and flag are usage errors."""
+        """The retired run-ledger command and flag, and the retired span
+        and event writers, are usage errors.  The Chrome trace is
+        ``analyze --trace-out`` and the per-pair records are ``analyze
+        --audit --json``."""
 
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -191,27 +206,6 @@ class TestObservabilityFlags:
         ):
             assert key in counters
         assert counters["analysis.kills_succeeded"] == 1
-
-    def test_trace_command(self, program_file, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "trace.json"
-        jsonl_path = tmp_path / "trace.jsonl"
-        assert main(
-            [
-                "trace",
-                str(program_file),
-                "-o",
-                str(out_path),
-                "--jsonl",
-                str(jsonl_path),
-            ]
-        ) == 0
-        listed = capsys.readouterr().out
-        assert "spans" in listed
-        payload = json.loads(out_path.read_text())
-        assert payload["traceEvents"]
-        assert jsonl_path.read_text().strip()
 
     def test_obs_flags_off_leave_no_artifacts(self, program_file, capsys):
         assert main(["analyze", str(program_file)]) == 0
@@ -429,64 +423,11 @@ class TestTelemetryFlags:
         assert main(["audit", str(program_file), "--out", "p.json"]) == 0
         assert sorted(path.name for path in work.rglob("*")) == ["p.json"]
 
-    def test_events_out_streams_lifecycle(self, program_file, tmp_path):
-        events_path = tmp_path / "events.jsonl"
-        assert main(
-            ["analyze", str(program_file), "--events-out", str(events_path)]
-        ) == 0
-        events = [
-            json.loads(line) for line in events_path.read_text().splitlines()
-        ]
-        kinds = [event["kind"] for event in events]
-        assert kinds[0] == "run.start" and kinds[-1] == "run.end"
-        assert "pair.verdict" in kinds
-        run_ids = {event["run"] for event in events}
-        assert len(run_ids) == 1 and None not in run_ids
-
-    def test_event_sample_thins_the_stream(self, program_file, tmp_path):
-        full = tmp_path / "full.jsonl"
-        thin = tmp_path / "thin.jsonl"
-        assert main(
-            ["analyze", str(program_file), "--events-out", str(full)]
-        ) == 0
-        assert main(
-            [
-                "analyze", str(program_file),
-                "--events-out", str(thin),
-                "--event-sample", "0",
-            ]
-        ) == 0
-        assert len(thin.read_text().splitlines()) < len(
-            full.read_text().splitlines()
-        )
-
-    def test_prom_out_writes_exposition(self, program_file, tmp_path):
-        prom = tmp_path / "metrics.prom"
-        assert main(
-            ["analyze", str(program_file), "--prom-out", str(prom)]
-        ) == 0
-        text = prom.read_text()
-        assert "# TYPE repro_analysis_pairs_analyzed_total counter" in text
-        assert "repro_analysis_analyze_seconds_bucket" in text
-
-    def test_otlp_out_writes_span_jsonl(self, program_file, tmp_path):
-        otlp = tmp_path / "spans.jsonl"
-        assert main(
-            ["analyze", str(program_file), "--otlp-out", str(otlp)]
-        ) == 0
-        spans = [json.loads(line) for line in otlp.read_text().splitlines()]
-        assert any(span["name"] == "analysis.analyze" for span in spans)
-        assert len({span["traceId"] for span in spans}) == 1
-
     def test_out_flags_default_into_results(self):
         args = build_parser().parse_args(["analyze", "x.loop", "--metrics-out"])
         assert str(args.metrics_out) == "results/metrics.json"
         args = build_parser().parse_args(["analyze", "x.loop", "--trace-out"])
         assert str(args.trace_out) == "results/trace.json"
-        args = build_parser().parse_args(["analyze", "x.loop", "--prom-out"])
-        assert str(args.prom_out) == "results/metrics.prom"
-        args = build_parser().parse_args(["analyze", "x.loop", "--events-out"])
-        assert str(args.events_out) == "results/events.jsonl"
 
     def test_metrics_out_creates_parent_directories(
         self, program_file, tmp_path
@@ -551,29 +492,43 @@ class TestOutFlagsCreateParents:
     ``test_metrics_out_creates_parent_directories``.
     """
 
-    @pytest.mark.parametrize(
-        "flag",
-        [
-            "--trace-out",
-            "--prom-out",
-            "--otlp-out",
-            "--events-out",
-        ],
-    )
+    @pytest.mark.parametrize("flag", ["--trace-out"])
     def test_analyze_out_flag(self, flag, program_file, tmp_path):
         out = tmp_path / "missing" / "dir" / "artifact"
         assert main(["analyze", str(program_file), flag, str(out)]) == 0
         assert out.read_text()
 
-    def test_trace_out(self, program_file, tmp_path, capsys):
-        out = tmp_path / "missing" / "dir" / "trace.json"
-        assert main(["trace", str(program_file), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["traceEvents"]
-
     def test_audit_out(self, program_file, tmp_path, capsys):
         out = tmp_path / "missing" / "dir" / "precision.json"
         assert main(["audit", str(program_file), "--out", str(out)]) == 0
         assert json.loads(out.read_text())
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written is one error line and exit
+    2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{program}", "--metrics-out"],
+            ["analyze", "{program}", "--trace-out"],
+            ["audit", "{program}", "--out"],
+        ],
+        ids=["metrics-out", "trace-out", "audit-out"],
+    )
+    def test_parent_is_a_regular_file(self, argv, program_file, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        out = blocker / "artifact.json"
+        argv = [arg.format(program=program_file) for arg in argv]
+        assert main([*argv, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"repro: error: {out}: File exists: {blocker}"
+        )
+        assert "Traceback" not in err
+
 
 # -- unusable inputs fail cleanly -------------------------------------------
 
@@ -623,7 +578,7 @@ def assert_clean_error(capsys, path, reason):
 class TestUnusableProgramFiles:
     @pytest.mark.parametrize(
         "command",
-        [["analyze"], ["trace"], ["parallel"], ["queries"], ["audit"]],
+        [["analyze"], ["parallel"], ["queries"], ["audit"]],
         ids=lambda command: command[0],
     )
     @pytest.mark.parametrize(
@@ -777,20 +732,6 @@ class TestNumericFlags:
             capsys, ["serve", "--max-deadline-ms", "inf"], "--max-deadline-ms"
         )
 
-    @pytest.mark.parametrize("value", ["2", "-0.5", "nan", "inf", "half"])
-    def test_analyze_event_sample(self, capsys, program_file, tmp_path, value):
-        events = tmp_path / "events.jsonl"
-        self.assert_rejected(
-            capsys,
-            [
-                "analyze", str(program_file),
-                "--events-out", str(events),
-                f"--event-sample={value}",
-            ],
-            "--event-sample",
-        )
-        assert not events.exists()
-
     def test_valid_values_parse(self):
         args = build_parser().parse_args(
             ["serve", "--max-inflight", "2", "--queue-depth", "0",
@@ -798,8 +739,41 @@ class TestNumericFlags:
         )
         assert (args.max_inflight, args.queue_depth) == (2, 0)
         assert (args.queue_timeout_s, args.max_deadline_ms) == (0.5, 100.0)
-        for bound in ("0", "1"):
-            args = build_parser().parse_args(
-                ["analyze", "p.loop", "--event-sample", bound]
+
+
+class TestAssertFlag:
+    """A malformed ``--assert`` is a usage error (exit 2, no run), worded
+    as ``repro serve`` words the same text."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["garbage", "n<=", "a(i) <= 3"],
+        ids=["no-operator", "no-rhs", "array"],
+    )
+    def test_bad_assertion_is_a_usage_error(self, text, program_file, capsys):
+        from repro.serve import ServeApp
+
+        app = ServeApp(store_path=None)
+        try:
+            status, envelope = app.handle(
+                {
+                    "op": "analyze",
+                    "program": KILL_PROGRAM,
+                    "options": {"assertions": [text]},
+                }
             )
-            assert args.event_sample == float(bound)
+        finally:
+            app.close()
+        assert (status, envelope["status"]) == (400, "invalid")
+        assert envelope["error"].startswith("bad assertion: ")
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(program_file), "--assert", text])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage:")
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument --assert: {envelope['error']}"
+        )
+        assert "Traceback" not in captured.err
