@@ -16,8 +16,8 @@ from typing import Iterable
 from ..ir.ast import Access
 from ..omega import Constraint, Problem, Variable
 from ..solver import is_satisfiable, satisfiable_batch
-from ..solver.plan import PlanSpace
-from .problem import PairProblem, SymbolTable, build_pair_problem
+from .plan import QueryPlan
+from .problem import PairProblem, SymbolTable
 from .vectors import (
     DirectionVector,
     RestraintVector,
@@ -147,33 +147,30 @@ def compute_dependences(
     assertions: Iterable[Constraint] = (),
     array_bounds=None,
     want_directions: bool = True,
-    plan=None,
+    plan: QueryPlan | None = None,
 ) -> list[Dependence]:
     """All dependences of ``kind`` from src to dst (one per restraint vector).
 
     Returns an empty list when the pair problem has no lexicographically
     forward solutions — i.e. there is no dependence.
 
-    ``plan`` (a :class:`repro.analysis.plan.QueryPlan`) supplies shared
-    instance contexts and the memo of exactly-reduced elimination
-    prefixes for the satisfiability probes; without one the pair gets a
-    throwaway :class:`repro.solver.plan.PlanSpace`.  The questions asked
-    — count, kind and order — and their answers do not depend on the
-    plan; only the submitted problems shrink.  The :class:`Dependence`
-    objects always carry the *full* constrained problems, since
-    downstream refinement, cover and kill tests project them.
+    ``plan`` supplies shared instance contexts and the memo of exactly
+    reduced cores that every satisfiability probe runs against; it
+    carries its own symbols, assertions and array bounds, so those
+    arguments only shape the throwaway plan built without one.  The
+    questions asked — count, kind and order — and their answers do not
+    depend on the plan; only the submitted problems shrink.  The
+    :class:`Dependence` objects always carry the *full* constrained
+    problems, since downstream refinement, cover and kill tests project
+    them.
     """
 
-    if plan is not None:
-        pair = plan.pair_problem(src, dst)
-        space = plan.space
-    else:
-        pair = build_pair_problem(
-            src, dst, symbols, assertions=assertions, array_bounds=array_bounds
-        )
-        space = PlanSpace()
+    plan = plan or QueryPlan(
+        symbols, assertions=assertions, array_bounds=array_bounds
+    )
+    pair = plan.pair_problem(src, dst)
     base = pair.full()
-    state = space.base_state(base, pair.delta_vars)
+    state = plan.base_state(base, pair.delta_vars)
     if not is_satisfiable(state.probe()):
         return []
 

@@ -251,10 +251,9 @@ class Analyzer:
             if self.audit is not None:
                 stack.enter_context(_auditing(self.audit))
             # The query planner drives every run, governed or not: core
-            # reductions are best-effort (see ``PlanSpace.core``) and every
+            # reductions are best-effort (see ``QueryPlan.core``) and every
             # probe still crosses the service as its own shielded query.
             self.plan = QueryPlan(
-                self.program,
                 self.symbols,
                 assertions=self.options.assertions,
                 array_bounds=self.program.array_bounds,
@@ -428,9 +427,6 @@ class Analyzer:
                     read,
                     dst,
                     DependenceKind.ANTI,
-                    self.symbols,
-                    assertions=self.options.assertions,
-                    array_bounds=self.program.array_bounds,
                     plan=self.plan,
                 )
             if not deps and self.audit is not None:
@@ -440,7 +436,9 @@ class Analyzer:
             for dep in deps:
                 if self.options.extended and self.options.extend_all_kinds:
                     dep = refine_dependence(
-                        dep, partial=self.options.partial_refine
+                        dep,
+                        partial=self.options.partial_refine,
+                        plan=self.plan,
                     ).dependence
                     if self.options.terminate:
                         dep.covers = terminates_source(dep)
@@ -460,9 +458,6 @@ class Analyzer:
                         src,
                         dst,
                         DependenceKind.OUTPUT,
-                        self.symbols,
-                        assertions=self.options.assertions,
-                        array_bounds=self.program.array_bounds,
                         plan=self.plan,
                     )
                 if deps:
@@ -476,7 +471,9 @@ class Analyzer:
                         self._note_self_output(src, dep)
                     if self.options.extended and self.options.extend_all_kinds:
                         dep = refine_dependence(
-                            dep, partial=self.options.partial_refine
+                            dep,
+                            partial=self.options.partial_refine,
+                            plan=self.plan,
                         ).dependence
                     if (
                         self.options.extended
@@ -512,9 +509,6 @@ class Analyzer:
                         src,
                         dst,
                         DependenceKind.INPUT,
-                        self.symbols,
-                        assertions=self.options.assertions,
-                        array_bounds=self.program.array_bounds,
                         plan=self.plan,
                     )
                 self.result.input.extend(deps)
@@ -574,9 +568,6 @@ class Analyzer:
                     write,
                     read,
                     DependenceKind.FLOW,
-                    self.symbols,
-                    assertions=self.options.assertions,
-                    array_bounds=self.program.array_bounds,
                     plan=self.plan,
                 )
 
@@ -586,7 +577,9 @@ class Analyzer:
                 for dep in deps:
                     if self.options.refine and self._refine_quick_allows(dep):
                         outcome = refine_dependence(
-                            dep, partial=self.options.partial_refine
+                            dep,
+                            partial=self.options.partial_refine,
+                            plan=self.plan,
                         )
                         consulted_omega = consulted_omega or outcome.attempted
                         if (

@@ -1,8 +1,11 @@
-"""The single-pass query planner: share base systems and FM prefixes.
+"""The query planner: share base systems, reduce once, probe many times.
 
-``QueryPlan`` is built once per analysis run, governed or not, and threads
-through :func:`repro.analysis.dependences.compute_dependences` into the
-direction-vector search.  It contributes two kinds of sharing:
+Every dependence query goes through a ``QueryPlan``.  The engine builds
+one per analysis run, governed or not, and threads it through
+:func:`repro.analysis.dependences.compute_dependences` and
+:func:`repro.analysis.refine.refine_dependence` into the vector searches;
+a caller without one gets a throwaway plan.  The plan contributes two
+kinds of sharing:
 
 *Base systems.*  Every candidate pair re-derives the same iteration-space
 constraints for its two statement instances.  The plan builds each
@@ -14,28 +17,53 @@ variables, so a shared instance is constraint-for-constraint identical to
 the one :func:`repro.analysis.problem.build_pair_problem` builds on its
 own and results stay bit-identical.
 
-*FM prefixes.*  Each pair's full problem is exactly reduced onto its
-distance variables (:mod:`repro.omega.partial`) through the
-:class:`repro.solver.plan.PlanSpace` memo, so the expensive elimination
-prefix is computed once and reused by every sibling branch of
-the direction-vector tree and by every other pair with the same
-iteration space.  Reductions are best-effort: one that runs out of budget
-or hits an injected fault leaves its core unreduced (see
-:meth:`repro.solver.plan.PlanSpace.core`).
+*Reduced cores.*  The vector searches ask dozens of questions per pair,
+each of the form ``sat(P ∧ E)`` where ``P`` is the pair's full problem
+and ``E`` constrains only the dependence-distance variables.
+:func:`partial_eliminate` performs the shared prefix of that work once:
+it eliminates every variable outside a protected ``keep`` set using only
+**exact** reductions — equality substitution, and Fourier-Motzkin steps
+where every lower/upper pair has a unit coefficient, the condition under
+which the dark and real shadows coincide (Section 2.3.1 of the paper).
+An exact step preserves the integer solutions over the remaining
+variables, so for any ``E`` over the ``keep`` variables
 
-The planner changes *which problems* are submitted for the sign probes,
-never the question order or the answers: every probe is one service
-query, with its own degradation shield and audit footprint.
+    sat(core ∧ E)  ==  sat(P ∧ E).
+
+Inexact eliminations are not taken: the variable stays in the core and
+later probes pay for it.  The plan memoizes cores structurally, so
+sibling branches of one pair's search and pairs with the same iteration
+space share one reduction.  A :class:`PlanState` is one node of that
+shared-prefix tree: ``probe`` builds the problem a search submits,
+``extend`` descends one branch.
+
+Reductions are best-effort: each runs on its own per-query work meter,
+one that runs out of budget (or hits an injected fault) leaves that
+request's core unreduced and unmemoized, and a complexity blow-up leaves
+it unreduced.  The reductions are pure rewrites with no answer of their
+own; the probes still go through :mod:`repro.solver`, one service query
+each, with its own degradation shield and audit footprint.  The planner
+changes *which problems* are submitted, never the questions asked or
+their answers.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Mapping
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
-from ..ir.ast import Access, Program
+from ..guard import budget as _guard
+from ..ir.ast import Access
 from ..obs import metrics as _metrics
-from ..solver.plan import PlanSpace
+from ..omega.constraints import Constraint, NormalizeStatus, Problem
+from ..omega.eliminate import (
+    choose_variable,
+    eliminate_equalities,
+    fourier_motzkin,
+)
+from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from .problem import (
     InstanceContext,
     PairProblem,
@@ -44,7 +72,84 @@ from .problem import (
     build_pair_problem,
 )
 
-__all__ = ["QueryPlan"]
+__all__ = ["PlanState", "QueryPlan", "partial_eliminate"]
+
+#: The most constraints one Fourier-Motzkin step of a reduction may add.
+MAX_GROWTH = 8
+
+
+def partial_eliminate(problem: Problem, keep: Iterable) -> tuple[Problem, int]:
+    """Exactly eliminate as many non-``keep`` variables as possible.
+
+    Returns the reduced core and the number of variables eliminated (0
+    when no reduction was possible and the core is ``problem`` itself).
+    Runs equality elimination (protecting ``keep``) and then repeated
+    exact Fourier-Motzkin steps, re-normalizing and re-eliminating
+    equalities after each, until only inexact or too-costly
+    (``MAX_GROWTH`` new constraints) eliminations remain.  A complexity
+    blow-up returns the problem unreduced.  :class:`BudgetExhausted` (a
+    deadline, a work meter, an injected fault) propagates: it belongs to
+    the run, not the problem, so the caller decides what to memoize.
+    """
+
+    kept = frozenset(keep)
+    try:
+        return _reduce(problem, kept)
+    except BudgetExhausted:
+        raise
+    except OmegaComplexityError:
+        return problem, 0
+
+
+def _reduce(problem: Problem, keep: frozenset) -> tuple[Problem, int]:
+    outcome = eliminate_equalities(problem, protected=keep)
+    if not outcome.satisfiable:
+        return Problem.false(problem.name), 1
+    current = outcome.problem
+    eliminated = len(outcome.substitutions)
+    while True:
+        # Equality elimination has run: the equalities left are
+        # protected-only or strides, whose variables FM must not touch.
+        pinned = set(keep)
+        for constraint in current.constraints:
+            if constraint.is_equality:
+                pinned.update(constraint.variables())
+        var, _ = choose_variable(
+            current,
+            [v for v in current.variables() if v not in pinned],
+            max_growth=MAX_GROWTH,
+        )
+        if var is None:
+            return current, eliminated
+        result = fourier_motzkin(current, var, want_splinters=False)
+        # Exact by construction (unit pairs), so dark == real == projection.
+        shadow, status = result.dark.normalized()
+        eliminated += 1
+        if status is NormalizeStatus.UNSATISFIABLE:
+            return Problem.false(problem.name), eliminated
+        if status is NormalizeStatus.TAUTOLOGY:
+            return Problem(name=problem.name), eliminated
+        outcome = eliminate_equalities(shadow, protected=keep)
+        if not outcome.satisfiable:
+            return Problem.false(problem.name), eliminated
+        current = outcome.problem
+        eliminated += len(outcome.substitutions)
+
+
+def _conjoin(problem: Problem, extra: Iterable[Constraint]) -> Problem:
+    extra = list(extra)
+    if not extra:
+        return problem
+    return Problem(list(problem.constraints) + extra, problem.name)
+
+
+def _core_key(problem: Problem, keep: Sequence) -> tuple:
+    """A structural identity for (problem, keep) reduction requests."""
+
+    return (
+        tuple(sorted(c.sort_key() for c in problem.constraints)),
+        tuple(sorted((v.kind, v.name) for v in keep)),
+    )
 
 
 def _affine(expr) -> bool:
@@ -52,23 +157,21 @@ def _affine(expr) -> bool:
 
 
 class QueryPlan:
-    """Shared statement instances plus the shared solver-side plan state."""
+    """Shared statement instances plus the memo of reduced cores."""
 
     def __init__(
         self,
-        program: Program,
-        symbols: SymbolTable,
+        symbols: SymbolTable | None = None,
         *,
         assertions: Iterable = (),
         array_bounds: Mapping[str, tuple] | None = None,
     ):
-        self.program = program
-        self.symbols = symbols
+        self.symbols = symbols or SymbolTable()
         self.assertions = tuple(assertions)
         self.array_bounds = array_bounds
-        self.space = PlanSpace()
         self._instances: dict[tuple[int, str], InstanceContext] = {}
         self._pure: dict[int, bool] = {}
+        self._cores: dict[tuple, tuple[Problem, int]] = {}
         self._lock = threading.Lock()
 
     # -- shared base systems --------------------------------------------
@@ -136,3 +239,73 @@ class QueryPlan:
             src_ctx=self.instance(src, "i"),
             dst_ctx=self.instance(dst, "j"),
         )
+
+    # -- reduced cores ----------------------------------------------------
+    def core(self, problem: Problem, keep: Sequence) -> tuple[Problem, int]:
+        """The reduced core of ``problem`` protecting ``keep`` (memoized),
+        with the number of variables the reduction eliminated."""
+
+        key = _core_key(problem, keep)
+        cached = self._cores.get(key)
+        if cached is not None:
+            _metrics.inc("solver.plan.cores_reused")
+            return cached
+        gov = _guard.active()
+        try:
+            # A fresh meter: the reduction pays for its own FM/splinter
+            # work only, not for what the previous probe left on the meter.
+            with gov.fresh_query() if gov is not None else nullcontext():
+                core = partial_eliminate(problem, keep)
+        except BudgetExhausted:
+            # The run's failure, not the problem's (the rule SolverCache
+            # applies too): answer unreduced and leave the slot empty, so a
+            # later request for the same core reduces it.
+            return problem, 0
+        self._cores[key] = core
+        _metrics.inc("solver.plan.cores_built")
+        return core
+
+    def base_state(self, problem: Problem, deltas: Sequence) -> "PlanState":
+        """The root state for one pair: its full problem reduced onto the
+        dependence-distance variables."""
+
+        core, eliminated = self.core(problem, deltas)
+        return PlanState(self, core, tuple(deltas), eliminated)
+
+
+@dataclass(frozen=True)
+class PlanState:
+    """One node of the shared-prefix tree: a core plus its protected set.
+
+    ``probe`` builds the problem submitted to the solver service;
+    ``extend`` descends one level (conjoining branch constraints and
+    optionally un-protecting a now-pinned distance variable), going
+    through the plan's memo so sibling branches *and* sibling pairs of
+    the same group hit the same reduced prefix.
+    """
+
+    plan: QueryPlan
+    core: Problem
+    kept: tuple
+    #: Variables eliminated along the whole prefix (root core included).
+    eliminated: int = 0
+
+    def probe(self, extra: Iterable[Constraint] = ()) -> Problem:
+        """The core conjoined with extra constraints over kept variables."""
+
+        if self.eliminated:
+            _metrics.inc("solver.plan.prefix_reuses")
+        return _conjoin(self.core, extra)
+
+    def extend(self, extra: Iterable[Constraint], drop=None) -> "PlanState":
+        """The state for ``core ∧ extra``, no longer protecting ``drop``.
+
+        Dropping is sound only when no later probe constrains that
+        variable again (the searches drop each distance variable once its
+        sign is pinned at that level).
+        """
+
+        kept = tuple(v for v in self.kept if v != drop)
+        _metrics.inc("solver.plan.prefix_extensions")
+        core, eliminated = self.plan.core(_conjoin(self.core, extra), kept)
+        return PlanState(self.plan, core, kept, self.eliminated + eliminated)

@@ -28,6 +28,7 @@ from ..omega import Problem, Variable
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from ..solver import implies_union, is_satisfiable, project
 from .dependences import Dependence
+from .plan import QueryPlan
 from .vectors import DirComponent, component_bounds, direction_vectors
 
 __all__ = ["refine_dependence", "RefinementOutcome"]
@@ -66,17 +67,22 @@ def _implication_holds(
 
 
 def refine_dependence(
-    dep: Dependence, *, partial: bool = False
+    dep: Dependence,
+    *,
+    partial: bool = False,
+    plan: QueryPlan | None = None,
 ) -> RefinementOutcome:
     """Attempt to refine a dependence; returns the refined dependence.
 
     The input dependence is not mutated; when refinement succeeds a new
     :class:`Dependence` is returned with ``refined=True`` and the original
-    direction vectors preserved in ``unrefined_directions``.
+    direction vectors preserved in ``unrefined_directions``.  The refined
+    direction vectors are searched through ``plan``'s reduced cores (a
+    throwaway plan without one).
     """
 
     with _span("analysis.refine", src=dep.src, dst=dep.dst) as sp:
-        outcome = _refine(dep, partial)
+        outcome = _refine(dep, partial, plan or QueryPlan())
     if sp.duration:
         _metrics.observe("analysis.refine_seconds", sp.duration)
     if outcome.attempted:
@@ -86,7 +92,9 @@ def refine_dependence(
     return outcome
 
 
-def _refine(dep: Dependence, partial: bool) -> RefinementOutcome:
+def _refine(
+    dep: Dependence, partial: bool, plan: QueryPlan
+) -> RefinementOutcome:
     deltas = dep.deltas
     if not deltas:
         return RefinementOutcome(dep, False, 0)
@@ -142,7 +150,11 @@ def _refine(dep: Dependence, partial: bool) -> RefinementOutcome:
     refined_problem = Problem(list(dep.problem.constraints), name=dep.problem.name)
     for component, delta in zip(fixed, deltas):
         refined_problem.extend(component.constraints(delta))
-    new_directions = direction_vectors(refined_problem, deltas)
+    new_directions = direction_vectors(
+        refined_problem,
+        deltas,
+        state=plan.base_state(refined_problem, deltas),
+    )
     really_refined = new_directions != dep.directions
     refined = Dependence(
         dep.kind,

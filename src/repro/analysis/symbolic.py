@@ -28,9 +28,10 @@ from typing import Iterable, Sequence
 
 from ..ir.ast import Access
 from ..omega import Constraint, LinearExpr, Problem, Variable
-from ..solver import gist, gist_of_projection, is_satisfiable, project
+from ..solver import gist_of_projection, is_satisfiable, project
 from .dependences import DependenceKind
-from .problem import SymbolTable, UTermOccurrence, build_pair_problem
+from .plan import QueryPlan
+from .problem import PairProblem, SymbolTable, UTermOccurrence
 from .vectors import RestraintVector, restraint_vectors
 
 __all__ = [
@@ -46,6 +47,27 @@ __all__ = [
     "format_constraint",
     "format_problem",
 ]
+
+
+def _pair_restraints(
+    src: Access,
+    dst: Access,
+    symbols: SymbolTable | None,
+    assertions: Iterable[Constraint],
+    array_bounds,
+) -> tuple[PairProblem, list[RestraintVector]]:
+    """The pair problem and its restraint vectors, through a query plan."""
+
+    plan = QueryPlan(symbols, assertions=assertions, array_bounds=array_bounds)
+    pair = plan.pair_problem(src, dst)
+    base = pair.full()
+    restraints = restraint_vectors(
+        base,
+        pair.delta_vars,
+        pair.forward,
+        state=plan.base_state(base, pair.delta_vars),
+    )
+    return pair, restraints
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +110,9 @@ def dependence_conditions(
     ``gist pi_keep(p and q) given pi_keep(p)``.
     """
 
-    symbols = symbols or SymbolTable()
-    pair = build_pair_problem(
-        src, dst, symbols, assertions=assertions, array_bounds=array_bounds
+    pair, restraints = _pair_restraints(
+        src, dst, symbols, assertions, array_bounds
     )
-    base = pair.full()
-    restraints = restraint_vectors(base, pair.delta_vars, pair.forward)
     keep = list(keep_syms) if keep_syms is not None else pair.sym_vars()
 
     conditions: list[SymbolicCondition] = []
@@ -229,13 +248,10 @@ def generate_query(
     dependence.
     """
 
-    symbols = symbols or SymbolTable()
-    pair = build_pair_problem(
-        src, dst, symbols, assertions=assertions, array_bounds=array_bounds
+    pair, restraints = _pair_restraints(
+        src, dst, symbols, assertions, array_bounds
     )
     occurrences = pair.occurrences()
-    base = pair.full()
-    restraints = restraint_vectors(base, pair.delta_vars, pair.forward)
 
     # Friendly names: argument variables become a, b, c ... ; value
     # variables render as Q[a] / a*b / k(a).
@@ -271,11 +287,8 @@ def generate_query(
             + restraint.constraints(pair.delta_vars),
             name="p",
         )
-        pq = p.conjoin(pair.coupling)
         keep = value_vars + arg_vars + plain_syms
-        p_proj, _ = project(p, keep).single()
-        pq_proj, _ = project(pq, keep).single()
-        condition = gist(pq_proj, p_proj)
+        condition = gist_of_projection(p, pair.coupling, keep)
         context_keep = arg_vars + plain_syms
         context, _ = project(p, context_keep).single()
         arg_names = tuple(
@@ -462,11 +475,10 @@ def symbolic_dependence_exists(
 
     registry = registry or PropertyRegistry()
     symbols = symbols or SymbolTable()
-    pair = build_pair_problem(
-        src, dst, symbols, assertions=assertions, array_bounds=array_bounds
+    pair, restraints = _pair_restraints(
+        src, dst, symbols, assertions, array_bounds
     )
     base = pair.full()
-    restraints = restraint_vectors(base, pair.delta_vars, pair.forward)
     occurrences = pair.occurrences()
     for restraint in restraints:
         constrained = Problem(

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from ..omega import Constraint, LinearExpr, Problem, Variable, ge, le
 from ..solver import is_satisfiable, project, satisfiable_batch
+from .plan import PlanState, QueryPlan
 
 __all__ = [
     "DirComponent",
@@ -136,16 +137,6 @@ class DirectionVector(tuple):
     def admits(self, distance: Sequence[int]) -> bool:
         return all(c.admits(v) for c, v in zip(self, distance))
 
-    def lexicographically_positive_part(self) -> bool:
-        """Could some admitted distance be lexicographically positive?"""
-
-        for component in self:
-            if component.hi is None or component.hi > 0:
-                return True
-            if not component.admits(0):
-                return False
-        return False
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self) + ")"
 
@@ -210,7 +201,7 @@ def direction_vectors(
     deltas: Sequence[Variable],
     *,
     refine_distances: bool = True,
-    state=None,
+    state: PlanState | None = None,
 ) -> list[DirectionVector]:
     """Enumerate exact sign combinations, then compress into boxes.
 
@@ -218,54 +209,42 @@ def direction_vectors(
     union exactly covers the satisfiable sign combinations: merging never
     introduces a sign combination that the problem cannot realize.
 
-    ``state`` (a :class:`repro.solver.plan.PlanState` for ``problem``)
-    substitutes each trial with its exactly-reduced core, so the search
-    probes small shared-prefix problems instead of rebuilding the full
-    conjunction per branch.  Answers — and therefore the enumerated
-    combinations — are identical either way; the distance-refinement
-    projections below deliberately keep using the full problem, since
+    Every trial probes ``state`` (a :class:`repro.analysis.plan.PlanState`
+    for ``problem``; a fresh root state by default), so the search asks
+    about small shared-prefix cores instead of rebuilding the full
+    conjunction per branch.  The distance-refinement projections below
+    deliberately keep using the full problem, since
     :func:`component_bounds` reads bounds off a real shadow rather than
     an exact answer, and the real shadow keeps its elimination path: a
     reduced core would walk a different path to a possibly looser
     shadow.
     """
 
+    state = state or QueryPlan().base_state(problem, deltas)
     if not deltas:
-        probe = problem if state is None else state.probe()
-        return [DirectionVector(())] if is_satisfiable(probe) else []
+        return [DirectionVector(())] if is_satisfiable(state.probe()) else []
 
     combos: list[tuple[DirComponent, ...]] = []
 
-    def explore(
-        prefix: tuple[DirComponent, ...],
-        constraints: list[Constraint],
-        state,
-    ):
+    def explore(prefix: tuple[DirComponent, ...], state: PlanState):
         level = len(prefix)
         if level == len(deltas):
             combos.append(prefix)
             return
         extras = [sign.constraints(deltas[level]) for sign in _SIGNS]
-        if state is None:
-            trials = [
-                Problem(list(problem.constraints) + constraints + extra)
-                for extra in extras
-            ]
-        else:
-            trials = [state.probe(extra) for extra in extras]
-        feasible = satisfiable_batch(trials)
+        feasible = satisfiable_batch([state.probe(extra) for extra in extras])
         for sign, extra, satisfiable in zip(_SIGNS, extras, feasible):
             if satisfiable:
                 # A child at the deepest level only records its combo, so
                 # extending (and reducing) its state would be dead work.
                 child = (
                     state.extend(extra, drop=deltas[level])
-                    if state is not None and level + 1 < len(deltas)
-                    else None
+                    if level + 1 < len(deltas)
+                    else state
                 )
-                explore(prefix + (sign,), constraints + extra, child)
+                explore(prefix + (sign,), child)
 
-    explore((), [], state)
+    explore((), state)
     if not combos:
         return []
 
@@ -357,41 +336,25 @@ def lexicographically_bad_exists(
     forward: bool,
     start: int = 0,
     *,
-    state=None,
+    state: PlanState | None = None,
 ) -> bool:
     """Does the problem admit a lexicographically-negative distance, or an
     all-zero distance when the pair is not syntactically forward?
 
-    ``state``, when given, must be a plan state whose core already carries
-    ``problem``'s constraints; the per-level probes then run against the
-    reduced core (identical answers, see :mod:`repro.omega.partial`).
+    The per-level probes run against ``state``, a plan state whose core
+    carries ``problem``'s constraints (a fresh root state by default).
     """
 
-    prefix: list[Constraint] = []
+    state = state or QueryPlan().base_state(problem, deltas)
     for level in range(start, len(deltas)):
-        negative_extra = [le(LinearExpr({deltas[level]: 1}), -1)]
-        if state is None:
-            negative = Problem(
-                list(problem.constraints) + prefix + negative_extra
-            )
-        else:
-            negative = state.probe(negative_extra)
-        if is_satisfiable(negative):
+        delta = deltas[level]
+        if is_satisfiable(state.probe([le(LinearExpr({delta: 1}), -1)])):
             return True
-        zero_extra = ZERO.constraints(deltas[level])
-        prefix.extend(zero_extra)
         # The extended state is only probed by a later level or by the
         # final all-zero check of a non-forward pair.
-        if state is not None and (level + 1 < len(deltas) or not forward):
-            state = state.extend(zero_extra, drop=deltas[level])
-    if not forward:
-        if state is None:
-            zero = Problem(list(problem.constraints) + prefix)
-        else:
-            zero = state.probe()
-        if is_satisfiable(zero):
-            return True
-    return False
+        if level + 1 < len(deltas) or not forward:
+            state = state.extend(ZERO.constraints(delta), drop=delta)
+    return not forward and is_satisfiable(state.probe())
 
 
 def restraint_vectors(
@@ -399,7 +362,7 @@ def restraint_vectors(
     deltas: Sequence[Variable],
     forward: bool,
     *,
-    state=None,
+    state: PlanState | None = None,
 ) -> list[RestraintVector]:
     """Compute a set of restraint vectors for a dependence problem.
 
@@ -409,32 +372,24 @@ def restraint_vectors(
     beats splitting into ``(+,*) , (0,+)``) and splits only when forced,
     exactly as Section 2.1.2 prescribes.
 
-    ``state`` substitutes each satisfiability probe with the plan's
-    reduced core (same answers, same probe order and count).
+    Every satisfiability probe runs against ``state``, a plan state for
+    ``problem`` (a fresh root state by default).
     """
 
     def recurse(
-        current: Problem, level: int, state
+        level: int, state: PlanState
     ) -> list[tuple[DirComponent, ...]]:
-        probe = current if state is None else state.probe()
-        if not is_satisfiable(probe):
+        if not is_satisfiable(state.probe()):
             return []
         if level == len(deltas):
             return [()] if forward else []
         delta = deltas[level]
-        negative_extra = [le(LinearExpr({delta: 1}), -1)]
         can_negative = is_satisfiable(
-            Problem(list(current.constraints) + negative_extra)
-            if state is None
-            else state.probe(negative_extra)
+            state.probe([le(LinearExpr({delta: 1}), -1)])
         )
-        zero_extra = ZERO.constraints(delta)
-        at_zero = Problem(list(current.constraints) + zero_extra)
-        zero_state = (
-            None if state is None else state.extend(zero_extra, drop=delta)
-        )
+        zero_state = state.extend(ZERO.constraints(delta), drop=delta)
         zero_bad = lexicographically_bad_exists(
-            at_zero, deltas, forward, level + 1, state=zero_state
+            problem, deltas, forward, level + 1, state=zero_state
         )
         if not zero_bad:
             head = ZERO_PLUS if can_negative else STAR
@@ -442,16 +397,11 @@ def restraint_vectors(
         # Splitting: strictly-positive head (rest unconstrained) plus the
         # zero-head restraints of the residual problem.
         results: list[tuple[DirComponent, ...]] = []
-        plus_extra = PLUS.constraints(delta)
-        plus_head = (
-            Problem(list(current.constraints) + plus_extra)
-            if state is None
-            else state.probe(plus_extra)
-        )
-        if is_satisfiable(plus_head):
+        if is_satisfiable(state.probe(PLUS.constraints(delta))):
             results.append((PLUS,) + (STAR,) * (len(deltas) - level - 1))
-        for tail in recurse(at_zero, level + 1, zero_state):
+        for tail in recurse(level + 1, zero_state):
             results.append((ZERO,) + tail)
         return results
 
-    return [DirectionVector(v) for v in recurse(problem, 0, state)]
+    state = state or QueryPlan().base_state(problem, deltas)
+    return [DirectionVector(v) for v in recurse(0, state)]

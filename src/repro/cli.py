@@ -58,7 +58,7 @@ import math
 import pathlib
 import sys
 from contextlib import ExitStack
-from typing import Callable, Sequence
+from typing import Sequence, TextIO
 
 from .analysis import (
     AnalysisOptions,
@@ -450,17 +450,20 @@ def _load_baseline(path: pathlib.Path) -> dict:
     return artifact
 
 
-def _write_output(
-    path: pathlib.Path, write: Callable[[pathlib.Path], object]
-) -> None:
-    """Create ``path``'s parent directory and call ``write(path)``.
+def _open_output(stack: ExitStack, path: pathlib.Path | None) -> TextIO | None:
+    """Create ``path``'s parent directory and open ``path`` for writing.
 
-    A path that cannot be written is an :class:`InputError`.
+    Called before the run, so a path that cannot be written is an
+    :class:`InputError` before anything is printed.  The file is opened
+    for appending, so an existing artifact survives a run that fails;
+    :func:`_write_output` replaces its content.  ``stack`` closes it.
     """
 
+    if path is None:
+        return None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        write(path)
+        return stack.enter_context(open(path, "a", encoding="utf-8"))
     except OSError as failure:
         reason = failure.strerror or str(failure)
         if failure.filename is not None and failure.filename != str(path):
@@ -468,8 +471,27 @@ def _write_output(
         raise InputError(f"{path}: {reason}") from None
 
 
+def _write_output(sink: TextIO, text: str) -> None:
+    """Replace the content of an output opened by :func:`_open_output`."""
+
+    try:
+        sink.truncate(0)
+        sink.write(text)
+        sink.flush()
+    except OSError as failure:
+        reason = failure.strerror or str(failure)
+        raise InputError(f"{sink.name}: {reason}") from None
+
+
 def _cmd_analyze(args) -> int:
     program = _load(args.file)
+    with ExitStack() as outputs:
+        trace_sink = _open_output(outputs, args.trace_out)
+        metrics_sink = _open_output(outputs, args.metrics_out)
+        return _run_analyze(args, program, trace_sink, metrics_sink)
+
+
+def _run_analyze(args, program, trace_sink, metrics_sink) -> int:
     options = AnalysisOptions(
         extended=not args.standard,
         partial_refine=args.partial_refine,
@@ -481,8 +503,12 @@ def _cmd_analyze(args) -> int:
         options.deadline_ms = args.deadline_ms
     if args.strict:
         options.policy = "raise"
-    tracer = Tracer() if args.trace_out else None
-    registry = MetricsRegistry() if (args.stats or args.metrics_out) else None
+    tracer = Tracer() if trace_sink is not None else None
+    registry = (
+        MetricsRegistry()
+        if args.stats or metrics_sink is not None
+        else None
+    )
     with ExitStack() as stack:
         if tracer is not None:
             stack.enter_context(tracing(tracer))
@@ -557,13 +583,12 @@ def _cmd_analyze(args) -> int:
                         + (" DISABLED" if tier.get("disabled") else "")
                     )
     if tracer is not None:
-        _write_output(args.trace_out, tracer.write_chrome_trace)
-        print(f"trace written to {args.trace_out}", file=sys.stderr)
-    if args.metrics_out and registry is not None:
         _write_output(
-            args.metrics_out,
-            lambda path: path.write_text(registry.to_json() + "\n"),
+            trace_sink, json.dumps(tracer.to_chrome_trace(), indent=1)
         )
+        print(f"trace written to {args.trace_out}", file=sys.stderr)
+    if metrics_sink is not None:
+        _write_output(metrics_sink, registry.to_json() + "\n")
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     return 0
 
@@ -650,15 +675,17 @@ def _cmd_audit(args) -> int:
     else:
         programs = None  # the whole corpus
         out = args.out or pathlib.Path("results/precision_omega.json")
-    artifact = precision_report(
-        programs,
-        progress=lambda name: print(f"audit: {name}", file=sys.stderr),
-    )
-    text = json.dumps(artifact, indent=2)
-    print(text if args.json else render_precision(artifact))
-    if out is not None:
-        _write_output(out, lambda path: path.write_text(text + "\n"))
-        print(f"artifact written to {out}", file=sys.stderr)
+    with ExitStack() as outputs:
+        sink = _open_output(outputs, out)
+        artifact = precision_report(
+            programs,
+            progress=lambda name: print(f"audit: {name}", file=sys.stderr),
+        )
+        text = json.dumps(artifact, indent=2)
+        print(text if args.json else render_precision(artifact))
+        if sink is not None:
+            _write_output(sink, text + "\n")
+            print(f"artifact written to {out}", file=sys.stderr)
     if baseline is not None:
         comparison = compare_precision(baseline, artifact)
         print(comparison.render())

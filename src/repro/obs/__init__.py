@@ -16,10 +16,6 @@ nothing is collecting.  Three cooperating parts:
     The structured per-dependence decision trail behind
     ``analyze(..., AnalysisOptions(explain=True))`` and the CLI's
     ``--explain`` flag.
-``repro.obs.profile``
-    :class:`Profile` aggregates recorded span trees into per-name hotspot
-    statistics (calls, cumulative and self time, child breakdown) and
-    exports collapsed stacks for flamegraphs.
 
 Typical use::
 
@@ -46,7 +42,6 @@ from .metrics import (
     set_gauge,
 )
 from .metrics import enabled as metrics_enabled
-from .profile import Profile, SpanProfile
 from .trace import (
     Span,
     SpanEvent,
@@ -92,9 +87,6 @@ __all__ = [
     "span",
     "tracing",
     "tracing_active",
-    # profile
-    "Profile",
-    "SpanProfile",
     # metrics
     "metrics_enabled",
     "CATALOG",

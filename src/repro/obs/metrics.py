@@ -77,7 +77,7 @@ CATALOG: tuple[str, ...] = (
     "omega.cache.evictions",
     # Solver service boundary (repro.solver).
     "solver.queries",
-    # Query planner (repro.analysis.plan / repro.solver.plan).
+    # Query planner (repro.analysis.plan).
     "solver.plan.base_systems",
     "solver.plan.base_reused",
     "solver.plan.cores_built",

@@ -5,7 +5,9 @@ extension of Fourier-Motzkin variable elimination — together with the
 extensions introduced in the PLDI'92 paper: projection with splintering
 (real and dark shadows), gist computation, efficient implication tests, and
 a decision layer for the subclass of Presburger formulas that array
-dependence analysis requires.
+dependence analysis requires.  The exact partial elimination the query
+planner reuses across probes is built from this package's elimination
+steps in :mod:`repro.analysis.plan`.
 
 Quick example::
 
@@ -44,7 +46,6 @@ from .errors import (
     OmegaError,
 )
 from .gist import GistStats, gist, implies, implies_union
-from .partial import PartialElimination, partial_eliminate
 from .presburger import (
     FALSE,
     TRUE,
@@ -96,8 +97,6 @@ __all__ = [
     "EqualityEliminationResult",
     "fourier_motzkin",
     "FMResult",
-    "partial_eliminate",
-    "PartialElimination",
     # solving
     "is_satisfiable",
     # projection

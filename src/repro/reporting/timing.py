@@ -7,12 +7,9 @@ test on one dependence vector, and 72 were split into several vectors.
 ``collect_pair_timings`` reproduces the populations and the timing ratios
 on our corpus; ``figure7_series`` produces the sorted per-pair series.
 
-All durations come from the :mod:`repro.obs` span tracer: each program
-runs under its own :class:`~repro.obs.Tracer`, the engine derives
-``PairRecord`` / ``KillTiming`` from span durations, and the study keeps
-the raw traces so the full corpus run can be exported as one Chrome-trace
-JSON (``TimingStudy.write_chrome_trace``) or aggregated per instrumented
-site (``TimingStudy.span_totals``).
+All durations come from the :mod:`repro.obs` span tracer: the engine
+derives ``PairRecord`` / ``KillTiming`` from span durations.  The study
+keeps only those records; ``repro analyze --trace-out`` is the span view.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from typing import Sequence
 from ..analysis import AnalysisOptions, analyze
 from ..analysis.results import KillTiming, PairCategory, PairRecord
 from ..ir.ast import Program
-from ..obs import Profile, SpanEvent, Tracer, chrome_trace, tracing
 
 __all__ = [
     "TimingStudy",
@@ -37,11 +33,10 @@ __all__ = [
 
 @dataclass
 class TimingStudy:
-    """All pair and kill timing records over a corpus, plus raw traces."""
+    """All pair and kill timing records over a corpus."""
 
     pair_records: list[PairRecord] = field(default_factory=list)
     kill_timings: list[KillTiming] = field(default_factory=list)
-    traces: list[tuple[str, Tracer]] = field(default_factory=list)
 
     def by_category(self) -> dict[PairCategory, list[PairRecord]]:
         groups: dict[PairCategory, list[PairRecord]] = {
@@ -63,75 +58,15 @@ class TimingStudy:
             "kill_omega": sum(1 for k in self.kill_timings if k.used_omega),
         }
 
-    # -- span-level views ----------------------------------------------
-    def span_events(self) -> list[SpanEvent]:
-        """Every span event recorded across the corpus, program order."""
-
-        events: list[SpanEvent] = []
-        for _name, tracer in self.traces:
-            events.extend(tracer.events)
-        return events
-
-    def span_totals(self) -> dict[str, tuple[int, float]]:
-        """Per-site ``(call count, total seconds)`` over the whole corpus."""
-
-        totals: dict[str, tuple[int, float]] = {}
-        for event in self.span_events():
-            count, seconds = totals.get(event.name, (0, 0.0))
-            totals[event.name] = (count + 1, seconds + event.duration)
-        return totals
-
-    def profile(self) -> Profile:
-        """Aggregate every recorded span tree into one corpus profile."""
-
-        return Profile.from_events(self.span_events())
-
-    def to_chrome_trace(self) -> dict:
-        """The whole corpus as one Chrome-trace object.
-
-        Each program's tracer has its own ``perf_counter`` origin, so the
-        per-program timelines are rebased end-to-end to stay readable.
-        """
-
-        rebased: list[SpanEvent] = []
-        offset = 0.0
-        for _name, tracer in self.traces:
-            if not tracer.events:
-                continue
-            end = max(e.start + e.duration for e in tracer.events)
-            for event in tracer.events:
-                rebased.append(
-                    SpanEvent(
-                        event.name,
-                        event.start - tracer.origin + offset,
-                        event.duration,
-                        event.thread_id,
-                        event.parent,
-                        event.depth,
-                        event.attrs,
-                    )
-                )
-            offset += end - tracer.origin
-        return chrome_trace(rebased)
-
-    def write_chrome_trace(self, path) -> None:
-        import json
-
-        with open(path, "w") as sink:
-            json.dump(self.to_chrome_trace(), sink, indent=1)
-
 
 def collect_pair_timings(programs: Sequence[Program]) -> TimingStudy:
     """Run extended analysis with timing across a corpus of programs."""
 
     study = TimingStudy()
     for program in programs:
-        tracer = Tracer()
-        with tracing(tracer):
-            result = analyze(program, AnalysisOptions(record_timings=True))
+        result = analyze(program, AnalysisOptions(record_timings=True))
         study.pair_records.extend(result.pair_records)
         study.kill_timings.extend(result.kill_timings)
-        study.traces.append((program.name, tracer))
     return study
 
 

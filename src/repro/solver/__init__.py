@@ -18,6 +18,10 @@ The vocabulary:
 - Module-level ``is_satisfiable`` / ``project`` / ``gist`` / ``implies`` /
   ``implies_union`` / ``satisfiable_batch`` / ``submit_batch`` — the
   drop-in call-site API that dispatches to the current service.
+
+The query planner that pre-reduces the problems analysis submits lives
+on the analysis side, in :mod:`repro.analysis.plan`; its reductions are
+rewrites with no answer of their own, so they do not cross this boundary.
 """
 
 from __future__ import annotations
@@ -32,13 +36,10 @@ from ..omega.gist import implies_union as _implies_union
 from ..omega.project import project as _project
 from ..omega.redblack import gist_of_projection
 from ..omega.solve import is_satisfiable as _is_satisfiable
-from .plan import PlanSpace, PlanState
 from .queries import QueryKind, SolverQuery
 from .service import SolverService, current_service
 
 __all__ = [
-    "PlanSpace",
-    "PlanState",
     "QueryKind",
     "SolverQuery",
     "SolverService",

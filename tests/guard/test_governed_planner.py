@@ -1,6 +1,6 @@
 """Governed runs take the query planner: best-effort cores, sound answers.
 
-Core reductions (``PlanSpace.core``) sit below the solver service and
+Core reductions (``QueryPlan.core``) sit below the solver service and
 have no answer of their own, so under a budget or a fault plan they are
 best-effort: a reduction that runs out of budget, or hits an injected
 fault, leaves that request's core unreduced — and must not pin the
@@ -17,12 +17,12 @@ import random
 import pytest
 
 from repro.analysis.engine import AnalysisOptions, analyze
+from repro.analysis.plan import QueryPlan
 from repro.guard import Budget, FaultPlan, governed, injecting
 from repro.ir import run_program, value_based_flows
 from repro.omega import Problem, Variable
 from repro.programs import PAPER_EXAMPLES, cholsky
 from repro.solver import SolverService
-from repro.solver.plan import PlanSpace
 from tests.analysis.test_cache_determinism import random_program
 from tests.guard.test_chaos import live_deps
 
@@ -43,27 +43,28 @@ def nest_problem():
 
 class TestCoreFallback:
     def test_a_fault_in_a_reduction_is_not_pinned(self):
-        space = PlanSpace()
+        query_plan = QueryPlan()
         problem = nest_problem()
         plan = FaultPlan(seed=1, rate=1.0, kinds=("timeout", "budget"))
         with injecting(plan):
-            faulted = space.core(problem, [D])
+            faulted, eliminated = query_plan.core(problem, [D])
         assert plan.injected
-        assert faulted.eliminated == 0
-        assert faulted.problem is problem
+        assert eliminated == 0
+        assert faulted is problem
         # The fault was the run's: the next request reduces, and that
         # reduction is the one memoized.
-        reduced = space.core(problem, [D])
-        assert reduced.eliminated > 0
-        assert space.core(problem, [D]) is reduced
+        reduced = query_plan.core(problem, [D])
+        assert reduced[1] > 0
+        assert query_plan.core(problem, [D]) is reduced
 
     def test_an_exhausted_budget_in_a_reduction_is_not_pinned(self):
-        space = PlanSpace()
+        query_plan = QueryPlan()
         problem = nest_problem()
         with governed(Budget(fm_steps=0)):
-            starved = space.core(problem, [D])
-        assert starved.eliminated == 0
-        assert space.core(problem, [D]).eliminated > 0
+            _, starved = query_plan.core(problem, [D])
+        assert starved == 0
+        _, reduced = query_plan.core(problem, [D])
+        assert reduced > 0
 
     def test_a_reduction_meters_its_own_work(self):
         # One FM step each: the probe before the reduction and the
@@ -72,9 +73,9 @@ class TestCoreFallback:
         service = SolverService()
         with service.activate(), governed(Budget(fm_steps=1)):
             assert service.sat(Problem().add_bounds(1, I, 10))
-            core = PlanSpace().core(nest_problem(), [D])
-            assert core.eliminated > 0
-            assert service.sat(core.probe())
+            state = QueryPlan().base_state(nest_problem(), [D])
+            assert state.eliminated > 0
+            assert service.sat(state.probe())
         assert service.degraded == 0
 
 

@@ -1,8 +1,12 @@
-"""PlanSpace/PlanState tests: memoized cores, prefix reuse, metrics."""
+"""Query-plan state tests: memoized cores, prefix reuse, metrics.
 
+The reductions sit below the solver service; their ``solver.plan.*``
+metrics are what the benchmark's layer table reads.
+"""
+
+from repro.analysis.plan import PlanState, QueryPlan
 from repro.obs import MetricsRegistry, collecting
 from repro.omega import Problem, Variable, eq, ge, is_satisfiable, le
-from repro.solver import PlanSpace, PlanState
 
 I, J, D = Variable("i"), Variable("j"), Variable("d")
 
@@ -17,26 +21,28 @@ def nest_problem():
 
 
 class TestPlanSpace:
+    """QueryPlan's memo of reduced cores."""
+
     def test_core_is_memoized_structurally(self):
-        space = PlanSpace()
+        plan = QueryPlan()
         with collecting(MetricsRegistry()) as registry:
-            first = space.core(nest_problem(), [D])
+            first = plan.core(nest_problem(), [D])
             # A structurally identical (but distinct) problem hits the memo.
-            second = space.core(nest_problem(), [D])
+            second = plan.core(nest_problem(), [D])
         assert second is first
         assert registry.counter("solver.plan.cores_built") == 1
         assert registry.counter("solver.plan.cores_reused") == 1
 
     def test_different_keep_sets_get_different_cores(self):
-        space = PlanSpace()
-        with_d = space.core(nest_problem(), [D])
-        with_dj = space.core(nest_problem(), [D, J])
+        plan = QueryPlan()
+        with_d, _ = plan.core(nest_problem(), [D])
+        with_dj, _ = plan.core(nest_problem(), [D, J])
         assert with_d is not with_dj
-        assert J not in with_d.problem.variables()
-        assert J in with_dj.problem.variables()
+        assert J not in with_d.variables()
+        assert J in with_dj.variables()
 
     def test_base_state_carries_the_root_elimination(self):
-        state = PlanSpace().base_state(nest_problem(), [D])
+        state = QueryPlan().base_state(nest_problem(), [D])
         assert isinstance(state, PlanState)
         assert state.kept == (D,)
         assert state.eliminated > 0
@@ -45,13 +51,13 @@ class TestPlanSpace:
 class TestPlanState:
     def test_probe_matches_full_problem(self):
         problem = nest_problem()
-        state = PlanSpace().base_state(problem, [D])
+        state = QueryPlan().base_state(problem, [D])
         for extra in ([], [le(D, -1)], [ge(D), le(D, 0)], [ge(D - 1)]):
             full = Problem(list(problem.constraints) + list(extra))
             assert is_satisfiable(state.probe(extra)) == is_satisfiable(full)
 
     def test_extend_drops_the_pinned_variable(self):
-        state = PlanSpace().base_state(nest_problem(), [D])
+        state = QueryPlan().base_state(nest_problem(), [D])
         child = state.extend([eq(D - 2)], drop=D)
         assert child.kept == ()
         assert child.eliminated >= state.eliminated
@@ -60,9 +66,9 @@ class TestPlanState:
         assert not is_satisfiable(dead.probe())
 
     def test_sibling_extensions_share_the_memo(self):
-        space = PlanSpace()
-        state_a = space.base_state(nest_problem(), [D])
-        state_b = space.base_state(nest_problem(), [D])
+        plan = QueryPlan()
+        state_a = plan.base_state(nest_problem(), [D])
+        state_b = plan.base_state(nest_problem(), [D])
         with collecting(MetricsRegistry()) as registry:
             child_a = state_a.extend([eq(D - 2)], drop=D)
             child_b = state_b.extend([eq(D - 2)], drop=D)
@@ -72,7 +78,7 @@ class TestPlanState:
         assert registry.counter("solver.plan.cores_reused") == 1
 
     def test_probe_counts_prefix_reuse(self):
-        state = PlanSpace().base_state(nest_problem(), [D])
+        state = QueryPlan().base_state(nest_problem(), [D])
         assert state.eliminated > 0
         with collecting(MetricsRegistry()) as registry:
             state.probe()

@@ -523,11 +523,12 @@ class TestUnwritableOutputs:
         out = blocker / "artifact.json"
         argv = [arg.format(program=program_file) for arg in argv]
         assert main([*argv, str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == (
+        captured = capsys.readouterr()
+        # The path is checked before the run: no table, no progress line.
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
             f"repro: error: {out}: File exists: {blocker}"
-        )
-        assert "Traceback" not in err
+        ]
 
 
 # -- unusable inputs fail cleanly -------------------------------------------
