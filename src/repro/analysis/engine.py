@@ -40,6 +40,7 @@ from ..guard import Budget, DegradationLog
 from ..guard import budget as _guard
 from ..guard import faults as _faults
 from ..ir.ast import Access, Program
+from ..obs import metrics as _metrics
 from ..obs.audit import (
     AuditLog,
     ProvenanceRecord,
@@ -48,11 +49,10 @@ from ..obs.audit import (
     kill_subject,
 )
 from ..obs.explain import Step, explain_view
-from ..obs.instrument import Tracer
-from ..obs.instrument import metrics as _metrics
-from ..obs.instrument import span as _span
-from ..obs.instrument import tracing as _tracing
-from ..obs.instrument import tracing_active as _tracing_active
+from ..obs.trace import Tracer
+from ..obs.trace import active as _tracing_active
+from ..obs.trace import span as _span
+from ..obs.trace import tracing as _tracing
 from ..omega import Constraint
 from ..solver import SolverService, current_cache, current_service
 from .cover import cover_quick_reject, covers_destination, terminates_source

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from ..guard import budget as _guard
 from ..ir.ast import Access
+from ..obs import metrics as _metrics
 from ..obs.audit import note_conservative as _note_conservative
-from ..obs.instrument import metrics as _metrics
-from ..obs.instrument import span as _span
+from ..obs.trace import span as _span
 from ..omega import Problem
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from ..solver import SolverQuery, implies_union, submit_batch

@@ -114,9 +114,6 @@ class InstanceContext:
     #: assertion must share the value variable).
     _uterm_cache: dict[UTerm, UTermOccurrence] = field(default_factory=dict)
 
-    def map_name(self, name: str) -> Variable:
-        return self._name_map[name]
-
 
 _occurrence_counter = itertools.count(1)
 
@@ -253,9 +250,6 @@ class PairProblem:
 
     def occurrences(self) -> list[UTermOccurrence]:
         return self.src_ctx.occurrences + self.dst_ctx.occurrences
-
-    def instance_vars(self) -> list[Variable]:
-        return list(self.src_ctx.loop_vars) + list(self.dst_ctx.loop_vars)
 
     def sym_vars(self) -> list[Variable]:
         """Every 'sym'-kind variable mentioned anywhere in the problem."""

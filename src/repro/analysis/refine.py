@@ -21,9 +21,9 @@ not automatically find the partial refinement in Example 5" — ours does.
 from __future__ import annotations
 
 from ..guard import budget as _guard
+from ..obs import metrics as _metrics
 from ..obs.audit import note_conservative as _note_conservative
-from ..obs.instrument import metrics as _metrics
-from ..obs.instrument import span as _span
+from ..obs.trace import span as _span
 from ..omega import Problem, Variable
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from ..solver import implies_union, is_satisfiable, project

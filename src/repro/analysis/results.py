@@ -171,9 +171,3 @@ class AnalysisResult:
             "input": len(self.input),
             "pairs": len(self.pair_records),
         }
-
-    def category_counts(self) -> dict[PairCategory, int]:
-        found: dict[PairCategory, int] = {c: 0 for c in PairCategory}
-        for record in self.pair_records:
-            found[record.category] += 1
-        return found

@@ -103,10 +103,6 @@ class SymbolicSession:
         self.assertions.append(parse_assertion(text))
         return self
 
-    def assert_constraint(self, constraint: Constraint) -> "SymbolicSession":
-        self.assertions.append(constraint)
-        return self
-
     def declare_property(
         self, array: str, *properties: ArrayProperty
     ) -> "SymbolicSession":

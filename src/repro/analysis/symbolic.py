@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from ..ir.ast import Access
 from ..omega import Constraint, LinearExpr, Problem, Variable
-from ..solver import gist_of_projection, is_satisfiable, project
+from ..solver import gist, gist_of_projection, is_satisfiable, project
 from .dependences import DependenceKind
 from .plan import QueryPlan
 from .problem import PairProblem, SymbolTable, UTermOccurrence
@@ -122,12 +122,16 @@ def dependence_conditions(
             + restraint.constraints(pair.delta_vars),
             name="p",
         )
-        # Section 3.3.2: combined red/black projection-and-gist (with the
-        # independent-projection fallback when an elimination is inexact).
-        condition = gist_of_projection(p, pair.coupling, keep)
-        p_proj, p_exact = project(p, keep).single()
+        # Section 3.3.2, with the projection of p kept as the context.
+        context, p_exact = project(p, keep).single()
+        combined, pq_exact = project(p.conjoin(pair.coupling), keep).single()
         conditions.append(
-            SymbolicCondition(restraint, condition, p_proj, exact=p_exact)
+            SymbolicCondition(
+                restraint,
+                gist(combined, context),
+                context,
+                exact=p_exact and pq_exact,
+            )
         )
     return conditions
 

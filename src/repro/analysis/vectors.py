@@ -149,48 +149,20 @@ RestraintVector = DirectionVector  # same structure, different role
 # ---------------------------------------------------------------------------
 
 
-def component_bounds(
-    problem: Problem, delta: Variable, limit: int = 64
-) -> DirComponent:
+def component_bounds(problem: Problem, delta: Variable) -> DirComponent:
     """Constant bounds on one distance variable, via projection.
 
     Projects the problem onto ``delta`` alone (eliminating symbolic
     constants too, so the bounds are absolute integers) and reads the
-    interval off the real shadow — safe, since the real shadow is a
-    superset of the true projection.  The real shadow keeps its
-    elimination path: it is the end of the projection's own walk (taken
-    from that walk's real shadow from the first inexact step on), so
-    the bounds depend on the problem it is given, not just on the
-    integer points it describes.
+    interval off the real shadow (:meth:`Projection.interval`) — safe,
+    since the real shadow is a superset of the true projection.  The real
+    shadow keeps its elimination path: it is the end of the projection's
+    own walk (taken from that walk's real shadow from the first inexact
+    step on), so the bounds depend on the problem it is given, not just
+    on the integer points it describes.
     """
 
-    projection = project(problem, [delta])
-    shadow = projection.real
-    lo: int | None = None
-    hi: int | None = None
-    for constraint in shadow.constraints:
-        coeff = constraint.coeff(delta)
-        if coeff == 0:
-            continue
-        if any(v.is_wildcard for v in constraint.variables()):
-            # A stride equality (e.g. d - 2*sigma = 0, "d is even") is not
-            # an interval bound; skip it — the interval stays conservative.
-            continue
-        if constraint.is_equality:
-            value = -constraint.expr.constant // coeff
-            return DirComponent(value, value)
-        # normalized: coeff is +-1 after gcd reduction.
-        # a*d + c >= 0 with a > 0:  d >= ceil(-c/a) = -floor(c/a)
-        # -a*d + c >= 0 with a > 0: d <= floor(c/a)
-        if coeff > 0:
-            bound = -(constraint.expr.constant // coeff)
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            bound = constraint.expr.constant // -coeff
-            hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo == hi:
-        return DirComponent(lo, hi)
-    return DirComponent(lo, hi)
+    return DirComponent(*project(problem, [delta]).interval(delta))
 
 
 _SIGNS = (MINUS, ZERO, PLUS)

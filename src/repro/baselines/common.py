@@ -76,10 +76,6 @@ class DimensionProblem:
         return None
 
 
-def _loop_var_names(access: Access) -> list[str]:
-    return [loop.var for loop in access.statement.loops]
-
-
 def qualified_loop_names(
     src: Access, dst: Access
 ) -> tuple[dict[str, str], dict[str, str], list[str]]:

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..obs.instrument import metrics as _metrics
+from ..obs import metrics as _metrics
 from ..omega.errors import BudgetExhausted
 from . import faults as _faults
 

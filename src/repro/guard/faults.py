@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..obs.instrument import metrics as _metrics
+from ..obs import metrics as _metrics
 from ..omega.errors import BudgetExhausted
 
 __all__ = [

@@ -27,6 +27,13 @@ Typical use::
     print(registry.summary())
 """
 
+from .audit import (
+    AuditLog,
+    ProvenanceRecord,
+    QueryFootprint,
+    auditing,
+    current_audit,
+)
 from .explain import Decision, ExplainLog
 from .metrics import _registries as _metric_registries
 from .metrics import (
@@ -65,16 +72,6 @@ def off() -> bool:
 
     return not _trace_state.tracers and not _metric_registries.stack
 
-
-# Imported after ``off`` is defined: ``audit`` pulls in ``instrument``,
-# which reads ``off`` from this package at import time.
-from .audit import (  # noqa: E402
-    AuditLog,
-    ProvenanceRecord,
-    QueryFootprint,
-    auditing,
-    current_audit,
-)
 
 __all__ = [
     "off",

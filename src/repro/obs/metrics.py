@@ -384,6 +384,8 @@ def inc(name: str, amount: int = 1) -> None:
 
 
 def set_gauge(name: str, value: float) -> None:
+    """Set a gauge in every active registry (no-op when disabled)."""
+
     stack = _registries.stack
     if not stack:
         return
@@ -394,6 +396,9 @@ def set_gauge(name: str, value: float) -> None:
 def observe(
     name: str, value: float, boundaries: Iterable[float] = DEFAULT_BUCKETS
 ) -> None:
+    """Record one histogram sample in every active registry (no-op when
+    disabled)."""
+
     stack = _registries.stack
     if not stack:
         return

@@ -62,7 +62,6 @@ from .presburger import (
     valid,
 )
 from .project import Projection, project, project_away
-from .redblack import combined_projection_gist, gist_of_projection
 from .simplify import find_witness, simplify
 from .solve import is_satisfiable
 from .terms import LinearExpr, Variable, const, fresh_wildcard, term
@@ -109,8 +108,6 @@ __all__ = [
     "gist",
     "implies",
     "implies_union",
-    "gist_of_projection",
-    "combined_projection_gist",
     "GistStats",
     # Presburger formulas
     "Formula",

@@ -86,6 +86,34 @@ class Projection:
             return self.dark, True
         return self.real, False
 
+    def interval(self, var: Variable) -> tuple[int | None, int | None]:
+        """Constant bounds ``(lo, hi)`` on ``var`` (None = unbounded).
+
+        Read off the Real Shadow, so the interval contains the true
+        projection.  Meaningful for a projection onto ``var`` alone.  A
+        stride equality (``d - 2*sigma = 0``, "d is even") is no interval
+        bound and is skipped; any other equality pins the value.
+        """
+
+        lo: int | None = None
+        hi: int | None = None
+        for constraint in self.real.constraints:
+            coeff = constraint.coeff(var)
+            if coeff == 0 or any(v.is_wildcard for v in constraint.variables()):
+                continue
+            if constraint.is_equality:
+                value = -constraint.expr.constant // coeff
+                return value, value
+            # a*v + c >= 0 with a > 0:  v >= ceil(-c/a) = -floor(c/a)
+            # -a*v + c >= 0 with a > 0: v <= floor(c/a)
+            if coeff > 0:
+                bound = -(constraint.expr.constant // coeff)
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                bound = constraint.expr.constant // -coeff
+                hi = bound if hi is None else min(hi, bound)
+        return lo, hi
+
     def __str__(self) -> str:
         body = " OR ".join(f"({p})" for p in self.pieces) or "FALSE"
         return body

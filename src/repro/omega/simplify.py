@@ -39,28 +39,6 @@ def simplify(problem: Problem) -> Problem:
     return result
 
 
-def _variable_bounds(problem: Problem, var: Variable) -> tuple[int | None, int | None]:
-    """Constant bounds of ``var`` in the problem via projection."""
-
-    projection = project(problem, [var])
-    lo: int | None = None
-    hi: int | None = None
-    for constraint in projection.real.constraints:
-        coeff = constraint.coeff(var)
-        if coeff == 0 or any(v.is_wildcard for v in constraint.variables()):
-            continue
-        if constraint.is_equality:
-            value = -constraint.expr.constant // coeff
-            return value, value
-        if coeff > 0:
-            bound = -(constraint.expr.constant // coeff)
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            bound = constraint.expr.constant // -coeff
-            hi = bound if hi is None else min(hi, bound)
-    return lo, hi
-
-
 def find_witness(
     problem: Problem, *, search_radius: int = 1 << 20
 ) -> dict[Variable, int] | None:
@@ -78,7 +56,7 @@ def find_witness(
     assignment: dict[Variable, int] = {}
     current = problem.copy()
     for var in sorted(problem.variables()):
-        lo, hi = _variable_bounds(current, var)
+        lo, hi = project(current, [var]).interval(var)
         search_lo = lo if lo is not None else -search_radius
         search_hi = hi if hi is not None else search_radius
         value = _first_feasible(current, var, search_lo, search_hi)

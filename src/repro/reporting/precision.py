@@ -298,6 +298,8 @@ def precision_markdown_table(
 
 
 def load_precision(path) -> dict:
+    """Read a ``repro.precision/1`` artifact from ``path``."""
+
     with open(path) as source:
         return json.load(source)
 

@@ -168,6 +168,9 @@ def rejected(
     reason: str,
     retry_after_ms: float,
 ) -> dict:
+    """A ``rejected`` response: admission refused the request; the client
+    may retry after ``retry_after_ms``."""
+
     return response(
         "rejected",
         request_id,
@@ -177,6 +180,8 @@ def rejected(
 
 
 def invalid(request_id: str | None, message: str) -> dict:
+    """An ``invalid`` response: the request broke the protocol."""
+
     return response("invalid", request_id, error=message)
 
 

@@ -17,7 +17,8 @@ The vocabulary:
   over those calls.
 - Module-level ``is_satisfiable`` / ``project`` / ``gist`` / ``implies`` /
   ``implies_union`` / ``satisfiable_batch`` / ``submit_batch`` — the
-  drop-in call-site API that dispatches to the current service.
+  drop-in call-site API that dispatches to the current service;
+  ``gist_of_projection`` (Section 3.3.2) is three of those calls.
 
 The query planner that pre-reduces the problems analysis submits lives
 on the analysis side, in :mod:`repro.analysis.plan`; its reductions are
@@ -34,7 +35,6 @@ from ..omega.gist import gist as _gist
 from ..omega.gist import implies as _implies
 from ..omega.gist import implies_union as _implies_union
 from ..omega.project import project as _project
-from ..omega.redblack import gist_of_projection
 from ..omega.solve import is_satisfiable as _is_satisfiable
 from .queries import QueryKind, SolverQuery
 from .service import SolverService, current_service
@@ -81,6 +81,20 @@ def gist(p: Problem, q: Problem, **kwargs) -> Problem:
     if service is not None:
         return service.gist(p, q, **kwargs)
     return _gist(p, q, **kwargs)
+
+
+def gist_of_projection(p: Problem, q: Problem, keep) -> Problem:
+    """``gist pi_keep(p and q) given pi_keep(p)`` (Section 3.3.2).
+
+    Three queries through the current service: the projections of ``p``
+    and of ``p and q`` onto ``keep``, each as one conjunction (the real
+    shadow when it is inexact, so the answer stays conservative), and the
+    gist of the second given the first.
+    """
+
+    context, _ = project(p, keep).single()
+    combined, _ = project(p.conjoin(q), keep).single()
+    return gist(combined, context)
 
 
 def implies(q: Problem, p: Problem) -> bool:

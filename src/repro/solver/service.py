@@ -24,10 +24,10 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 from ..guard import budget as _guard
+from ..obs import metrics as _metrics
 from ..obs import off as _obs_off
 from ..obs.audit import current_audit as _current_audit
-from ..obs.instrument import metrics as _metrics
-from ..obs.instrument import span as _span
+from ..obs.trace import span as _span
 from ..omega.cache import SolverCache, caching
 from ..omega.constraints import Problem
 from ..omega.errors import BudgetExhausted, OmegaComplexityError

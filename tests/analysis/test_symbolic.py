@@ -1,4 +1,8 @@
-"""Symbolic dependence analysis tests beyond the paper's worked examples."""
+"""Symbolic dependence analysis tests beyond the paper's worked examples,
+plus pins of the Example 7/8 artifacts and Section 5 under the solver
+service (governed, degraded, audited)."""
+
+import pathlib
 
 import pytest
 
@@ -14,8 +18,14 @@ from repro.analysis.symbolic import (
     satisfiable_with_properties,
     symbolic_dependence_exists,
 )
+from repro.guard import Budget, governed, subject
 from repro.ir import parse
+from repro.obs import AuditLog, auditing
 from repro.omega import Problem, Variable, eq, ge, le
+from repro.programs import example7, example8
+from repro.solver import SolverService
+
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results"
 
 
 class TestFormatting:
@@ -240,3 +250,116 @@ class TestSatisfiableWithProperties:
         x = Variable("x")
         p = Problem().add_bounds(5, x, 0)
         assert not satisfiable_with_properties(p, [], PropertyRegistry())
+
+
+# ---------------------------------------------------------------------------
+# Examples 7 and 8 (the results/example{7,8}_*.txt artifacts)
+# ---------------------------------------------------------------------------
+
+
+def example7_conditions():
+    """Example 7's conditions, computed as the artifact's benchmark does."""
+
+    program = example7()
+    write = [a for a in program.writes() if a.array == "A"][0]
+    read = [a for a in program.reads() if a.array == "A"][0]
+    n = Variable("n", "sym")
+    return dependence_conditions(
+        write,
+        read,
+        DependenceKind.FLOW,
+        assertions=[le(50, n), le(n, 100)],
+        array_bounds=program.array_bounds,
+        keep_syms=[Variable(name, "sym") for name in ("x", "y", "m")],
+    )
+
+
+def example8_queries():
+    """Example 8's output and flow queries, in that order."""
+
+    program = example8()
+    write = [a for a in program.writes() if a.array == "A"][0]
+    read = [a for a in program.reads() if a.array == "A"][0]
+    return [
+        query
+        for sink, kind in (
+            (write, DependenceKind.OUTPUT),
+            (read, DependenceKind.FLOW),
+        )
+        for query in generate_query(
+            write, sink, kind, array_bounds=program.array_bounds
+        )
+    ]
+
+
+EXAMPLE7 = {
+    "(+,*)": "50 >= x and x >= 1",
+    "(0,+)": "x = 0 and m >= y + 1",
+}
+
+EXAMPLE8 = [
+    "Is it the case that for all a & b such that\n"
+    "  b >= a + 1 and n >= a and a >= 1 and n >= b and b >= 1 and n >= 1,\n"
+    "the following never happens?\n\n"
+    "  Q[a] = Q[b]\n",
+    "Is it the case that for all a & b such that\n"
+    "  b >= a + 2 and n >= a and a >= 1 and n + 1 >= b and b >= 2"
+    " and n >= 1,\n"
+    "the following never happens?\n\n"
+    "  Q[a] + 1 = Q[b]\n",
+]
+
+
+class TestPaperArtifacts:
+    def test_example7_conditions(self):
+        conditions = example7_conditions()
+        found = {
+            str(c.restraint): format_problem(c.condition) for c in conditions
+        }
+        assert found == EXAMPLE7
+        assert all(c.exact for c in conditions)
+        artifact = (RESULTS / "example7_conditions.txt").read_text()
+        for restraint, text in EXAMPLE7.items():
+            assert f" {restraint}: {text}    [paper:" in artifact
+
+    def test_example8_queries(self):
+        rendered = [query.render() for query in example8_queries()]
+        assert rendered == EXAMPLE8
+        artifact = (RESULTS / "example8_queries.txt").read_text()
+        for text in EXAMPLE8:
+            assert text in artifact
+
+
+class TestSection5ThroughTheService:
+    def test_degrades_instead_of_raising(self):
+        service = SolverService()
+        with service.activate(), governed(
+            Budget(deadline_ms=0), policy="degrade"
+        ) as gov:
+            conditions = example7_conditions()
+            queries = example8_queries()
+        # No condition is claimed: the dependences are assumed to exist.
+        assert len(conditions) == 2 and len(queries) == 2
+        for condition in conditions:
+            assert condition.condition.is_trivially_true()
+            assert not condition.exact
+        assert all(query.is_trivial for query in queries)
+        kinds = {event.kind for event in gov.log}
+        assert {"project", "gist"} <= kinds
+        assert service.degraded == len(gov.log.events)
+
+    def test_projections_and_gists_are_audited(self):
+        log = AuditLog()
+        with SolverService().activate(), auditing(log):
+            with subject("example7"):
+                conditions = example7_conditions()
+            with subject("example8"):
+                queries = example8_queries()
+        ex7 = log.footprints["example7"].queries
+        ex8 = log.footprints["example8"].queries
+        # Per condition: two projections and one gist; per query, one
+        # more projection for its context.
+        assert ex7["project"] == 2 * len(conditions)
+        assert ex7["gist"] == len(conditions)
+        assert ex8["project"] == 3 * len(queries)
+        assert ex8["gist"] == len(queries)

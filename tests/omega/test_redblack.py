@@ -1,19 +1,19 @@
-"""Combined red/black projection-and-gist tests (Section 3.3.2).
+"""Projection-and-gist tests (Section 3.3.2).
 
-The combined fast pass must agree with the independent-projections
-computation on the defining property:
+``repro.solver.gist_of_projection`` must satisfy the defining property
 
     result AND pi_keep(p)  ==  pi_keep(p and q) AND pi_keep(p)
+
+whenever both projections are exact single conjunctions.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.omega import Problem, Variable
 from repro.omega.project import project
-from repro.omega.redblack import combined_projection_gist, gist_of_projection
+from repro.solver import gist_of_projection
 
-from tests.util import boxed, enumerate_box, piece_satisfied
+from tests.util import boxed, piece_satisfied
 
 i1 = Variable("i1")
 j1 = Variable("j1")
@@ -22,6 +22,8 @@ x = Variable("x", "sym")
 
 
 class TestFastPath:
+    """Example 7's shape, a non-unit coupling and a contradictory q."""
+
     def test_example7_style(self):
         # p: bounds + ordering; q: subscript equality.  Keep the symbols.
         p = (
@@ -40,17 +42,12 @@ class TestFastPath:
         }
         assert values == set(range(1, 51))
 
-    def test_fast_path_taken_for_unit_systems(self):
-        p = Problem().add_bounds(1, i1, n).add_le(i1 + 1, j1).add_le(j1, n)
-        q = Problem().add_eq(j1, i1 + 1)
-        assert combined_projection_gist(p, q, [n]) is not None
-
     def test_fallback_on_nonunit(self):
         p = Problem().add_bounds(1, i1, n).add_ge(3 * j1 - 2 * i1).add_ge(
             5 * i1 - 2 * j1
         ).add_bounds(1, j1, n)
         q = Problem().add_eq(2 * j1, i1 + n)
-        # Must still answer (via the fallback), whichever path runs.
+        # Non-unit coefficients: the projections are still answered.
         result = gist_of_projection(p, q, [n])
         assert result is not None
 
@@ -64,7 +61,7 @@ class TestFastPath:
 
 
 # ---------------------------------------------------------------------------
-# Differential property testing
+# Defining-property testing
 # ---------------------------------------------------------------------------
 
 A = Variable("a")
