@@ -29,7 +29,12 @@ from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from ..solver import implies_union, is_satisfiable, project
 from .dependences import Dependence
 from .plan import QueryPlan
-from .vectors import DirComponent, component_bounds, direction_vectors
+from .vectors import (
+    DirComponent,
+    DirectionVector,
+    component_bounds,
+    direction_vectors,
+)
 
 __all__ = ["refine_dependence", "RefinementOutcome"]
 
@@ -76,8 +81,9 @@ def refine_dependence(
 
     The input dependence is not mutated; when refinement succeeds a new
     :class:`Dependence` is returned with ``refined=True`` and the original
-    direction vectors preserved in ``unrefined_directions``.  The refined
-    direction vectors are searched through ``plan``'s reduced cores (a
+    direction vectors preserved in ``unrefined_directions``.  The
+    distance bounds, the candidates' feasibility and the refined
+    direction vectors are all asked of ``plan``'s reduced cores (a
     throwaway plan without one).
     """
 
@@ -110,13 +116,16 @@ def _refine(
         return RefinementOutcome(dep, True, 0)
     lhs_pieces = lhs_projection.pieces
 
+    # Bounds and feasibility are questions about the distances alone, so
+    # they run on the plan's exact core; the implication's projections
+    # keep loop variables and symbols the core has eliminated, so they
+    # stay on the full problem.
+    root = plan.base_state(dep.problem, deltas)
     fixed: list[DirComponent] = []
     narrowed = False
-    for level, delta in enumerate(deltas):
-        context = Problem(list(dep.problem.constraints), name=dep.problem.name)
-        for component, dv in zip(fixed, deltas):
-            context.extend(component.constraints(dv))
-        bounds = component_bounds(context, delta)
+    for delta in deltas:
+        pinned = DirectionVector(fixed).constraints(deltas)
+        bounds = component_bounds(root.probe(pinned), delta)
         if bounds.lo is None:
             break
         if bounds.is_exact:
@@ -130,10 +139,12 @@ def _refine(
                 candidates.append(DirComponent(bounds.lo, hi))
         accepted: DirComponent | None = None
         for candidate in candidates:
-            trial = Problem(list(context.constraints), name=context.name)
-            trial.extend(candidate.constraints(delta))
-            if not is_satisfiable(trial):
+            extra = pinned + candidate.constraints(delta)
+            if not is_satisfiable(root.probe(extra)):
                 continue
+            trial = Problem(
+                list(dep.problem.constraints) + extra, name=dep.problem.name
+            )
             rhs_projection = project(trial, keep)
             if _implication_holds(lhs_pieces, rhs_projection.pieces):
                 accepted = candidate
@@ -147,13 +158,12 @@ def _refine(
     if not fixed or not narrowed:
         return RefinementOutcome(dep, True, len(fixed))
 
-    refined_problem = Problem(list(dep.problem.constraints), name=dep.problem.name)
-    for component, delta in zip(fixed, deltas):
-        refined_problem.extend(component.constraints(delta))
+    pinned = DirectionVector(fixed).constraints(deltas)
+    refined_problem = Problem(
+        list(dep.problem.constraints) + pinned, name=dep.problem.name
+    )
     new_directions = direction_vectors(
-        refined_problem,
-        deltas,
-        state=plan.base_state(refined_problem, deltas),
+        refined_problem, deltas, state=root.extend(pinned)
     )
     really_refined = new_directions != dep.directions
     refined = Dependence(

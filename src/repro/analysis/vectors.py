@@ -155,11 +155,18 @@ def component_bounds(problem: Problem, delta: Variable) -> DirComponent:
     Projects the problem onto ``delta`` alone (eliminating symbolic
     constants too, so the bounds are absolute integers) and reads the
     interval off the real shadow (:meth:`Projection.interval`) — safe,
-    since the real shadow is a superset of the true projection.  The real
-    shadow keeps its elimination path: it is the end of the projection's
-    own walk (taken from that walk's real shadow from the first inexact
-    step on), so the bounds depend on the problem it is given, not just
-    on the integer points it describes.
+    since the real shadow is a superset of the true projection.
+
+    The searches pass a plan core conjoined with distance constraints
+    (``PlanState.probe``), not the full pair problem.  A core comes from
+    exact steps only (equality substitution, unit-pair Fourier-Motzkin),
+    so it has the same integer projection onto the distances as the full
+    problem: when the one-variable projection is exact, its interval is
+    that projection's integer hull, whichever problem it starts from.
+    ``tests/analysis/test_distance_bounds.py`` checks core and full
+    intervals equal on every box and refinement level of the corpus,
+    CHOLSKY, the paper examples and fuzzed programs, inexact projections
+    included.
     """
 
     return DirComponent(*project(problem, [delta]).interval(delta))
@@ -172,24 +179,22 @@ def direction_vectors(
     problem: Problem,
     deltas: Sequence[Variable],
     *,
-    refine_distances: bool = True,
     state: PlanState | None = None,
 ) -> list[DirectionVector]:
     """Enumerate exact sign combinations, then compress into boxes.
 
     The result is a set of partially compressed direction vectors whose
     union exactly covers the satisfiable sign combinations: merging never
-    introduces a sign combination that the problem cannot realize.
+    introduces a sign combination that the problem cannot realize.  Each
+    box is then narrowed to the constant distance bounds the problem
+    admits inside it (:func:`component_bounds`).
 
-    Every trial probes ``state`` (a :class:`repro.analysis.plan.PlanState`
-    for ``problem``; a fresh root state by default), so the search asks
-    about small shared-prefix cores instead of rebuilding the full
-    conjunction per branch.  The distance-refinement projections below
-    deliberately keep using the full problem, since
-    :func:`component_bounds` reads bounds off a real shadow rather than
-    an exact answer, and the real shadow keeps its elimination path: a
-    reduced core would walk a different path to a possibly looser
-    shadow.
+    Every question runs against ``state``, a
+    :class:`repro.analysis.plan.PlanState` for ``problem`` that keeps
+    every variable of ``deltas`` (a fresh root state by default): the
+    sign trials probe small shared-prefix cores instead of rebuilding the
+    full conjunction per branch, and each box's bounds are projected from
+    the root core conjoined with the box's constraints.
     """
 
     state = state or QueryPlan().base_state(problem, deltas)
@@ -220,29 +225,19 @@ def direction_vectors(
     if not combos:
         return []
 
-    boxes = _merge_boxes(combos, set(combos))
-
     vectors: list[DirectionVector] = []
-    for box in boxes:
-        if refine_distances:
-            refined: list[DirComponent] = []
-            context = Problem(list(problem.constraints))
-            for component, delta in zip(box, deltas):
-                context = Problem(
-                    list(context.constraints) + component.constraints(delta)
-                )
-            for component, delta in zip(box, deltas):
-                bounds = component_bounds(context, delta)
-                merged = DirComponent(
-                    bounds.lo
-                    if bounds.lo is not None
-                    else component.lo,
+    for box in _merge_boxes(combos, set(combos)):
+        context = state.probe(DirectionVector(box).constraints(deltas))
+        refined: list[DirComponent] = []
+        for component, delta in zip(box, deltas):
+            bounds = component_bounds(context, delta)
+            refined.append(
+                DirComponent(
+                    bounds.lo if bounds.lo is not None else component.lo,
                     bounds.hi if bounds.hi is not None else component.hi,
                 )
-                refined.append(merged)
-            vectors.append(DirectionVector(refined))
-        else:
-            vectors.append(DirectionVector(box))
+            )
+        vectors.append(DirectionVector(refined))
     return vectors
 
 

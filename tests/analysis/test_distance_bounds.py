@@ -1,0 +1,200 @@
+"""Distance bounds read off a plan core equal the full problem's.
+
+``direction_vectors`` narrows each sign box to the distance bounds
+projected from the plan's root core conjoined with the box, and the
+Section 4.4 refinement reads each level's bounds from its root core
+conjoined with the levels already pinned.  A core is the pair problem
+after exact eliminations only (equality substitution, unit-pair
+Fourier-Motzkin), so its integer projection onto the distances is the
+full problem's.  These tests pin the consequence on every box and every
+refinement level the analysis visits for the timing corpus, CHOLSKY,
+the paper examples and fuzzed programs: the interval the search reads is
+the interval of the full problem conjoined with the same box (or pinned
+levels), inexact projections included.
+
+The full-problem side is computed here, independently of the search: the
+boxes come from the box merge, and the refinement levels from a replay of
+the refinement walk on the full problem.  Only undegraded answers are
+compared: no fault plan or budget is active for these ``analyze()``
+calls, and each population asserts that nothing degraded.
+"""
+
+import random
+
+import pytest
+
+from repro.analysis import AnalysisOptions, analyze, dependences
+from repro.analysis import refine as refine_mod
+from repro.analysis import vectors
+from repro.analysis.vectors import DirComponent, DirectionVector
+from repro.obs import MetricsRegistry, collecting
+from repro.omega import Problem, is_satisfiable, project
+from repro.programs import PAPER_EXAMPLES, cholsky, timing_corpus
+from tests.analysis.test_cache_determinism import random_program
+
+
+class Population:
+    """Checks every distance-bound projection the analysis makes."""
+
+    def __init__(self, monkeypatch):
+        self.boxes = 0
+        self.levels = 0
+        self.inexact = 0
+        self._frames: list[dict] = []
+        self._patch(monkeypatch)
+
+    def full_interval(self, problem, extra, delta):
+        """The interval of ``problem ∧ extra`` projected onto ``delta``."""
+
+        projection = project(
+            Problem(list(problem.constraints) + list(extra)), [delta]
+        )
+        # A splintered projection's real shadow over-approximates it, so
+        # its interval is where a different elimination path could differ.
+        if not projection.single()[1]:
+            self.inexact += 1
+        return projection.interval(delta)
+
+    def _patch(self, monkeypatch):
+        real_bounds = vectors.component_bounds
+        real_merge = vectors._merge_boxes
+        real_vectors = vectors.direction_vectors
+        real_refine = refine_mod._refine
+
+        def frame_bounds(problem, delta):
+            bounds = real_bounds(problem, delta)
+            self._frames[-1]["read"].append((bounds.lo, bounds.hi))
+            return bounds
+
+        def frame_boxes(combos, realizable):
+            boxes = real_merge(combos, realizable)
+            self._frames[-1]["boxes"] = boxes
+            return boxes
+
+        def run_framed(run):
+            self._frames.append({"read": [], "boxes": []})
+            try:
+                result = run()
+            finally:
+                frame = self._frames.pop()
+            return result, frame
+
+        def checked_vectors(problem, deltas, *, state=None):
+            result, frame = run_framed(
+                lambda: real_vectors(problem, deltas, state=state)
+            )
+            expected = [
+                self.full_interval(
+                    problem, DirectionVector(box).constraints(deltas), delta
+                )
+                for box in frame["boxes"]
+                for delta in deltas
+            ]
+            assert frame["read"] == expected, problem
+            self.boxes += len(frame["boxes"])
+            return result
+
+        def checked_refine(dep, partial, plan):
+            outcome, frame = run_framed(lambda: real_refine(dep, partial, plan))
+            assert frame["read"] == self.full_levels(dep, partial), dep.problem
+            self.levels += len(frame["read"])
+            return outcome
+
+        monkeypatch.setattr(vectors, "component_bounds", frame_bounds)
+        monkeypatch.setattr(refine_mod, "component_bounds", frame_bounds)
+        monkeypatch.setattr(vectors, "_merge_boxes", frame_boxes)
+        monkeypatch.setattr(dependences, "direction_vectors", checked_vectors)
+        monkeypatch.setattr(refine_mod, "direction_vectors", checked_vectors)
+        monkeypatch.setattr(refine_mod, "_refine", checked_refine)
+
+    def full_levels(self, dep, partial):
+        """Each level's interval in the refinement walk, replayed on the
+        full problem (the walk of :func:`repro.analysis.refine._refine`)."""
+
+        keep = refine_mod._lhs_keep(dep)
+        lhs = project(dep.problem, keep)
+        if not dep.deltas or not lhs.exact_union:
+            return []
+        fixed: list[DirComponent] = []
+        intervals = []
+        for delta in dep.deltas:
+            pinned = DirectionVector(fixed).constraints(dep.deltas)
+            lo, hi = self.full_interval(dep.problem, pinned, delta)
+            intervals.append((lo, hi))
+            if lo is None:
+                break
+            if lo == hi:
+                fixed.append(DirComponent(lo, hi))
+                continue
+            top = lo + refine_mod._PARTIAL_WIDTH if partial else lo
+            if hi is not None:
+                top = min(top, hi)
+            accepted = None
+            for candidate_hi in range(lo, top + 1):
+                candidate = DirComponent(lo, candidate_hi)
+                trial = Problem(
+                    list(dep.problem.constraints)
+                    + pinned
+                    + candidate.constraints(delta)
+                )
+                if is_satisfiable(trial) and refine_mod._implication_holds(
+                    lhs.pieces, project(trial, keep).pieces
+                ):
+                    accepted = candidate
+                    break
+            if accepted is None:
+                break
+            fixed.append(accepted)
+        return intervals
+
+    def analyze_all(self, programs, options=None):
+        registry = MetricsRegistry()
+        with collecting(registry):
+            for program in programs:
+                analyze(program, options)
+        counters = registry.to_dict()["counters"]
+        assert counters.get("guard.degradations", 0) == 0
+
+
+@pytest.fixture
+def population(monkeypatch):
+    return Population(monkeypatch)
+
+
+def fuzzed_programs(seed, count):
+    rng = random.Random(seed)
+    return [random_program(rng, index) for index in range(count)]
+
+
+def test_timing_corpus(population):
+    population.analyze_all(timing_corpus())
+    assert population.boxes > 0
+    assert population.levels > 0
+
+
+def test_cholsky(population):
+    population.analyze_all([cholsky()])
+    assert population.boxes > 0
+    assert population.levels > 0
+
+
+def test_paper_examples(population):
+    population.analyze_all(make() for make in PAPER_EXAMPLES.values())
+    assert population.boxes > 0
+    assert population.levels > 0
+
+
+def test_fuzzed_programs(population):
+    # The population of test_cache_determinism's fuzz test.
+    population.analyze_all(fuzzed_programs(19920617, 220))
+    assert population.boxes > 0
+    assert population.levels > 0
+    assert population.inexact > 0
+
+
+def test_fuzzed_programs_with_range_refinement(population):
+    population.analyze_all(
+        fuzzed_programs(7, 300), AnalysisOptions(partial_refine=True)
+    )
+    assert population.levels > 0
+    assert population.inexact > 0
