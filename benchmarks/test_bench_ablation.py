@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import (
     AnalysisOptions,
     DependenceKind,
-    SymbolTable,
+    QueryPlan,
     analyze,
     compute_dependences,
 )
@@ -49,36 +49,32 @@ def test_bench_gist_naive_only(benchmark):
 
 def _kill_setup():
     program = contrived_total_overwrite()
-    symbols = SymbolTable()
+    plan = QueryPlan()
     writes = program.writes()
     read = [r for r in program.reads() if r.array == "a"][0]
-    victim = compute_dependences(
-        writes[0], read, DependenceKind.FLOW, symbols
-    )[0]
-    killer = compute_dependences(
-        writes[1], read, DependenceKind.FLOW, symbols
-    )[0]
+    victim = compute_dependences(writes[0], read, DependenceKind.FLOW, plan)[0]
+    killer = compute_dependences(writes[1], read, DependenceKind.FLOW, plan)[0]
     output_pairs = {(writes[0], writes[1]), (writes[0], writes[0])}
-    return symbols, output_pairs, victim, killer
+    return plan, output_pairs, victim, killer
 
 
 def test_bench_kill_with_quick_tests(benchmark):
-    symbols, output_pairs, victim, killer = _kill_setup()
+    plan, output_pairs, victim, killer = _kill_setup()
 
     def run():
-        tester = KillTester(symbols, output_pairs)
-        return tester.kills(victim, killer)
+        tester = KillTester(plan, output_pairs)
+        return tester.kills(victim, killer).killed
 
     assert benchmark(run)
 
 
 def test_bench_kill_quick_reject_path(benchmark):
     # No output dependence recorded: the quick test answers instantly.
-    symbols, _pairs, victim, killer = _kill_setup()
+    plan, _pairs, victim, killer = _kill_setup()
 
     def run():
-        tester = KillTester(symbols, set())
-        return tester.kills(victim, killer)
+        tester = KillTester(plan, set())
+        return tester.kills(victim, killer).killed
 
     assert not benchmark(run)
 

@@ -88,16 +88,14 @@ def covers_destination(dep: Dependence, *, use_quick_test: bool = True) -> bool:
     return covers
 
 
-def terminates_source(dep: Dependence, *, use_quick_test: bool = True) -> bool:
+def terminates_source(dep: Dependence) -> bool:
     """Does the destination write overwrite everything the source accessed?
 
     Only meaningful when the destination is a write (output or anti
     dependences, or flow dependences considered from the source's side).
     """
 
-    if not dep.dst.is_write:
-        return False
-    if use_quick_test and cover_quick_reject(dep):
+    if not dep.dst.is_write or cover_quick_reject(dep):
         return False
     with _span("analysis.terminate", src=dep.src, dst=dep.dst):
         keep = list(dep.pair.src_ctx.loop_vars) + dep.pair.sym_vars()

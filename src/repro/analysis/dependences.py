@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..ir.ast import Access
-from ..omega import Constraint, Problem, Variable
+from ..omega import Problem, Variable
 from ..solver import is_satisfiable, satisfiable_batch
-from .plan import QueryPlan
-from .problem import PairProblem, SymbolTable
+from .plan import PlanState, QueryPlan
+from .problem import PairProblem
 from .vectors import (
     DirectionVector,
     RestraintVector,
@@ -58,6 +57,10 @@ class Dependence:
     #: domain + coupling + restraint constraints: all instances of this
     #: dependence (lexicographically forward by construction).
     problem: Problem
+    #: The plan state of ``problem`` keeping every distance variable (the
+    #: pair's root core conjoined with the restraint): the searches over
+    #: this dependence probe it instead of reducing ``problem`` again.
+    state: PlanState = field(compare=False, repr=False)
     directions: list[DirectionVector] = field(default_factory=list)
 
     status: DependenceStatus = DependenceStatus.LIVE
@@ -142,11 +145,6 @@ def compute_dependences(
     src: Access,
     dst: Access,
     kind: DependenceKind,
-    symbols: SymbolTable | None = None,
-    *,
-    assertions: Iterable[Constraint] = (),
-    array_bounds=None,
-    want_directions: bool = True,
     plan: QueryPlan | None = None,
 ) -> list[Dependence]:
     """All dependences of ``kind`` from src to dst (one per restraint vector).
@@ -154,63 +152,47 @@ def compute_dependences(
     Returns an empty list when the pair problem has no lexicographically
     forward solutions — i.e. there is no dependence.
 
-    ``plan`` supplies shared instance contexts and the memo of exactly
-    reduced cores that every satisfiability probe runs against; it
-    carries its own symbols, assertions and array bounds, so those
-    arguments only shape the throwaway plan built without one.  The
-    questions asked — count, kind and order — and their answers do not
-    depend on the plan; only the submitted problems shrink.  The
-    :class:`Dependence` objects always carry the *full* constrained
-    problems, since downstream refinement, cover and kill tests project
-    them.
+    ``plan`` supplies the symbols, assertions and array bounds, shared
+    instance contexts and the memo of exactly reduced cores that every
+    satisfiability probe runs against; without one the pair runs on a
+    fresh plan with an empty symbol table.  The questions asked — count,
+    kind and order — and their answers do not depend on the plan; only
+    the submitted problems shrink.  Each :class:`Dependence` carries the
+    *full* constrained problem, which refinement, cover and kill tests
+    project, and its plan state, which the searches probe.
     """
 
-    plan = plan or QueryPlan(
-        symbols, assertions=assertions, array_bounds=array_bounds
-    )
+    plan = plan or QueryPlan()
     pair = plan.pair_problem(src, dst)
     base = pair.full()
-    state = plan.base_state(base, pair.delta_vars)
+    deltas = pair.delta_vars
+    state = plan.base_state(base, deltas)
     if not is_satisfiable(state.probe()):
         return []
 
-    restraints = restraint_vectors(
-        base, pair.delta_vars, pair.forward, state=state
-    )
-    constrained_problems = [
-        Problem(
-            list(base.constraints) + restraint.constraints(pair.delta_vars),
-            name=base.name,
-        )
-        for restraint in restraints
-    ]
+    restraints = restraint_vectors(state, deltas, pair.forward)
     feasible = satisfiable_batch(
-        [
-            state.probe(restraint.constraints(pair.delta_vars))
-            for restraint in restraints
-        ]
+        [state.probe(r.constraints(deltas)) for r in restraints]
     )
     found: list[Dependence] = []
-    for restraint, constrained, satisfiable in zip(
-        restraints, constrained_problems, feasible
-    ):
+    for restraint, satisfiable in zip(restraints, feasible):
         if not satisfiable:
             continue
-        directions: list[DirectionVector] = []
-        if want_directions:
-            directions = [
-                v
-                for v in direction_vectors(
-                    constrained,
-                    pair.delta_vars,
-                    state=state.extend(restraint.constraints(pair.delta_vars)),
-                )
-                if _forward_vector(v, pair.forward)
-            ]
-            if pair.delta_vars and not directions:
-                continue
+        extra = restraint.constraints(deltas)
+        restrained = state.extend(extra)
+        directions = [
+            v
+            for v in direction_vectors(restrained, deltas)
+            if _forward_vector(v, pair.forward)
+        ]
+        if deltas and not directions:
+            continue
+        constrained = Problem(list(base.constraints) + extra, name=base.name)
         found.append(
-            Dependence(kind, src, dst, pair, restraint, constrained, directions)
+            Dependence(
+                kind, src, dst, pair, restraint, constrained, restrained,
+                directions,
+            )
         )
     return found
 

@@ -260,6 +260,9 @@ class Analyzer:
             )
             with _span("analysis.analyze", program=self.program.name) as sp:
                 self._run_phases()
+            # Every dependence holds a state of this plan: drop its memo and
+            # shared instances, so a returned result keeps neither alive.
+            self.plan.release()
             if self.audit is not None:
                 self._finalize_audit()
             if sp.duration:
@@ -436,9 +439,7 @@ class Analyzer:
             for dep in deps:
                 if self.options.extended and self.options.extend_all_kinds:
                     dep = refine_dependence(
-                        dep,
-                        partial=self.options.partial_refine,
-                        plan=self.plan,
+                        dep, partial=self.options.partial_refine
                     ).dependence
                     if self.options.terminate:
                         dep.covers = terminates_source(dep)
@@ -471,9 +472,7 @@ class Analyzer:
                         self._note_self_output(src, dep)
                     if self.options.extended and self.options.extend_all_kinds:
                         dep = refine_dependence(
-                            dep,
-                            partial=self.options.partial_refine,
-                            plan=self.plan,
+                            dep, partial=self.options.partial_refine
                         ).dependence
                     if (
                         self.options.extended
@@ -530,11 +529,7 @@ class Analyzer:
     ) -> tuple[list[Dependence], "_ReadSink"]:
         """The complete flow-dependence pipeline for one array read."""
 
-        tester = KillTester(
-            self.symbols,
-            self.output_pairs,
-            array_bounds=self.program.array_bounds,
-        )
+        tester = KillTester(self.plan, self.output_pairs)
         per_read: list[Dependence] = []
         for write in writes:
             if write.array != read.array:
@@ -577,15 +572,10 @@ class Analyzer:
                 for dep in deps:
                     if self.options.refine and self._refine_quick_allows(dep):
                         outcome = refine_dependence(
-                            dep,
-                            partial=self.options.partial_refine,
-                            plan=self.plan,
+                            dep, partial=self.options.partial_refine
                         )
                         consulted_omega = consulted_omega or outcome.attempted
-                        if (
-                            outcome.dependence is not dep
-                            and outcome.dependence.refined
-                        ):
+                        if outcome.dependence is not dep:
                             sink.step(
                                 outcome.dependence, "refined", used_omega=True
                             )
@@ -705,8 +695,8 @@ class Analyzer:
                 with _guard.subject(
                     kill_subject(victim.subject(), killer.src)
                 ):
-                    killed = tester.kills(victim, killer)
-                record = tester.records[-1]
+                    record = tester.kills(victim, killer)
+                killed = record.killed
                 if self.options.record_timings:
                     sink.kill_timings.append(
                         KillTiming(

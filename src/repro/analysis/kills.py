@@ -31,10 +31,15 @@ from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from ..solver import SolverQuery, implies_union, submit_batch
 from .dependences import Dependence
 from .ordering import execution_order_cases
-from .problem import SymbolTable, build_instance, common_depth
+from .plan import QueryPlan
+from .problem import common_depth
 from .vectors import DirComponent
 
 __all__ = ["KillTester", "kill_quick_reject", "closer_cover_quick_kill", "distance_ranges"]
+
+#: The most (A before B) x (B before C) execution-order case pairs the
+#: general kill test enumerates; beyond it the kill is declined.
+MAX_CASES = 16
 
 
 def distance_ranges(dep: Dependence) -> list[DirComponent]:
@@ -131,29 +136,27 @@ class KillRecord:
 
 
 class KillTester:
-    """Performs kill tests for dependences sharing a destination."""
+    """Performs kill tests for dependences sharing a destination.
+
+    ``plan`` is the query plan the dependences came from: it supplies the
+    symbols and the killer's instance (shared when the access is pure).
+    """
 
     def __init__(
-        self,
-        symbols: SymbolTable,
-        output_pairs: set[tuple[Access, Access]],
-        *,
-        array_bounds=None,
-        max_cases: int = 16,
+        self, plan: QueryPlan, output_pairs: set[tuple[Access, Access]]
     ):
-        self.symbols = symbols
+        self.plan = plan
         self.output_pairs = output_pairs
-        self.array_bounds = array_bounds
-        self.max_cases = max_cases
-        self.records: list[KillRecord] = []
 
-    def kills(self, victim: Dependence, killer: Dependence) -> bool:
+    def kills(self, victim: Dependence, killer: Dependence) -> KillRecord:
         """Does ``killer`` (a write -> dst dependence) kill ``victim``?"""
 
-        if victim is killer or victim.dst is not killer.dst:
-            return False
-        if not killer.src.is_write:
-            return False
+        if (
+            victim is killer
+            or victim.dst is not killer.dst
+            or not killer.src.is_write
+        ):
+            return KillRecord(victim, killer, False, False)
         _metrics.inc("analysis.kills_attempted")
         with _span(
             "analysis.kill",
@@ -163,14 +166,13 @@ class KillTester:
         ) as sp:
             record = self._decide(victim, killer)
         record.elapsed = sp.duration
-        self.records.append(record)
         if record.killed:
             _metrics.inc("analysis.kills_succeeded")
         if record.used_omega:
             _metrics.inc("analysis.kill_omega_tests")
         if sp.duration:
             _metrics.observe("analysis.kill_seconds", sp.duration)
-        return record.killed
+        return record
 
     def _decide(self, victim: Dependence, killer: Dependence) -> KillRecord:
         """Quick tests first, then the general (Omega-backed) test."""
@@ -186,7 +188,8 @@ class KillTester:
     # ------------------------------------------------------------------
     def _general_test(self, victim: Dependence, killer: Dependence) -> bool:
         pair = victim.pair
-        b_ctx = build_instance(killer.src, "b", self.symbols, self.array_bounds)
+        symbols = self.plan.symbols
+        b_ctx = self.plan.instance(killer.src, "b")
 
         # Subscript equality B(j) sub= C(k).
         from .problem import _translate
@@ -199,8 +202,8 @@ class KillTester:
         for b_sub, c_sub in zip(
             killer.src.ref.subscripts, victim.dst.ref.subscripts
         ):
-            lhs = _translate(b_sub, b_ctx, self.symbols, extra_domain)
-            rhs = _translate(c_sub, pair.dst_ctx, self.symbols, extra_domain)
+            lhs = _translate(b_sub, b_ctx, symbols, extra_domain)
+            rhs = _translate(c_sub, pair.dst_ctx, symbols, extra_domain)
             coupling.add_eq(lhs, rhs)
         # B reads an index array (in its bounds, or in a subscript the
         # loop above translated).  A sound kill must hold for every
@@ -213,7 +216,7 @@ class KillTester:
         bc_cases = execution_order_cases(b_ctx, pair.dst_ctx)
         if not ab_cases or not bc_cases:
             return False
-        if len(ab_cases) * len(bc_cases) > self.max_cases:
+        if len(ab_cases) * len(bc_cases) > MAX_CASES:
             _note_conservative(
                 _guard.current_subject(), "kill-cases-overflow"
             )

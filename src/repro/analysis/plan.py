@@ -1,11 +1,11 @@
 """The query planner: share base systems, reduce once, probe many times.
 
 Every dependence query goes through a ``QueryPlan``.  The engine builds
-one per analysis run, governed or not, and threads it through
-:func:`repro.analysis.dependences.compute_dependences` and
-:func:`repro.analysis.refine.refine_dependence` into the vector searches;
-a caller without one gets a throwaway plan.  The plan contributes two
-kinds of sharing:
+one per analysis run, governed or not, and passes it to
+:func:`repro.analysis.dependences.compute_dependences` and the kill
+tester; each :class:`repro.analysis.dependences.Dependence` carries its
+own :class:`PlanState`, which refinement and the vector searches probe.
+The plan contributes two kinds of sharing:
 
 *Base systems.*  Every candidate pair re-derives the same iteration-space
 constraints for its two statement instances.  The plan builds each
@@ -144,12 +144,10 @@ def _conjoin(problem: Problem, extra: Iterable[Constraint]) -> Problem:
 
 
 def _core_key(problem: Problem, keep: Sequence) -> tuple:
-    """A structural identity for (problem, keep) reduction requests."""
+    """A structural identity for (problem, keep) reduction requests: the
+    constraint and kept-variable sets, independent of order."""
 
-    return (
-        tuple(sorted(c.sort_key() for c in problem.constraints)),
-        tuple(sorted((v.kind, v.name) for v in keep)),
-    )
+    return frozenset(problem.constraints), frozenset(keep)
 
 
 def _affine(expr) -> bool:
@@ -264,6 +262,14 @@ class QueryPlan:
         self._cores[key] = core
         _metrics.inc("solver.plan.cores_built")
         return core
+
+    def release(self) -> None:
+        """Drop the memo of reduced cores and the shared instances; later
+        requests rebuild them."""
+
+        self._cores.clear()
+        self._instances.clear()
+        self._pure.clear()
 
     def base_state(self, problem: Problem, deltas: Sequence) -> "PlanState":
         """The root state for one pair: its full problem reduced onto the

@@ -28,7 +28,6 @@ from ..omega import Problem, Variable
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from ..solver import implies_union, is_satisfiable, project
 from .dependences import Dependence
-from .plan import QueryPlan
 from .vectors import (
     DirComponent,
     DirectionVector,
@@ -44,10 +43,9 @@ _PARTIAL_WIDTH = 2  # how far above the minimum a range refinement may reach
 class RefinementOutcome:
     """Result wrapper: the (possibly) refined dependence plus telemetry."""
 
-    def __init__(self, dependence: Dependence, attempted: bool, levels_fixed: int):
+    def __init__(self, dependence: Dependence, attempted: bool):
         self.dependence = dependence
         self.attempted = attempted
-        self.levels_fixed = levels_fixed
 
 
 def _lhs_keep(dep: Dependence) -> list[Variable]:
@@ -72,10 +70,7 @@ def _implication_holds(
 
 
 def refine_dependence(
-    dep: Dependence,
-    *,
-    partial: bool = False,
-    plan: QueryPlan | None = None,
+    dep: Dependence, *, partial: bool = False
 ) -> RefinementOutcome:
     """Attempt to refine a dependence; returns the refined dependence.
 
@@ -83,27 +78,26 @@ def refine_dependence(
     :class:`Dependence` is returned with ``refined=True`` and the original
     direction vectors preserved in ``unrefined_directions``.  The
     distance bounds, the candidates' feasibility and the refined
-    direction vectors are all asked of ``plan``'s reduced cores (a
-    throwaway plan without one).
+    direction vectors are all asked of ``dep.state``, the dependence's
+    own plan state; the refined dependence carries that state extended
+    with the pinned levels.
     """
 
     with _span("analysis.refine", src=dep.src, dst=dep.dst) as sp:
-        outcome = _refine(dep, partial, plan or QueryPlan())
+        outcome = _refine(dep, partial)
     if sp.duration:
         _metrics.observe("analysis.refine_seconds", sp.duration)
     if outcome.attempted:
         _metrics.inc("analysis.refinements_attempted")
-    if outcome.dependence is not dep and outcome.dependence.refined:
+    if outcome.dependence is not dep:
         _metrics.inc("analysis.refinements_applied")
     return outcome
 
 
-def _refine(
-    dep: Dependence, partial: bool, plan: QueryPlan
-) -> RefinementOutcome:
+def _refine(dep: Dependence, partial: bool) -> RefinementOutcome:
     deltas = dep.deltas
     if not deltas:
-        return RefinementOutcome(dep, False, 0)
+        return RefinementOutcome(dep, False)
 
     keep = _lhs_keep(dep)
     lhs_projection = project(dep.problem, keep)
@@ -113,14 +107,14 @@ def _refine(
         _note_conservative(
             _guard.current_subject(), "refine-inexact-projection"
         )
-        return RefinementOutcome(dep, True, 0)
+        return RefinementOutcome(dep, True)
     lhs_pieces = lhs_projection.pieces
 
     # Bounds and feasibility are questions about the distances alone, so
-    # they run on the plan's exact core; the implication's projections
-    # keep loop variables and symbols the core has eliminated, so they
-    # stay on the full problem.
-    root = plan.base_state(dep.problem, deltas)
+    # they run on the dependence's exact core; the implication's
+    # projections keep loop variables and symbols the core has
+    # eliminated, so they stay on the full problem.
+    root = dep.state
     fixed: list[DirComponent] = []
     narrowed = False
     for delta in deltas:
@@ -156,27 +150,23 @@ def _refine(
             narrowed = True
 
     if not fixed or not narrowed:
-        return RefinementOutcome(dep, True, len(fixed))
+        return RefinementOutcome(dep, True)
 
     pinned = DirectionVector(fixed).constraints(deltas)
-    refined_problem = Problem(
-        list(dep.problem.constraints) + pinned, name=dep.problem.name
-    )
-    new_directions = direction_vectors(
-        refined_problem, deltas, state=root.extend(pinned)
-    )
-    really_refined = new_directions != dep.directions
+    state = root.extend(pinned)
+    new_directions = direction_vectors(state, deltas)
+    if new_directions == dep.directions:
+        return RefinementOutcome(dep, True)
     refined = Dependence(
         dep.kind,
         dep.src,
         dep.dst,
         dep.pair,
         dep.restraint,
-        refined_problem,
+        Problem(list(dep.problem.constraints) + pinned, name=dep.problem.name),
+        state,
         new_directions,
-        refined=really_refined,
+        refined=True,
         unrefined_directions=list(dep.directions),
     )
-    if not really_refined:
-        return RefinementOutcome(dep, True, len(fixed))
-    return RefinementOutcome(refined, True, len(fixed))
+    return RefinementOutcome(refined, True)

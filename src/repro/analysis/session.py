@@ -16,6 +16,7 @@ Dependences refuted by an answered query are reported with status
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable
 
 from ..ir.ast import Access, Program
@@ -168,17 +169,7 @@ class SymbolicSession:
     def analyze(self) -> AnalysisResult:
         """Run the extended analysis under everything currently known."""
 
-        options = AnalysisOptions(
-            extended=self.base_options.extended,
-            refine=self.base_options.refine,
-            cover=self.base_options.cover,
-            kill=self.base_options.kill,
-            terminate=self.base_options.terminate,
-            partial_refine=self.base_options.partial_refine,
-            extend_all_kinds=self.base_options.extend_all_kinds,
-            assertions=tuple(self.assertions),
-            record_timings=self.base_options.record_timings,
-        )
+        options = replace(self.base_options, assertions=tuple(self.assertions))
         result = analyze(self.program, options)
         if self._refuted:
             refuted_pairs = {(key[0], key[1], key[2]) for key in self._refuted}

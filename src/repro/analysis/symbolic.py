@@ -60,14 +60,8 @@ def _pair_restraints(
 
     plan = QueryPlan(symbols, assertions=assertions, array_bounds=array_bounds)
     pair = plan.pair_problem(src, dst)
-    base = pair.full()
-    restraints = restraint_vectors(
-        base,
-        pair.delta_vars,
-        pair.forward,
-        state=plan.base_state(base, pair.delta_vars),
-    )
-    return pair, restraints
+    state = plan.base_state(pair.full(), pair.delta_vars)
+    return pair, restraint_vectors(state, pair.delta_vars, pair.forward)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from ..omega import Constraint, LinearExpr, Problem, Variable, ge, le
 from ..solver import is_satisfiable, project, satisfiable_batch
-from .plan import PlanState, QueryPlan
+from .plan import PlanState
 
 __all__ = [
     "DirComponent",
@@ -176,10 +176,7 @@ _SIGNS = (MINUS, ZERO, PLUS)
 
 
 def direction_vectors(
-    problem: Problem,
-    deltas: Sequence[Variable],
-    *,
-    state: PlanState | None = None,
+    state: PlanState, deltas: Sequence[Variable]
 ) -> list[DirectionVector]:
     """Enumerate exact sign combinations, then compress into boxes.
 
@@ -189,15 +186,14 @@ def direction_vectors(
     box is then narrowed to the constant distance bounds the problem
     admits inside it (:func:`component_bounds`).
 
-    Every question runs against ``state``, a
-    :class:`repro.analysis.plan.PlanState` for ``problem`` that keeps
-    every variable of ``deltas`` (a fresh root state by default): the
-    sign trials probe small shared-prefix cores instead of rebuilding the
-    full conjunction per branch, and each box's bounds are projected from
-    the root core conjoined with the box's constraints.
+    The problem is ``state``, a :class:`repro.analysis.plan.PlanState`
+    that keeps every variable of ``deltas`` (a dependence's own
+    ``Dependence.state``): the sign trials probe small shared-prefix
+    cores instead of rebuilding the full conjunction per branch, and each
+    box's bounds are projected from the state's core conjoined with the
+    box's constraints.
     """
 
-    state = state or QueryPlan().base_state(problem, deltas)
     if not deltas:
         return [DirectionVector(())] if is_satisfiable(state.probe()) else []
 
@@ -298,21 +294,15 @@ def _sign_within(sign: DirComponent, component: DirComponent) -> bool:
 
 
 def lexicographically_bad_exists(
-    problem: Problem,
+    state: PlanState,
     deltas: Sequence[Variable],
     forward: bool,
     start: int = 0,
-    *,
-    state: PlanState | None = None,
 ) -> bool:
-    """Does the problem admit a lexicographically-negative distance, or an
-    all-zero distance when the pair is not syntactically forward?
+    """Does the problem of ``state`` (a plan state keeping ``deltas``)
+    admit a lexicographically-negative distance, or an all-zero distance
+    when the pair is not syntactically forward?"""
 
-    The per-level probes run against ``state``, a plan state whose core
-    carries ``problem``'s constraints (a fresh root state by default).
-    """
-
-    state = state or QueryPlan().base_state(problem, deltas)
     for level in range(start, len(deltas)):
         delta = deltas[level]
         if is_satisfiable(state.probe([le(LinearExpr({delta: 1}), -1)])):
@@ -325,11 +315,7 @@ def lexicographically_bad_exists(
 
 
 def restraint_vectors(
-    problem: Problem,
-    deltas: Sequence[Variable],
-    forward: bool,
-    *,
-    state: PlanState | None = None,
+    state: PlanState, deltas: Sequence[Variable], forward: bool
 ) -> list[RestraintVector]:
     """Compute a set of restraint vectors for a dependence problem.
 
@@ -339,8 +325,8 @@ def restraint_vectors(
     beats splitting into ``(+,*) , (0,+)``) and splits only when forced,
     exactly as Section 2.1.2 prescribes.
 
-    Every satisfiability probe runs against ``state``, a plan state for
-    ``problem`` (a fresh root state by default).
+    The problem is ``state``, a plan state keeping ``deltas`` (the pair's
+    root state); every satisfiability probe runs against its cores.
     """
 
     def recurse(
@@ -356,7 +342,7 @@ def restraint_vectors(
         )
         zero_state = state.extend(ZERO.constraints(delta), drop=delta)
         zero_bad = lexicographically_bad_exists(
-            problem, deltas, forward, level + 1, state=zero_state
+            zero_state, deltas, forward, level + 1
         )
         if not zero_bad:
             head = ZERO_PLUS if can_negative else STAR
@@ -370,5 +356,4 @@ def restraint_vectors(
             results.append((ZERO,) + tail)
         return results
 
-    state = state or QueryPlan().base_state(problem, deltas)
     return [DirectionVector(v) for v in recurse(0, state)]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import (
     DependenceKind,
+    QueryPlan,
     SymbolTable,
     compute_dependences,
     covers_destination,
@@ -20,7 +21,7 @@ def flow_deps(program, src_label, dst_label, symbols):
         for r in reads:
             if w.array == r.array:
                 found.extend(
-                    compute_dependences(w, r, DependenceKind.FLOW, symbols)
+                    compute_dependences(w, r, DependenceKind.FLOW, QueryPlan(symbols))
                 )
     return found
 
@@ -62,6 +63,7 @@ class TestCloserCover:
 
         from repro.analysis.vectors import direction_vectors
 
+        stale_state = dep.state.extend(PLUS.constraints(dep.deltas[0]))
         stale = Dependence(
             dep.kind,
             dep.src,
@@ -69,7 +71,8 @@ class TestCloserCover:
             dep.pair,
             dep.restraint,
             stale_problem,
-            direction_vectors(stale_problem, dep.deltas),
+            stale_state,
+            direction_vectors(stale_state, dep.deltas),
         )
         assert closer_cover_quick_kill(stale, refined)
 

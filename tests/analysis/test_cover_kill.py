@@ -7,6 +7,7 @@ from repro.analysis import (
     DependenceKind,
     DependenceStatus,
     KillTester,
+    QueryPlan,
     SymbolTable,
     analyze,
     compute_dependences,
@@ -34,7 +35,7 @@ def deps_between(program, src_label, dst_label, kind=DependenceKind.FLOW, array=
     for s in sources:
         for d in dsts:
             if s.array == d.array:
-                found.extend(compute_dependences(s, d, kind, symbols))
+                found.extend(compute_dependences(s, d, kind, QueryPlan(symbols)))
     return found
 
 
@@ -247,8 +248,8 @@ class TestKilling:
         symbols = SymbolTable()
         writes = program.writes()
         read = program.reads()[-1]
-        victim = compute_dependences(writes[0], read, DependenceKind.FLOW, symbols)[0]
-        killer = compute_dependences(writes[1], read, DependenceKind.FLOW, symbols)[0]
+        victim = compute_dependences(writes[0], read, DependenceKind.FLOW, QueryPlan(symbols))[0]
+        killer = compute_dependences(writes[1], read, DependenceKind.FLOW, QueryPlan(symbols))[0]
         # Writes touch disjoint (even/odd) cells: no output dependence.
         assert kill_quick_reject(victim, killer, output_pairs=set())
 

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import (
     DependenceKind,
     DependenceStatus,
+    QueryPlan,
     SymbolTable,
     compute_dependences,
 )
@@ -71,7 +72,7 @@ class TestComputeDependences:
         w = program.writes()[0]
         r = program.reads()[0]
         deps = compute_dependences(
-            w, r, DependenceKind.FLOW, array_bounds=program.array_bounds
+            w, r, DependenceKind.FLOW, QueryPlan(array_bounds=program.array_bounds)
         )
         assert sorted(str(d.restraint) for d in deps) == ["(+,*)", "(0,+)"]
 
@@ -88,13 +89,13 @@ class TestComputeDependences:
         k0 = Variable("k0", "sym")
         assert compute_dependences(w, r, DependenceKind.FLOW)
         assert not compute_dependences(
-            w, r, DependenceKind.FLOW, assertions=[le(1, k0)]
+            w, r, DependenceKind.FLOW, QueryPlan(assertions=[le(1, k0)])
         )
 
     def test_symbol_table_reuse(self):
         symbols = SymbolTable()
         _p, w, r = pair("for i := 1 to n do a(i) := a(i-1)")
-        compute_dependences(w, r, DependenceKind.FLOW, symbols)
+        compute_dependences(w, r, DependenceKind.FLOW, QueryPlan(symbols))
         assert symbols.sym("n") is symbols.sym("n")
         assert "n" in {v.name for v in symbols.all()}
 

@@ -13,8 +13,10 @@ the interval of the full problem conjoined with the same box (or pinned
 levels), inexact projections included.
 
 The full-problem side is computed here, independently of the search: the
-boxes come from the box merge, and the refinement levels from a replay of
-the refinement walk on the full problem.  Only undegraded answers are
+boxes come from the box merge, each plan state's full problem is its
+pair problem conjoined with every constraint its ``extend`` chain added,
+and the refinement levels come from a replay of the refinement walk on
+the dependence's full problem.  Only undegraded answers are
 compared: no fault plan or budget is active for these ``analyze()``
 calls, and each population asserts that nothing degraded.
 """
@@ -24,6 +26,7 @@ import random
 import pytest
 
 from repro.analysis import AnalysisOptions, analyze, dependences
+from repro.analysis import plan as plan_mod
 from repro.analysis import refine as refine_mod
 from repro.analysis import vectors
 from repro.analysis.vectors import DirComponent, DirectionVector
@@ -41,6 +44,8 @@ class Population:
         self.levels = 0
         self.inexact = 0
         self._frames: list[dict] = []
+        #: id(state) -> (state, the full problem's constraints).
+        self._full: dict[int, tuple] = {}
         self._patch(monkeypatch)
 
     def full_interval(self, problem, extra, delta):
@@ -60,6 +65,21 @@ class Population:
         real_merge = vectors._merge_boxes
         real_vectors = vectors.direction_vectors
         real_refine = refine_mod._refine
+        real_base_state = plan_mod.QueryPlan.base_state
+        real_extend = plan_mod.PlanState.extend
+
+        def base_state(plan, problem, deltas):
+            state = real_base_state(plan, problem, deltas)
+            self._full[id(state)] = (state, list(problem.constraints))
+            return state
+
+        def extend(state, extra, drop=None):
+            extra = list(extra)
+            child = real_extend(state, extra, drop)
+            parent = self._full.get(id(state))
+            if parent is not None:
+                self._full[id(child)] = (child, parent[1] + extra)
+            return child
 
         def frame_bounds(problem, delta):
             bounds = real_bounds(problem, delta)
@@ -79,10 +99,9 @@ class Population:
                 frame = self._frames.pop()
             return result, frame
 
-        def checked_vectors(problem, deltas, *, state=None):
-            result, frame = run_framed(
-                lambda: real_vectors(problem, deltas, state=state)
-            )
+        def checked_vectors(state, deltas):
+            result, frame = run_framed(lambda: real_vectors(state, deltas))
+            problem = Problem(self._full[id(state)][1])
             expected = [
                 self.full_interval(
                     problem, DirectionVector(box).constraints(deltas), delta
@@ -94,12 +113,14 @@ class Population:
             self.boxes += len(frame["boxes"])
             return result
 
-        def checked_refine(dep, partial, plan):
-            outcome, frame = run_framed(lambda: real_refine(dep, partial, plan))
+        def checked_refine(dep, partial):
+            outcome, frame = run_framed(lambda: real_refine(dep, partial))
             assert frame["read"] == self.full_levels(dep, partial), dep.problem
             self.levels += len(frame["read"])
             return outcome
 
+        monkeypatch.setattr(plan_mod.QueryPlan, "base_state", base_state)
+        monkeypatch.setattr(plan_mod.PlanState, "extend", extend)
         monkeypatch.setattr(vectors, "component_bounds", frame_bounds)
         monkeypatch.setattr(refine_mod, "component_bounds", frame_bounds)
         monkeypatch.setattr(vectors, "_merge_boxes", frame_boxes)
@@ -152,6 +173,7 @@ class Population:
         with collecting(registry):
             for program in programs:
                 analyze(program, options)
+                self._full.clear()
         counters = registry.to_dict()["counters"]
         assert counters.get("guard.degradations", 0) == 0
 

@@ -10,6 +10,7 @@ must all fall through to the conservative answer.
 from repro.analysis import (
     DependenceKind,
     KillTester,
+    QueryPlan,
     SymbolTable,
     compute_dependences,
     kill_quick_reject,
@@ -17,6 +18,7 @@ from repro.analysis import (
 from repro.analysis.kills import distance_ranges
 from repro.analysis.vectors import MINUS, PLUS, DirectionVector
 from repro.ir import parse
+from repro.obs import MetricsRegistry, collecting
 
 
 def flow_deps(program, src_label, dst_label, symbols):
@@ -27,9 +29,13 @@ def flow_deps(program, src_label, dst_label, symbols):
         for r in reads:
             if w.array == r.array:
                 found.extend(
-                    compute_dependences(w, r, DependenceKind.FLOW, symbols)
+                    compute_dependences(w, r, DependenceKind.FLOW, QueryPlan(symbols))
                 )
     return found
+
+
+def counters(registry):
+    return registry.to_dict()["counters"]
 
 
 DEPTH_ZERO = """
@@ -117,9 +123,11 @@ class TestQuickRejectEdges:
         program = parse(SHARED_LOOP)
         symbols = SymbolTable()
         (victim,) = flow_deps(program, "s1", "s3", symbols)
-        tester = KillTester(symbols, set())
-        assert not tester.kills(victim, victim)
-        assert tester.records == []
+        tester = KillTester(QueryPlan(symbols), set())
+        registry = MetricsRegistry()
+        with collecting(registry):
+            assert not tester.kills(victim, victim).killed
+        assert counters(registry)["analysis.kills_attempted"] == 0
 
     def test_tester_requires_shared_destination(self):
         program = parse(DEPTH_ZERO)
@@ -127,6 +135,8 @@ class TestQuickRejectEdges:
         (victim,) = flow_deps(program, "s1", "s3", symbols)
         (other,) = flow_deps(program, "s2", "s3", symbols)
         # Same dst: a real decision is made (and recorded).
-        tester = KillTester(symbols, {(victim.src, other.src)})
-        tester.kills(victim, other)
-        assert len(tester.records) == 1
+        tester = KillTester(QueryPlan(symbols), {(victim.src, other.src)})
+        registry = MetricsRegistry()
+        with collecting(registry):
+            tester.kills(victim, other)
+        assert counters(registry)["analysis.kills_attempted"] == 1

@@ -123,3 +123,46 @@ class TestRefineAgainstGroundTruth:
                 or any(v.admits(flow.distance) for v in d.directions)
                 for d in candidates
             ), f"uncovered actual flow {flow.source} -> {flow.destination} {flow.distance}"
+
+
+class TestRefineUsesTheDependenceState:
+    """Refinement probes the state its dependence carries: the only root
+    reductions of a run are the one per ``compute_dependences`` call."""
+
+    def test_no_root_reduced_inside_refinement(self, monkeypatch):
+        from repro.analysis import engine
+        from repro.analysis.plan import QueryPlan
+        from repro.programs import cholsky, timing_corpus
+
+        counts = {"pairs": 0, "roots": 0, "refines": 0, "roots_in_refine": 0}
+        refining = []
+        real_base_state = QueryPlan.base_state
+        real_compute = engine.compute_dependences
+        real_refine = engine.refine_dependence
+
+        def base_state(plan, problem, deltas):
+            counts["roots"] += 1
+            if refining:
+                counts["roots_in_refine"] += 1
+            return real_base_state(plan, problem, deltas)
+
+        def compute(*args, **kwargs):
+            counts["pairs"] += 1
+            return real_compute(*args, **kwargs)
+
+        def refine(dep, **kwargs):
+            counts["refines"] += 1
+            refining.append(dep)
+            try:
+                return real_refine(dep, **kwargs)
+            finally:
+                refining.pop()
+
+        monkeypatch.setattr(QueryPlan, "base_state", base_state)
+        monkeypatch.setattr(engine, "compute_dependences", compute)
+        monkeypatch.setattr(engine, "refine_dependence", refine)
+        for program in timing_corpus() + [cholsky()]:
+            analyze(program)
+        assert counts["refines"] > 0
+        assert counts["roots_in_refine"] == 0
+        assert counts["roots"] == counts["pairs"]

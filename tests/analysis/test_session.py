@@ -3,15 +3,17 @@
 import pytest
 
 from repro.analysis import (
+    AnalysisOptions,
     DependenceKind,
     DependenceStatus,
     SymbolicSession,
+    analyze,
     parse_assertion,
 )
 from repro.analysis.symbolic import ArrayProperty
 from repro.ir import parse
 from repro.omega import Problem, Variable
-from repro.programs import example8
+from repro.programs import example1, example8
 from repro.programs.paper_examples import example1_variant_m
 
 
@@ -77,6 +79,27 @@ class TestSessionAssertions:
         session.assert_text("n <= m")
         session.assert_text("m <= n + 10")
         assert len(session.assertions) == 2
+
+
+class TestSessionOptions:
+    def test_observers_reach_the_run(self):
+        # Every option the session was built with reaches the analysis,
+        # not only the ones that shape the dependences.
+        options = AnalysisOptions(audit=True, explain=True)
+        direct = analyze(example1(), options)
+        via_session = SymbolicSession(example1(), options).analyze()
+        assert len(direct.provenance) == 8
+        assert [r.subject for r in via_session.provenance] == [
+            r.subject for r in direct.provenance
+        ]
+        assert via_session.explain is not None
+        assert via_session.explain.to_dict() == direct.explain.to_dict()
+
+    def test_deadline_governs_the_run(self):
+        options = AnalysisOptions(deadline_ms=600_000)
+        result = SymbolicSession(example1(), options).analyze()
+        assert result.degradations is not None
+        assert len(result.degradations) == 0
 
 
 class TestSessionQueries:

@@ -15,10 +15,17 @@ from repro.analysis.vectors import (
     lexicographically_bad_exists,
     restraint_vectors,
 )
+from repro.analysis.plan import QueryPlan
 from repro.omega import Problem, Variable, eq, ge, le
 
 d1 = Variable("d1")
 d2 = Variable("d2")
+
+
+def state(problem, deltas):
+    """The root plan state the searches take for ``problem``."""
+
+    return QueryPlan().base_state(problem, deltas)
 
 
 class TestDirComponent:
@@ -69,7 +76,7 @@ class TestDirectionVectors:
         )
 
     def test_coupled_not_overcompressed(self):
-        vectors = direction_vectors(self.base(), [d1, d2])
+        vectors = direction_vectors(state(self.base(), [d1, d2]), [d1, d2])
         rendered = sorted(str(v) for v in vectors)
         # (0,0) and (+,+) must stay separate: merging into (0+,0+) would
         # falsely suggest (0,+) and (+,0).
@@ -78,25 +85,25 @@ class TestDirectionVectors:
     def test_box_possible_when_exact(self):
         # Independent distances compress into one box.
         p = Problem().add_bounds(0, d1, 1).add_bounds(0, d2, 1)
-        vectors = direction_vectors(p, [d1, d2])
+        vectors = direction_vectors(state(p, [d1, d2]), [d1, d2])
         assert len(vectors) == 1
         assert str(vectors[0]) == "(0:1,0:1)"
 
     def test_exact_distance_detected(self):
         p = Problem().add_eq(d1, 1)
-        (vector,) = direction_vectors(p, [d1])
+        (vector,) = direction_vectors(state(p, [d1]), [d1])
         assert str(vector) == "(1)"
 
     def test_empty_problem_no_deltas(self):
-        assert direction_vectors(Problem(), []) == [DirectionVector(())]
+        assert direction_vectors(state(Problem(), []), []) == [DirectionVector(())]
 
     def test_unsat_yields_nothing(self):
         p = Problem().add_bounds(3, d1, 1)
-        assert direction_vectors(p, [d1]) == []
+        assert direction_vectors(state(p, [d1]), [d1]) == []
 
     def test_unbounded_distance(self):
         p = Problem().add_ge(d1 - 1)
-        (vector,) = direction_vectors(p, [d1])
+        (vector,) = direction_vectors(state(p, [d1]), [d1])
         assert vector[0].lo == 1
         assert vector[0].hi is None
 
@@ -132,43 +139,43 @@ class TestComponentBounds:
 class TestRestraintVectors:
     def test_no_bad_solutions_star(self):
         p = Problem().add_bounds(1, d1, 5)  # always positive: no filter
-        (restraint,) = restraint_vectors(p, [d1], forward=False)
+        (restraint,) = restraint_vectors(state(p, [d1]), [d1], forward=False)
         assert str(restraint) == "(*)"
         assert not restraint.constraints([d1])
 
     def test_negative_filtered_with_zero_plus(self):
         p = Problem().add_bounds(-5, d1, 5)
-        (restraint,) = restraint_vectors(p, [d1], forward=True)
+        (restraint,) = restraint_vectors(state(p, [d1]), [d1], forward=True)
         assert str(restraint) == "(0+)"
 
     def test_zero_excluded_when_backward(self):
         p = Problem().add_bounds(-5, d1, 5)
-        (restraint,) = restraint_vectors(p, [d1], forward=False)
+        (restraint,) = restraint_vectors(state(p, [d1]), [d1], forward=False)
         assert str(restraint) == "(+)"
 
     def test_example7_split(self):
         # d1 free, d2 free; dependence backward at (0, <=0): restraints
         # (+,*) and (0,+), the paper's Example 7 pair.
         p = Problem().add_bounds(-9, d1, 9).add_bounds(-9, d2, 9)
-        restraints = restraint_vectors(p, [d1, d2], forward=False)
+        restraints = restraint_vectors(state(p, [d1, d2]), [d1, d2], forward=False)
         assert sorted(str(r) for r in restraints) == ["(+,*)", "(0,+)"]
 
     def test_coupled_single_restraint(self):
         # d1 = d2: adding d1 >= 1 suffices (Example 6 shape, backward pair).
         p = Problem().add_eq(d1, d2).add_bounds(-9, d1, 9)
-        restraints = restraint_vectors(p, [d1, d2], forward=False)
+        restraints = restraint_vectors(state(p, [d1, d2]), [d1, d2], forward=False)
         assert sorted(str(r) for r in restraints) == ["(+,*)"]
 
     def test_forward_zero_kept(self):
         p = Problem().add_eq(d1, d2).add_bounds(-9, d1, 9)
-        restraints = restraint_vectors(p, [d1, d2], forward=True)
+        restraints = restraint_vectors(state(p, [d1, d2]), [d1, d2], forward=True)
         # d1 >= 0 suffices: remaining zero-prefix solutions are (0,0),
         # acceptable for a syntactically forward pair.
         assert sorted(str(r) for r in restraints) == ["(0+,*)"]
 
     def test_unsat_problem(self):
         p = Problem().add_bounds(3, d1, 1)
-        assert restraint_vectors(p, [d1], forward=True) == []
+        assert restraint_vectors(state(p, [d1]), [d1], forward=True) == []
 
     def test_restraints_cover_forward_and_exclude_backward(self):
         # Exhaustive check on a small grid.
@@ -176,7 +183,7 @@ class TestRestraintVectors:
             d1 + d2, 4
         )
         for forward in (True, False):
-            restraints = restraint_vectors(p, [d1, d2], forward)
+            restraints = restraint_vectors(state(p, [d1, d2]), [d1, d2], forward)
             for v1 in range(-3, 4):
                 for v2 in range(-3, 4):
                     point = {d1: v1, d2: v2}
@@ -198,13 +205,13 @@ class TestRestraintVectors:
 class TestLexBadExists:
     def test_detects_negative(self):
         p = Problem().add_bounds(-1, d1, 1)
-        assert lexicographically_bad_exists(p, [d1], forward=True)
+        assert lexicographically_bad_exists(state(p, [d1]), [d1], forward=True)
 
     def test_detects_zero_for_backward(self):
         p = Problem().add_eq(d1, 0)
-        assert lexicographically_bad_exists(p, [d1], forward=False)
-        assert not lexicographically_bad_exists(p, [d1], forward=True)
+        assert lexicographically_bad_exists(state(p, [d1]), [d1], forward=False)
+        assert not lexicographically_bad_exists(state(p, [d1]), [d1], forward=True)
 
     def test_all_positive_fine(self):
         p = Problem().add_bounds(1, d1, 9)
-        assert not lexicographically_bad_exists(p, [d1], forward=False)
+        assert not lexicographically_bad_exists(state(p, [d1]), [d1], forward=False)
