@@ -68,7 +68,11 @@ class Dependence:
     #: The direction vectors before refinement (when refined).
     unrefined_directions: list[DirectionVector] = field(default_factory=list)
     #: True when this dependence covers its destination (every location the
-    #: destination accesses was previously written by the source).
+    #: destination accesses was previously written by the source).  On an
+    #: anti dependence the engine stores ``terminates_source`` here instead
+    #: (with ``extend_all_kinds`` and ``terminate``): the destination write
+    #: overwrites every location the source read.  The covering join of
+    #: the kill phase reads only flow dependences' flag.
     covers: bool = False
     #: The dependence that killed/covered this one, when dead.
     eliminated_by: "Dependence | None" = None

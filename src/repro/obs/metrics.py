@@ -100,6 +100,7 @@ CATALOG: tuple[str, ...] = (
     "analysis.kills_attempted",
     "analysis.kills_succeeded",
     "analysis.kill_quick_rejects",
+    "analysis.kill_joins",
     "analysis.kill_omega_tests",
     "analysis.deps_killed",
     "analysis.deps_covered",

@@ -125,7 +125,7 @@ def harvest():
         patch.setattr(_constraints, "canonicalize_problems", recording_canonicalize)
         patch.setattr(_gist, "canonicalize_problems", recording_canonicalize)
         patch.setattr(_project_mod, "_project_traced", recording_project)
-        for program in timing_corpus()[:8]:
+        for program in timing_corpus()[:20]:
             with caching(SolverCache()):
                 analyze(program)
     sats = [group[0] for group in groups if len(group) == 1]
