@@ -126,24 +126,36 @@ class TestRefineAgainstGroundTruth:
 
 
 class TestRefineUsesTheDependenceState:
-    """Refinement probes the state its dependence carries: the only root
+    """Refinement probes the state its dependence carries: outside the
+    kill tests (which reduce their own order-case problems), the only root
     reductions of a run are the one per ``compute_dependences`` call."""
 
     def test_no_root_reduced_inside_refinement(self, monkeypatch):
         from repro.analysis import engine
+        from repro.analysis.kills import KillTester
         from repro.analysis.plan import QueryPlan
         from repro.programs import cholsky, timing_corpus
 
-        counts = {"pairs": 0, "roots": 0, "refines": 0, "roots_in_refine": 0}
+        counts = {
+            "pairs": 0,
+            "roots": 0,
+            "refines": 0,
+            "roots_in_refine": 0,
+            "roots_in_kill": 0,
+        }
         refining = []
+        killing = []
         real_base_state = QueryPlan.base_state
         real_compute = engine.compute_dependences
         real_refine = engine.refine_dependence
+        real_decide = KillTester._decide
 
         def base_state(plan, problem, deltas):
             counts["roots"] += 1
             if refining:
                 counts["roots_in_refine"] += 1
+            if killing:
+                counts["roots_in_kill"] += 1
             return real_base_state(plan, problem, deltas)
 
         def compute(*args, **kwargs):
@@ -158,11 +170,19 @@ class TestRefineUsesTheDependenceState:
             finally:
                 refining.pop()
 
+        def decide(tester, victim, killer):
+            killing.append(victim)
+            try:
+                return real_decide(tester, victim, killer)
+            finally:
+                killing.pop()
+
         monkeypatch.setattr(QueryPlan, "base_state", base_state)
+        monkeypatch.setattr(KillTester, "_decide", decide)
         monkeypatch.setattr(engine, "compute_dependences", compute)
         monkeypatch.setattr(engine, "refine_dependence", refine)
         for program in timing_corpus() + [cholsky()]:
             analyze(program)
         assert counts["refines"] > 0
         assert counts["roots_in_refine"] == 0
-        assert counts["roots"] == counts["pairs"]
+        assert counts["roots"] - counts["roots_in_kill"] == counts["pairs"]
