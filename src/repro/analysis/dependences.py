@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from ..ir.ast import Access
 from ..omega import Problem, Variable
-from ..solver import is_satisfiable, satisfiable_batch
 from .plan import PlanState, QueryPlan
 from .problem import PairProblem
 from .vectors import (
@@ -158,12 +157,13 @@ def compute_dependences(
 
     ``plan`` supplies the symbols, assertions and array bounds, shared
     instance contexts and the memo of exactly reduced cores that every
-    satisfiability probe runs against; without one the pair runs on a
-    fresh plan with an empty symbol table.  The questions asked — count,
-    kind and order — and their answers do not depend on the plan; only
-    the submitted problems shrink.  Each :class:`Dependence` carries the
-    *full* constrained problem, which refinement, cover and kill tests
-    project, and its plan state, which the searches probe.
+    satisfiability question is asked of; without one the pair runs on a
+    fresh plan with an empty symbol table.  The answers do not depend on
+    the plan; only the problems submitted to the solver shrink, and the
+    questions a separable core answers from intervals are not submitted
+    at all.  Each :class:`Dependence` carries the *full* constrained
+    problem, which refinement, cover and kill tests project, and its plan
+    state, which the searches ask.
     """
 
     plan = plan or QueryPlan()
@@ -171,13 +171,11 @@ def compute_dependences(
     base = pair.full()
     deltas = pair.delta_vars
     state = plan.base_state(base, deltas)
-    if not is_satisfiable(state.probe()):
+    if not state.sat():
         return []
 
     restraints = restraint_vectors(state, deltas, pair.forward)
-    feasible = satisfiable_batch(
-        [state.probe(r.constraints(deltas)) for r in restraints]
-    )
+    feasible = state.sat_batch([r.constraints(deltas) for r in restraints])
     found: list[Dependence] = []
     for restraint, satisfiable in zip(restraints, feasible):
         if not satisfiable:

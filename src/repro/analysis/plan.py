@@ -34,36 +34,56 @@ Inexact eliminations are not taken: the variable stays in the core and
 later probes pay for it.  The plan memoizes cores structurally, so
 sibling branches of one pair's search and pairs with the same iteration
 space share one reduction.  A :class:`PlanState` is one node of that
-shared-prefix tree: ``probe`` builds the problem a search submits,
-``extend`` descends one branch.
+shared-prefix tree, and it is what the searches ask: ``sat`` and
+``sat_batch`` decide ``core ∧ E``, ``bounds`` reads one distance's
+interval, ``extend`` descends one branch.
+
+*Interval answers.*  A state checks its core once.  The core is
+*separable* when each of its constraints mentions exactly one variable
+and that variable is kept (``d1 = 0 ∧ d2 >= 1``); a stride wildcard, the
+FALSE witness or a variable outside ``keep`` make it not separable.
+Since the core is exact over the kept variables, a separable core's
+integer points are the product of one integer interval per kept
+variable.  Every question whose extra constraints each mention one
+kept variable then follows from the intervals: ``sat`` is "every
+interval, intersected with the extra bounds, is non-empty", ``bounds``
+is the intersected interval (what projecting ``core ∧ E`` onto that one
+variable reads off), and ``extend`` intersects and drops the variable
+without another reduction.  Any other question goes to the solver
+service as ``probe(extra)``, one query each, with its degradation
+shield and audit footprint.
 
 Reductions are best-effort: each runs on its own per-query work meter,
 one that runs out of budget (or hits an injected fault) leaves that
 request's core unreduced and unmemoized, and a complexity blow-up leaves
 it unreduced.  The reductions are pure rewrites with no answer of their
-own; the probes still go through :mod:`repro.solver`, one service query
-each, with its own degradation shield and audit footprint.  The planner
-changes *which problems* are submitted, never the questions asked or
-their answers.
+own.  The planner changes which problems reach the solver, and which
+questions need to reach it at all, never the answers: an interval
+answer is the answer the solver gives on ``probe(extra)``
+(``tests/analysis/test_interval_states.py`` compares the two on every
+question a separable state answers over the corpus, CHOLSKY, the paper
+examples and fuzzed programs).  Only the audit's per-subject query
+counts see the difference.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..guard import budget as _guard
 from ..ir.ast import Access
 from ..obs import metrics as _metrics
-from ..omega.constraints import Constraint, NormalizeStatus, Problem
+from ..omega.constraints import Constraint, NormalizeStatus, Problem, eq, ge
 from ..omega.eliminate import (
     choose_variable,
     eliminate_equalities,
     fourier_motzkin,
 )
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
+from ..omega.terms import LinearExpr
+from ..solver import is_satisfiable, project, satisfiable_batch
 from .problem import (
     InstanceContext,
     PairProblem,
@@ -280,22 +300,132 @@ class QueryPlan:
         return PlanState(self, core, tuple(keep), eliminated)
 
 
-@dataclass(frozen=True)
+def _intersect(intervals: Mapping, constraints: Iterable[Constraint]):
+    """A copy of ``intervals`` (variable -> ``(lo, hi)``, None =
+    unbounded) narrowed by ``constraints``, or None unless each
+    constraint mentions exactly one variable of ``intervals``."""
+
+    found = dict(intervals)
+    for constraint in constraints:
+        narrowed = _narrow(found, constraint)
+        if narrowed is None:
+            return None
+        found[narrowed[0]] = narrowed[1]
+    return found
+
+
+def _narrow(intervals: Mapping, constraint: Constraint):
+    """``(var, interval)``: the interval of the one variable
+    ``constraint`` mentions, narrowed by it; None unless the constraint
+    mentions exactly one variable of ``intervals``."""
+
+    terms = constraint.expr.terms
+    if len(terms) != 1:
+        return None
+    ((var, coeff),) = terms.items()
+    interval = intervals.get(var)
+    if interval is None:
+        return None
+    lo, hi = interval
+    constant = constraint.expr.constant
+    if constraint.is_equality:
+        # coeff*var + constant = 0: one value, or none off the lattice.
+        if constant % coeff:
+            return var, (1, 0)
+        value = -constant // coeff
+        lo = value if lo is None else max(lo, value)
+        hi = value if hi is None else min(hi, value)
+    elif coeff > 0:
+        # coeff*var + constant >= 0:  var >= ceil(-constant / coeff).
+        bound = -(constant // coeff)
+        lo = bound if lo is None else max(lo, bound)
+    else:
+        # -|coeff|*var + constant >= 0:  var <= floor(constant / |coeff|).
+        bound = constant // -coeff
+        hi = bound if hi is None else min(hi, bound)
+    return var, (lo, hi)
+
+
+def _empty(interval: tuple) -> bool:
+    """Is the interval ``(lo, hi)`` (None = unbounded) empty?"""
+
+    lo, hi = interval
+    return lo is not None and hi is not None and lo > hi
+
+
+def _interval_constraints(var, interval: tuple) -> list[Constraint]:
+    lo, hi = interval
+    if lo is not None and lo == hi:
+        return [eq(LinearExpr({var: 1}, -lo))]
+    found = []
+    if lo is not None:
+        found.append(ge(LinearExpr({var: 1}, -lo)))
+    if hi is not None:
+        found.append(ge(LinearExpr({var: -1}, hi)))
+    return found
+
+
 class PlanState:
     """One node of the shared-prefix tree: a core plus its protected set.
 
-    ``probe`` builds the problem submitted to the solver service;
+    ``sat``, ``sat_batch`` and ``bounds`` answer questions about
+    ``core ∧ extra``: from the state's intervals when the core is
+    separable and every extra constraint bounds one kept variable, and
+    through the solver service on ``probe(extra)`` otherwise.
     ``extend`` descends one level (conjoining branch constraints and
-    optionally un-protecting a now-pinned distance variable), going
-    through the plan's memo so sibling branches *and* sibling pairs of
-    the same group hit the same reduced prefix.
+    optionally un-protecting a now-pinned distance variable): a separable
+    state intersects its intervals; any other goes through the plan's
+    memo, so sibling branches *and* sibling pairs of the same group hit
+    the same reduced prefix.
     """
 
-    plan: QueryPlan
-    core: Problem
-    kept: tuple
-    #: Variables eliminated along the whole prefix (root core included).
-    eliminated: int = 0
+    __slots__ = ("plan", "kept", "eliminated", "intervals", "_core", "_name")
+
+    def __init__(
+        self,
+        plan: QueryPlan,
+        core: Problem | None,
+        kept: tuple,
+        eliminated: int = 0,
+        intervals: dict | None = None,
+        name: str = "",
+    ):
+        self.plan = plan
+        self.kept = kept
+        #: Variables eliminated along the whole prefix (root core included).
+        self.eliminated = eliminated
+        #: Kept variable -> its interval ``(lo, hi)`` (None = unbounded)
+        #: when the core is separable, else None.  A state derived by an
+        #: interval ``extend`` has no core yet and gets its intervals
+        #: passed in.  An empty interval is never dropped, so an empty
+        #: product stays empty after its variable is un-protected.
+        self.intervals = (
+            # Separable: every constraint mentions exactly one variable,
+            # and that variable is kept.
+            _intersect(dict.fromkeys(kept, (None, None)), core.constraints)
+            if core is not None
+            else intervals
+        )
+        self._core = core
+        self._name = core.name if core is not None else name
+
+    @property
+    def core(self) -> Problem:
+        """The reduced core; a state derived from intervals builds it
+        from them on first use."""
+
+        if self._core is None:
+            constraints: list[Constraint] = []
+            for var, interval in self.intervals.items():
+                constraints.extend(_interval_constraints(var, interval))
+            self._core = Problem(constraints, self._name)
+        return self._core
+
+    @property
+    def separable(self) -> bool:
+        """Does the state answer from intervals?"""
+
+        return self.intervals is not None
 
     def probe(self, extra: Iterable[Constraint] = ()) -> Problem:
         """The core conjoined with extra constraints over kept variables."""
@@ -303,6 +433,48 @@ class PlanState:
         if self.eliminated:
             _metrics.inc("solver.plan.prefix_reuses")
         return _conjoin(self.core, extra)
+
+    def _narrowed(self, extra: Iterable[Constraint]) -> dict | None:
+        """The intervals intersected with ``extra``, or None when the
+        state is not separable or some extra constraint does not bound
+        exactly one kept variable."""
+
+        if self.intervals is None:
+            return None
+        return _intersect(self.intervals, extra)
+
+    def sat(self, extra: Iterable[Constraint] = ()) -> bool:
+        """Is ``core ∧ extra`` satisfiable?"""
+
+        extra = list(extra)
+        intervals = self._narrowed(extra)
+        if intervals is None:
+            return is_satisfiable(self.probe(extra))
+        _metrics.inc("solver.plan.interval_answers")
+        return not any(map(_empty, intervals.values()))
+
+    def sat_batch(self, extras: Sequence[Iterable[Constraint]]) -> list[bool]:
+        """``sat(extra)`` for each extra, in order; a state that is not
+        separable submits them as one batch."""
+
+        if self.intervals is not None:
+            return [self.sat(extra) for extra in extras]
+        return satisfiable_batch([self.probe(extra) for extra in extras])
+
+    def bounds(self, extra: Iterable[Constraint], var) -> tuple:
+        """The constant bounds ``(lo, hi)`` on kept ``var`` over
+        ``core ∧ extra`` (None = unbounded): the interval of its
+        projection onto ``var`` alone, read off the real shadow, or
+        ``(None, None)`` when ``core ∧ extra`` is empty."""
+
+        extra = list(extra)
+        intervals = self._narrowed(extra)
+        if intervals is None or var not in intervals:
+            return project(self.probe(extra), [var]).interval(var)
+        _metrics.inc("solver.plan.interval_answers")
+        if any(map(_empty, intervals.values())):
+            return None, None
+        return intervals[var]
 
     def extend(self, extra: Iterable[Constraint], drop=None) -> "PlanState":
         """The state for ``core ∧ extra``, no longer protecting ``drop``.
@@ -312,7 +484,17 @@ class PlanState:
         sign is pinned at that level).
         """
 
+        extra = list(extra)
         kept = tuple(v for v in self.kept if v != drop)
         _metrics.inc("solver.plan.prefix_extensions")
+        intervals = self._narrowed(extra)
+        if intervals is not None:
+            eliminated = self.eliminated
+            if drop in intervals and not _empty(intervals[drop]):
+                del intervals[drop]
+                eliminated += 1
+            return PlanState(
+                self.plan, None, kept, eliminated, intervals, self._name
+            )
         core, eliminated = self.plan.core(_conjoin(self.core, extra), kept)
         return PlanState(self.plan, core, kept, self.eliminated + eliminated)

@@ -26,14 +26,9 @@ from ..obs.audit import note_conservative as _note_conservative
 from ..obs.trace import span as _span
 from ..omega import Problem, Variable
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
-from ..solver import implies_union, is_satisfiable, project
+from ..solver import implies_union, project
 from .dependences import Dependence
-from .vectors import (
-    DirComponent,
-    DirectionVector,
-    component_bounds,
-    direction_vectors,
-)
+from .vectors import DirComponent, DirectionVector, direction_vectors
 
 __all__ = ["refine_dependence", "RefinementOutcome"]
 
@@ -111,7 +106,7 @@ def _refine(dep: Dependence, partial: bool) -> RefinementOutcome:
     lhs_pieces = lhs_projection.pieces
 
     # Bounds and feasibility are questions about the distances alone, so
-    # they run on the dependence's exact core; the implication's
+    # they are asked of the dependence's plan state; the implication's
     # projections keep loop variables and symbols the core has
     # eliminated, so they stay on the full problem.
     root = dep.state
@@ -119,7 +114,7 @@ def _refine(dep: Dependence, partial: bool) -> RefinementOutcome:
     narrowed = False
     for delta in deltas:
         pinned = DirectionVector(fixed).constraints(deltas)
-        bounds = component_bounds(root.probe(pinned), delta)
+        bounds = DirComponent(*root.bounds(pinned, delta))
         if bounds.lo is None:
             break
         if bounds.is_exact:
@@ -134,7 +129,7 @@ def _refine(dep: Dependence, partial: bool) -> RefinementOutcome:
         accepted: DirComponent | None = None
         for candidate in candidates:
             extra = pinned + candidate.constraints(delta)
-            if not is_satisfiable(root.probe(extra)):
+            if not root.sat(extra):
                 continue
             trial = Problem(
                 list(dep.problem.constraints) + extra, name=dep.problem.name

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..omega import Constraint, LinearExpr, Problem, Variable, ge, le
-from ..solver import is_satisfiable, project, satisfiable_batch
+from ..solver import project
 from .plan import PlanState
 
 __all__ = [
@@ -157,16 +157,17 @@ def component_bounds(problem: Problem, delta: Variable) -> DirComponent:
     interval off the real shadow (:meth:`Projection.interval`) — safe,
     since the real shadow is a superset of the true projection.
 
-    The searches pass a plan core conjoined with distance constraints
-    (``PlanState.probe``), not the full pair problem.  A core comes from
-    exact steps only (equality substitution, unit-pair Fourier-Motzkin),
-    so it has the same integer projection onto the distances as the full
-    problem: when the one-variable projection is exact, its interval is
-    that projection's integer hull, whichever problem it starts from.
-    ``tests/analysis/test_distance_bounds.py`` checks core and full
-    intervals equal on every box and refinement level of the corpus,
-    CHOLSKY, the paper examples and fuzzed programs, inexact projections
-    included.
+    The searches ask their plan state instead (``PlanState.bounds``),
+    which reads a separable core's interval directly and projects any
+    other core conjoined with the box.  A core comes from exact steps
+    only (equality substitution, unit-pair Fourier-Motzkin), so it has
+    the same integer projection onto the distances as the full problem:
+    when the one-variable projection is exact, its interval is that
+    projection's integer hull, whichever problem it starts from.
+    ``tests/analysis/test_distance_bounds.py`` checks the state's and the
+    full problem's intervals equal on every box and refinement level of
+    the corpus, CHOLSKY, the paper examples and fuzzed programs, inexact
+    projections included.
     """
 
     return DirComponent(*project(problem, [delta]).interval(delta))
@@ -188,14 +189,13 @@ def direction_vectors(
 
     The problem is ``state``, a :class:`repro.analysis.plan.PlanState`
     that keeps every variable of ``deltas`` (a dependence's own
-    ``Dependence.state``): the sign trials probe small shared-prefix
-    cores instead of rebuilding the full conjunction per branch, and each
-    box's bounds are projected from the state's core conjoined with the
-    box's constraints.
+    ``Dependence.state``): the sign trials ask small shared-prefix cores
+    instead of rebuilding the full conjunction per branch, and each box's
+    bounds are the state's bounds under the box's constraints.
     """
 
     if not deltas:
-        return [DirectionVector(())] if is_satisfiable(state.probe()) else []
+        return [DirectionVector(())] if state.sat() else []
 
     combos: list[tuple[DirComponent, ...]] = []
 
@@ -205,7 +205,7 @@ def direction_vectors(
             combos.append(prefix)
             return
         extras = [sign.constraints(deltas[level]) for sign in _SIGNS]
-        feasible = satisfiable_batch([state.probe(extra) for extra in extras])
+        feasible = state.sat_batch(extras)
         for sign, extra, satisfiable in zip(_SIGNS, extras, feasible):
             if satisfiable:
                 # A child at the deepest level only records its combo, so
@@ -223,14 +223,14 @@ def direction_vectors(
 
     vectors: list[DirectionVector] = []
     for box in _merge_boxes(combos, set(combos)):
-        context = state.probe(DirectionVector(box).constraints(deltas))
+        extra = DirectionVector(box).constraints(deltas)
         refined: list[DirComponent] = []
         for component, delta in zip(box, deltas):
-            bounds = component_bounds(context, delta)
+            lo, hi = state.bounds(extra, delta)
             refined.append(
                 DirComponent(
-                    bounds.lo if bounds.lo is not None else component.lo,
-                    bounds.hi if bounds.hi is not None else component.hi,
+                    lo if lo is not None else component.lo,
+                    hi if hi is not None else component.hi,
                 )
             )
         vectors.append(DirectionVector(refined))
@@ -305,13 +305,13 @@ def lexicographically_bad_exists(
 
     for level in range(start, len(deltas)):
         delta = deltas[level]
-        if is_satisfiable(state.probe([le(LinearExpr({delta: 1}), -1)])):
+        if state.sat([le(LinearExpr({delta: 1}), -1)]):
             return True
         # The extended state is only probed by a later level or by the
         # final all-zero check of a non-forward pair.
         if level + 1 < len(deltas) or not forward:
             state = state.extend(ZERO.constraints(delta), drop=delta)
-    return not forward and is_satisfiable(state.probe())
+    return not forward and state.sat()
 
 
 def restraint_vectors(
@@ -326,20 +326,18 @@ def restraint_vectors(
     exactly as Section 2.1.2 prescribes.
 
     The problem is ``state``, a plan state keeping ``deltas`` (the pair's
-    root state); every satisfiability probe runs against its cores.
+    root state); every satisfiability question is asked of its states.
     """
 
     def recurse(
         level: int, state: PlanState
     ) -> list[tuple[DirComponent, ...]]:
-        if not is_satisfiable(state.probe()):
+        if not state.sat():
             return []
         if level == len(deltas):
             return [()] if forward else []
         delta = deltas[level]
-        can_negative = is_satisfiable(
-            state.probe([le(LinearExpr({delta: 1}), -1)])
-        )
+        can_negative = state.sat([le(LinearExpr({delta: 1}), -1)])
         zero_state = state.extend(ZERO.constraints(delta), drop=delta)
         zero_bad = lexicographically_bad_exists(
             zero_state, deltas, forward, level + 1
@@ -350,7 +348,7 @@ def restraint_vectors(
         # Splitting: strictly-positive head (rest unconstrained) plus the
         # zero-head restraints of the residual problem.
         results: list[tuple[DirComponent, ...]] = []
-        if is_satisfiable(state.probe(PLUS.constraints(delta))):
+        if state.sat(PLUS.constraints(delta)):
             results.append((PLUS,) + (STAR,) * (len(deltas) - level - 1))
         for tail in recurse(level + 1, zero_state):
             results.append((ZERO,) + tail)

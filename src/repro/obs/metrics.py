@@ -84,6 +84,7 @@ CATALOG: tuple[str, ...] = (
     "solver.plan.cores_reused",
     "solver.plan.prefix_extensions",
     "solver.plan.prefix_reuses",
+    "solver.plan.interval_answers",
     # Resource governance (repro.guard).
     "guard.budget_exhausted",
     "guard.degradations",

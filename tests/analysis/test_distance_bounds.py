@@ -1,16 +1,19 @@
-"""Distance bounds read off a plan core equal the full problem's.
+"""Distance bounds read off a plan state equal the full problem's.
 
-``direction_vectors`` narrows each sign box to the distance bounds
-projected from the plan's root core conjoined with the box, and the
-Section 4.4 refinement reads each level's bounds from its root core
-conjoined with the levels already pinned.  A core is the pair problem
-after exact eliminations only (equality substitution, unit-pair
+``direction_vectors`` narrows each sign box to the distance bounds its
+plan state gives under the box, and the Section 4.4 refinement reads
+each level's bounds from its root state under the levels already pinned.
+Both ask ``PlanState.bounds``, which reads a separable core's interval
+directly and projects any other core conjoined with the extra
+constraints onto the one distance.  A core is the pair problem after
+exact eliminations only (equality substitution, unit-pair
 Fourier-Motzkin), so its integer projection onto the distances is the
 full problem's.  These tests pin the consequence on every box and every
 refinement level the analysis visits for the timing corpus, CHOLSKY,
-the paper examples and fuzzed programs: the interval the search reads is
-the interval of the full problem conjoined with the same box (or pinned
-levels), inexact projections included.
+the paper examples and fuzzed programs: the interval the search reads,
+interval-answered or projected, is the interval of the full problem
+conjoined with the same box (or pinned levels), inexact projections
+included.  Each population must contain interval-answered reads.
 
 The full-problem side is computed here, independently of the search: the
 boxes come from the box merge, each plan state's full problem is its
@@ -43,6 +46,9 @@ class Population:
         self.boxes = 0
         self.levels = 0
         self.inexact = 0
+        #: Reads the state answered from its intervals.
+        self.interval_reads = 0
+        self._registry = None
         self._frames: list[dict] = []
         #: id(state) -> (state, the full problem's constraints).
         self._full: dict[int, tuple] = {}
@@ -61,7 +67,7 @@ class Population:
         return projection.interval(delta)
 
     def _patch(self, monkeypatch):
-        real_bounds = vectors.component_bounds
+        real_bounds = plan_mod.PlanState.bounds
         real_merge = vectors._merge_boxes
         real_vectors = vectors.direction_vectors
         real_refine = refine_mod._refine
@@ -81,9 +87,15 @@ class Population:
                 self._full[id(child)] = (child, parent[1] + extra)
             return child
 
-        def frame_bounds(problem, delta):
-            bounds = real_bounds(problem, delta)
-            self._frames[-1]["read"].append((bounds.lo, bounds.hi))
+        def frame_bounds(state, extra, delta):
+            answers = self._registry.counter("solver.plan.interval_answers")
+            bounds = real_bounds(state, extra, delta)
+            if (
+                self._registry.counter("solver.plan.interval_answers")
+                > answers
+            ):
+                self.interval_reads += 1
+            self._frames[-1]["read"].append(bounds)
             return bounds
 
         def frame_boxes(combos, realizable):
@@ -121,8 +133,7 @@ class Population:
 
         monkeypatch.setattr(plan_mod.QueryPlan, "base_state", base_state)
         monkeypatch.setattr(plan_mod.PlanState, "extend", extend)
-        monkeypatch.setattr(vectors, "component_bounds", frame_bounds)
-        monkeypatch.setattr(refine_mod, "component_bounds", frame_bounds)
+        monkeypatch.setattr(plan_mod.PlanState, "bounds", frame_bounds)
         monkeypatch.setattr(vectors, "_merge_boxes", frame_boxes)
         monkeypatch.setattr(dependences, "direction_vectors", checked_vectors)
         monkeypatch.setattr(refine_mod, "direction_vectors", checked_vectors)
@@ -169,13 +180,14 @@ class Population:
         return intervals
 
     def analyze_all(self, programs, options=None):
-        registry = MetricsRegistry()
-        with collecting(registry):
+        self._registry = MetricsRegistry()
+        with collecting(self._registry):
             for program in programs:
                 analyze(program, options)
                 self._full.clear()
-        counters = registry.to_dict()["counters"]
+        counters = self._registry.to_dict()["counters"]
         assert counters.get("guard.degradations", 0) == 0
+        assert self.interval_reads > 0
 
 
 @pytest.fixture

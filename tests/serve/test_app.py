@@ -26,7 +26,16 @@ WAVEFRONT = (
     "  }\n"
     "}\n"
 )
-PROGRAMS = {"recurrence": RECURRENCE, "wavefront": WAVEFRONT}
+#: A kill (the second write kills the first one's flow to the read):
+#: the kill test's questions reach the solver, and so the store, where
+#: the vector searches of the two programs above are answered by their
+#: plans' interval states and submit nothing.
+KILL = (
+    "a(n) :=\n"
+    "for i := n to n+10 do a(i) :=\n"
+    "for i := n to n+20 do := a(i)\n"
+)
+PROGRAMS = {"recurrence": RECURRENCE, "wavefront": WAVEFRONT, "kill": KILL}
 
 
 def comparable(result_dict):

@@ -66,9 +66,13 @@ class TestPlanState:
         assert not is_satisfiable(dead.probe())
 
     def test_sibling_extensions_share_the_memo(self):
+        # Keeping j leaves ``1 <= j - d <= 10`` in the core: not separable,
+        # so extending reduces through the memo (a separable state
+        # intersects its intervals instead; see test_interval_states).
         plan = QueryPlan()
-        state_a = plan.base_state(nest_problem(), [D])
-        state_b = plan.base_state(nest_problem(), [D])
+        state_a = plan.base_state(nest_problem(), [D, J])
+        state_b = plan.base_state(nest_problem(), [D, J])
+        assert not state_a.separable
         with collecting(MetricsRegistry()) as registry:
             child_a = state_a.extend([eq(D - 2)], drop=D)
             child_b = state_b.extend([eq(D - 2)], drop=D)
