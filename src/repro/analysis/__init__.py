@@ -42,7 +42,6 @@ from .vectors import (
     DirComponent,
     DirectionVector,
     RestraintVector,
-    component_bounds,
     direction_vectors,
     restraint_vectors,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "RestraintVector",
     "direction_vectors",
     "restraint_vectors",
-    "component_bounds",
     "PLUS",
     "MINUS",
     "ZERO",

@@ -175,7 +175,7 @@ def compute_dependences(
         return []
 
     restraints = restraint_vectors(state, deltas, pair.forward)
-    feasible = state.sat_batch([r.constraints(deltas) for r in restraints])
+    feasible = [state.sat(r.constraints(deltas)) for r in restraints]
     found: list[Dependence] = []
     for restraint, satisfiable in zip(restraints, feasible):
         if not satisfiable:

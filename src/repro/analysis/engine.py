@@ -13,7 +13,8 @@ Follows the paper's pipeline (Section 4):
 
 Every run is driven by one :class:`repro.analysis.plan.QueryPlan`, governed
 or not: pairs share base systems and exactly pre-reduced elimination cores,
-and steps 2 and 3 run fused, one task per read.
+and steps 2 and 3 run read by read: each read's anti dependences, then its
+flow pipeline.
 
 Timing and classification per array pair is recorded for the Figure 6/7
 reproductions.  All timing is span-based (``repro.obs.trace``): the engine
@@ -25,9 +26,8 @@ When an observer is on (``explain=True`` or ``audit=True``) the engine
 writes each per-pair fact exactly once, as one
 :class:`repro.obs.explain.Step` in pipeline order.  At the end of each
 read it builds the read's provenance records from the steps and the
-dependences' final state.  At the read-order merge point, the explain
-decisions are derived from the same steps and records.  With no
-observer on, nothing is recorded.
+dependences' final state, and the explain decisions from the same steps
+and records.  With no observer on, nothing is recorded.
 """
 
 from __future__ import annotations
@@ -73,10 +73,7 @@ __all__ = ["AnalysisOptions", "analyze", "Analyzer"]
 
 @dataclass
 class _ReadSink:
-    """Per-read collection of side outputs (the per-pair trail, timing
-    records, provenance).  Each per-read task writes only to its own sink;
-    the engine merges sinks in read order afterwards, so every view of
-    the trail follows read order."""
+    """One read's per-pair trail and the flow provenance built from it."""
 
     #: Record the per-pair trail: explain or audit is on.
     trail: bool
@@ -85,12 +82,6 @@ class _ReadSink:
     #: This read's flow provenance: pairs proved independent (in write
     #: order), then its dependences, built from the steps at the read's end.
     records: list[ProvenanceRecord] = field(default_factory=list)
-    pair_records: list[PairRecord] = field(default_factory=list)
-    kill_timings: list[KillTiming] = field(default_factory=list)
-    #: This read's anti dependences and their provenance, computed in the
-    #: same task as the flow pipeline and merged back read-major.
-    anti: list[Dependence] = field(default_factory=list)
-    anti_provenance: list[ProvenanceRecord] = field(default_factory=list)
 
     def step(
         self,
@@ -149,13 +140,6 @@ class AnalysisOptions:
     #: bit-identical across cache settings and governed runs whose
     #: budget never runs out.
     audit: bool = False
-    #: An explicit :class:`repro.solver.SolverService` to use instead of
-    #: building one (advanced: lets callers share a service — and its
-    #: cache — across many ``analyze`` calls).  Without one the run is
-    #: uncached, unless an active service or an enclosing
-    #: ``repro.omega.caching(...)`` scope is there to adopt (results are
-    #: bit-identical either way).
-    solver: "SolverService | None" = None
     #: Wall-clock deadline for the whole analysis, in milliseconds (the
     #: CLI's ``--deadline-ms``).  Implies a governed run: when the
     #: deadline passes, remaining Omega queries degrade to their sound
@@ -204,11 +188,10 @@ class Analyzer:
         self.terminators: dict[Access, list[Dependence]] = {}
         self.audit: AuditLog | None = AuditLog() if options.audit else None
         self.result.audit = self.audit
-        #: The solver service every query of this run goes through (set by
-        #: :meth:`run`; adopted or private, see there).
-        self.service: SolverService | None = None
         #: The single-pass query plan (set by :meth:`run`).
         self.plan: QueryPlan | None = None
+        #: (write, read) -> the pair's extended time, for kill timings.
+        self._pair_times: dict[tuple[Access, Access], float] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> AnalysisResult:
@@ -222,16 +205,13 @@ class Analyzer:
             if tracer is not None:
                 stack.enter_context(_tracing(tracer))
             # Every Omega query goes through one SolverService.  An
-            # explicitly-passed or enclosing (activated) service is adopted
-            # — sharing its cache across programs — and left open;
-            # otherwise the engine builds a private one for this run over
-            # the enclosing ``caching(...)`` scope's cache, if any.
-            service = self.options.solver
-            if service is None:
-                service = current_service()
+            # enclosing (activated) service is adopted — sharing its cache
+            # across programs; otherwise the engine builds a private one
+            # for this run over the enclosing ``caching(...)`` scope's
+            # cache, if any.
+            service = current_service()
             if service is None:
                 service = SolverService(cache=current_cache())
-            self.service = service
             stack.enter_context(service.activate())
             # Governed runs: an explicit budget/deadline, or an active
             # fault-injection plan (chaos runs need the degradation
@@ -372,56 +352,44 @@ class Analyzer:
         """The single-pass plan-driven traversal.
 
         Output dependences come first (they feed the kill and refinement
-        quick tests); then the anti and flow directions of each read are
-        fused into *one* task over the plan's shared state, so a read's
+        quick tests); then, read by read, the read's anti dependences and
+        its flow pipeline over the plan's shared state, so a read's
         backward and forward pairs reuse the same base systems and
-        elimination prefixes while they are hot.  Sinks are merged back in
-        read order: all anti results first, then the flow pipelines.
+        elimination prefixes while they are hot.  Provenance lists every
+        anti record before the flow records.
         """
 
         writes = self.program.writes()
         reads = self.program.reads()
         with _span("analysis.phase.output"):
             self._compute_output_dependences(writes)
-        with _span("analysis.phase.fused"):
-            outcomes = [
-                self._analyze_read_fused(read, writes) for read in reads
-            ]
-        for _per_read, sink in outcomes:
-            self.result.anti.extend(sink.anti)
-            self.result.provenance.extend(sink.anti_provenance)
+        flow_records: list[ProvenanceRecord] = []
         steps: list[Step] = []
-        for per_read, sink in outcomes:
-            self.result.pair_records.extend(sink.pair_records)
-            self.result.kill_timings.extend(sink.kill_timings)
-            self.result.flow.extend(per_read)
-            if self.audit is not None:
-                self.result.provenance.extend(sink.records)
-            if self.options.explain:
-                # Step order, not record order; ``kept`` comes from the
-                # final state of the read's live flow dependences.
-                steps.extend(sink.steps)
-                steps.extend(
-                    Step(record.subject, "kept")
-                    for record in sink.records
-                    if record.verdict == "reported"
-                )
+        with _span("analysis.phase.fused"):
+            for read in reads:
+                self._compute_anti_dependences(read, writes)
+                sink = self._analyze_read(read, writes)
+                flow_records.extend(sink.records)
+                if self.options.explain:
+                    # Step order, not record order; ``kept`` comes from the
+                    # final state of the read's live flow dependences.
+                    steps.extend(sink.steps)
+                    steps.extend(
+                        Step(record.subject, "kept")
+                        for record in sink.records
+                        if record.verdict == "reported"
+                    )
+        if self.audit is not None:
+            self.result.provenance.extend(flow_records)
         if self.options.explain:
             self.result.explain = explain_view(steps)
         if self.options.input_deps:
             with _span("analysis.phase.input"):
                 self._compute_input_dependences(reads)
-        # The whole-program graph is the unit consumers want; emit it
-        # directly while the traversal's results are final and hot.
-        with _span("analysis.graph"):
-            self.result.graph()
 
-    def _analyze_read_fused(
+    def _compute_anti_dependences(
         self, read: Access, writes: Sequence[Access]
-    ) -> tuple[list[Dependence], "_ReadSink"]:
-        """Both dependence directions of one read, in one plan-driven task."""
-
-        sink = _ReadSink(self.options.explain or self.options.audit)
+    ) -> None:
         for dst in writes:
             if read.array != dst.array:
                 continue
@@ -433,7 +401,7 @@ class Analyzer:
                     plan=self.plan,
                 )
             if not deps and self.audit is not None:
-                sink.anti_provenance.append(
+                self.result.provenance.append(
                     self._independent_record(DependenceKind.ANTI, read, dst)
                 )
             for dep in deps:
@@ -443,10 +411,9 @@ class Analyzer:
                     ).dependence
                     if self.options.terminate:
                         dep.covers = terminates_source(dep)
-                sink.anti.append(dep)
+                self.result.anti.append(dep)
                 if self.audit is not None:
-                    sink.anti_provenance.append(self._dependence_record(dep))
-        return self._analyze_read(read, writes, sink)
+                    self.result.provenance.append(self._dependence_record(dep))
 
     # ------------------------------------------------------------------
     def _compute_output_dependences(self, writes: Sequence[Access]) -> None:
@@ -525,10 +492,11 @@ class Analyzer:
 
     # ------------------------------------------------------------------
     def _analyze_read(
-        self, read: Access, writes: Sequence[Access], sink: "_ReadSink"
-    ) -> tuple[list[Dependence], "_ReadSink"]:
+        self, read: Access, writes: Sequence[Access]
+    ) -> _ReadSink:
         """The complete flow-dependence pipeline for one array read."""
 
+        sink = _ReadSink(self.options.explain or self.options.audit)
         tester = KillTester(self.plan, self.output_pairs)
         per_read: list[Dependence] = []
         for write in writes:
@@ -546,7 +514,8 @@ class Analyzer:
             # after cover/terminator/kill elimination.
             for dep in per_read:
                 sink.records.append(self._dependence_record(dep, sink.steps))
-        return per_read, sink
+        self.result.flow.extend(per_read)
+        return sink
 
     def _analyze_pair(
         self, write: Access, read: Access, sink: "_ReadSink"
@@ -608,7 +577,7 @@ class Analyzer:
                 category = PairCategory.SPLIT
             else:
                 category = PairCategory.GENERAL
-            sink.pair_records.append(
+            self.result.pair_records.append(
                 PairRecord(
                     write,
                     read,
@@ -618,6 +587,7 @@ class Analyzer:
                     len(deps),
                 )
             )
+            self._pair_times[write, read] = pair_span.duration
         return deps
 
     def _refine_quick_allows(self, dep: Dependence) -> bool:
@@ -698,13 +668,13 @@ class Analyzer:
                     record = tester.kills(victim, killer)
                 killed = record.killed
                 if self.options.record_timings:
-                    sink.kill_timings.append(
+                    self.result.kill_timings.append(
                         KillTiming(
                             victim.src,
                             killer.src,
                             victim.dst,
                             record.elapsed,
-                            self._pair_time(sink, victim.src, victim.dst),
+                            self._pair_times[victim.src, victim.dst],
                             record.used_omega,
                             killed,
                         )
@@ -720,10 +690,3 @@ class Analyzer:
                         used_omega=record.used_omega,
                     )
                     break
-
-    @staticmethod
-    def _pair_time(sink: "_ReadSink", src: Access, dst: Access) -> float:
-        for record in sink.pair_records:
-            if record.src is src and record.dst is dst:
-                return record.extended_time
-        return 0.0

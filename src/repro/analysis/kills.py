@@ -54,7 +54,7 @@ from ..obs.audit import note_conservative as _note_conservative
 from ..obs.trace import span as _span
 from ..omega import Constraint, LinearExpr, Problem, Variable
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
-from ..solver import SolverQuery, implies_union, satisfiable_batch, submit_batch
+from ..solver import implies_union, is_satisfiable, project
 from .dependences import Dependence, DependenceKind
 from .ordering import execution_order_cases
 from .plan import QueryPlan
@@ -252,10 +252,12 @@ class KillTester:
     ) -> list[bool]:
         """``sat(problem and case)`` for each execution-order case, asked
         of one exact core of ``problem`` that keeps the loop variables the
-        cases constrain (see :mod:`repro.analysis.plan`)."""
+        cases constrain (see :mod:`repro.analysis.plan`).  Every case
+        goes to the solver service, even on a separable core, so the
+        kill's audit footprint counts each case sat."""
 
         state = self.plan.base_state(problem, _case_variables(cases))
-        return satisfiable_batch([state.probe(case) for case in cases])
+        return [is_satisfiable(state.probe(case)) for case in cases]
 
     def _general_test(
         self, victim: Dependence, killer: Dependence, b_ctx: InstanceContext
@@ -315,19 +317,13 @@ class KillTester:
             for order, satisfiable in zip(orders, feasible)
             if satisfiable
         ]
-        projections = submit_batch(
-            [
-                SolverQuery.project(
-                    case,
-                    [
-                        v
-                        for v in case.variables()
-                        if v in keep_set or v.is_symbolic
-                    ],
-                )
-                for case in survivors
-            ]
-        )
+        projections = [
+            project(
+                case,
+                [v for v in case.variables() if v in keep_set or v.is_symbolic],
+            )
+            for case in survivors
+        ]
         pieces: list[Problem] = []
         for projection in projections:
             if not projection.exact_union:

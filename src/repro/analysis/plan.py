@@ -34,9 +34,9 @@ Inexact eliminations are not taken: the variable stays in the core and
 later probes pay for it.  The plan memoizes cores structurally, so
 sibling branches of one pair's search and pairs with the same iteration
 space share one reduction.  A :class:`PlanState` is one node of that
-shared-prefix tree, and it is what the searches ask: ``sat`` and
-``sat_batch`` decide ``core ∧ E``, ``bounds`` reads one distance's
-interval, ``extend`` descends one branch.
+shared-prefix tree, and it is what the searches ask: ``sat`` decides
+``core ∧ E``, ``bounds`` reads one distance's interval, ``extend``
+descends one branch.
 
 *Interval answers.*  A state checks its core once.  The core is
 *separable* when each of its constraints mentions exactly one variable
@@ -68,7 +68,6 @@ counts see the difference.
 
 from __future__ import annotations
 
-import threading
 from contextlib import nullcontext
 from typing import Iterable, Mapping, Sequence
 
@@ -83,7 +82,7 @@ from ..omega.eliminate import (
 )
 from ..omega.errors import BudgetExhausted, OmegaComplexityError
 from ..omega.terms import LinearExpr
-from ..solver import is_satisfiable, project, satisfiable_batch
+from ..solver import is_satisfiable, project
 from .problem import (
     InstanceContext,
     PairProblem,
@@ -190,7 +189,6 @@ class QueryPlan:
         self._instances: dict[tuple[int, str], InstanceContext] = {}
         self._pure: dict[int, bool] = {}
         self._cores: dict[tuple, tuple[Problem, int]] = {}
-        self._lock = threading.Lock()
 
     # -- shared base systems --------------------------------------------
     def _is_pure(self, access: Access) -> bool:
@@ -233,16 +231,15 @@ class QueryPlan:
                 access, prefix, self.symbols, self.array_bounds
             )
         key = (id(access), prefix)
-        with self._lock:
-            ctx = self._instances.get(key)
-            if ctx is None:
-                ctx = build_instance(
-                    access, prefix, self.symbols, self.array_bounds
-                )
-                self._instances[key] = ctx
-                _metrics.inc("solver.plan.base_systems")
-            else:
-                _metrics.inc("solver.plan.base_reused")
+        ctx = self._instances.get(key)
+        if ctx is None:
+            ctx = build_instance(
+                access, prefix, self.symbols, self.array_bounds
+            )
+            self._instances[key] = ctx
+            _metrics.inc("solver.plan.base_systems")
+        else:
+            _metrics.inc("solver.plan.base_reused")
         return ctx
 
     def pair_problem(self, src: Access, dst: Access) -> PairProblem:
@@ -368,7 +365,7 @@ def _interval_constraints(var, interval: tuple) -> list[Constraint]:
 class PlanState:
     """One node of the shared-prefix tree: a core plus its protected set.
 
-    ``sat``, ``sat_batch`` and ``bounds`` answer questions about
+    ``sat`` and ``bounds`` answer questions about
     ``core ∧ extra``: from the state's intervals when the core is
     separable and every extra constraint bounds one kept variable, and
     through the solver service on ``probe(extra)`` otherwise.
@@ -453,19 +450,17 @@ class PlanState:
         _metrics.inc("solver.plan.interval_answers")
         return not any(map(_empty, intervals.values()))
 
-    def sat_batch(self, extras: Sequence[Iterable[Constraint]]) -> list[bool]:
-        """``sat(extra)`` for each extra, in order; a state that is not
-        separable submits them as one batch."""
-
-        if self.intervals is not None:
-            return [self.sat(extra) for extra in extras]
-        return satisfiable_batch([self.probe(extra) for extra in extras])
-
     def bounds(self, extra: Iterable[Constraint], var) -> tuple:
         """The constant bounds ``(lo, hi)`` on kept ``var`` over
         ``core ∧ extra`` (None = unbounded): the interval of its
         projection onto ``var`` alone, read off the real shadow, or
-        ``(None, None)`` when ``core ∧ extra`` is empty."""
+        ``(None, None)`` when ``core ∧ extra`` is empty.
+
+        The core comes from exact steps only, so it has the full
+        problem's integer projection onto the kept variables;
+        ``tests/analysis/test_distance_bounds.py`` checks the state's and
+        the full problem's intervals are equal on every box and
+        refinement level, inexact projections included."""
 
         extra = list(extra)
         intervals = self._narrowed(extra)

@@ -97,9 +97,8 @@ class AnalysisResult:
     def graph(self, **kwargs):
         """The whole-program dependence graph for this result.
 
-        Default-argument calls are memoized — the planner-driven engine
-        emits the graph directly at the end of its single-pass traversal,
-        so consumers get it for free; explicit ``kwargs`` always rebuild.
+        Built on the first default-argument call and memoized; explicit
+        ``kwargs`` always rebuild.
         """
 
         from .graph import dependence_graph

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..omega import Constraint, LinearExpr, Problem, Variable, ge, le
-from ..solver import project
+from ..omega import Constraint, LinearExpr, Variable, ge, le
 from .plan import PlanState
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "STAR",
     "direction_vectors",
     "restraint_vectors",
-    "component_bounds",
     "lexicographically_bad_exists",
 ]
 
@@ -149,30 +147,6 @@ RestraintVector = DirectionVector  # same structure, different role
 # ---------------------------------------------------------------------------
 
 
-def component_bounds(problem: Problem, delta: Variable) -> DirComponent:
-    """Constant bounds on one distance variable, via projection.
-
-    Projects the problem onto ``delta`` alone (eliminating symbolic
-    constants too, so the bounds are absolute integers) and reads the
-    interval off the real shadow (:meth:`Projection.interval`) — safe,
-    since the real shadow is a superset of the true projection.
-
-    The searches ask their plan state instead (``PlanState.bounds``),
-    which reads a separable core's interval directly and projects any
-    other core conjoined with the box.  A core comes from exact steps
-    only (equality substitution, unit-pair Fourier-Motzkin), so it has
-    the same integer projection onto the distances as the full problem:
-    when the one-variable projection is exact, its interval is that
-    projection's integer hull, whichever problem it starts from.
-    ``tests/analysis/test_distance_bounds.py`` checks the state's and the
-    full problem's intervals equal on every box and refinement level of
-    the corpus, CHOLSKY, the paper examples and fuzzed programs, inexact
-    projections included.
-    """
-
-    return DirComponent(*project(problem, [delta]).interval(delta))
-
-
 _SIGNS = (MINUS, ZERO, PLUS)
 
 
@@ -185,7 +159,7 @@ def direction_vectors(
     union exactly covers the satisfiable sign combinations: merging never
     introduces a sign combination that the problem cannot realize.  Each
     box is then narrowed to the constant distance bounds the problem
-    admits inside it (:func:`component_bounds`).
+    admits inside it (:meth:`PlanState.bounds`).
 
     The problem is ``state``, a :class:`repro.analysis.plan.PlanState`
     that keeps every variable of ``deltas`` (a dependence's own
@@ -205,7 +179,7 @@ def direction_vectors(
             combos.append(prefix)
             return
         extras = [sign.constraints(deltas[level]) for sign in _SIGNS]
-        feasible = state.sat_batch(extras)
+        feasible = [state.sat(extra) for extra in extras]
         for sign, extra, satisfiable in zip(_SIGNS, extras, feasible):
             if satisfiable:
                 # A child at the deepest level only records its combo, so

@@ -37,7 +37,7 @@ from .affine import AffineExpr, UTerm, affine, uterm_ref, var
 from .ast import ArrayRef, Declaration, Loop, Node, Program, Statement
 from .lexer import Token, tokenize
 
-__all__ = ["ParseError", "parse", "parse_statement_list"]
+__all__ = ["ParseError", "parse"]
 
 
 class ParseError(Exception):
@@ -251,15 +251,6 @@ def parse(source: str, name: str = "program") -> Program:
     parser = _Parser(tokenize(source))
     program = parser.parse_program(name)
     return _reclassify_names(program, name)
-
-
-def parse_statement_list(source: str) -> list[Node]:
-    """Parse a statement list without finalizing into a Program."""
-
-    parser = _Parser(tokenize(source))
-    nodes = parser.parse_statements(stop={"EOF"})
-    parser.expect("EOF")
-    return nodes
 
 
 def _reclassify_names(program: Program, name: str) -> Program:

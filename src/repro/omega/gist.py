@@ -33,7 +33,6 @@ from .terms import Variable
 __all__ = [
     "gist",
     "implies",
-    "implies_problem",
     "implies_union",
     "GistStats",
 ]
@@ -328,10 +327,6 @@ def implies(q: Problem, p: Problem) -> bool:
     if not is_satisfiable(q):
         return True
     return gist(p, q, stop_if_not_true=True).is_trivially_true()
-
-
-# Backwards-friendly alias used by the analysis layer.
-implies_problem = implies
 
 
 def implies_union(

@@ -287,7 +287,10 @@ class ServeApp:
             _metrics.inc("serve.result_cache.misses")
 
         try:
-            result = analyze(program, options)
+            # The run adopts the active service, so every request shares
+            # the app's cache and store.
+            with self.service.activate():
+                result = analyze(program, options)
         except Exception as failure:  # noqa: BLE001 - in-band, never a 500
             return response(
                 "error",
@@ -355,7 +358,6 @@ class ServeApp:
             flags["audit"] = True
         options = AnalysisOptions(
             assertions=assertions,
-            solver=self.service,
             deadline_ms=deadline,
             policy="degrade",
             **flags,

@@ -10,15 +10,14 @@ call the omega entry points directly, which still consult an active
 
 The vocabulary:
 
-- :class:`SolverQuery` — one declarative SAT or PROJECT query, so a call
-  site can hand a list of them to ``submit_batch``.
 - :class:`SolverService` — the governance shim: one governed scalar call
-  per primitive; ``sat_batch`` and ``submit_batch`` are in-order loops
-  over those calls.
+  per primitive.  Its ``sat_batch`` / ``submit_batch`` (over
+  :class:`SolverQuery` values) are in-order loops over those calls that
+  nothing in ``src/`` calls; they stay while the benchmark wraps them.
 - Module-level ``is_satisfiable`` / ``project`` / ``gist`` / ``implies`` /
-  ``implies_union`` / ``satisfiable_batch`` / ``submit_batch`` — the
-  drop-in call-site API that dispatches to the current service;
-  ``gist_of_projection`` (Section 3.3.2) is three of those calls.
+  ``implies_union`` — the drop-in call-site API that dispatches to the
+  current service, one question per call; ``gist_of_projection``
+  (Section 3.3.2) is three of those calls.
 
 The query planner that pre-reduces the problems analysis submits lives
 on the analysis side, in :mod:`repro.analysis.plan`; its reductions are
@@ -26,8 +25,6 @@ rewrites with no answer of their own, so they do not cross this boundary.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from ..omega.cache import current_cache
 from ..omega.constraints import Problem
@@ -51,8 +48,6 @@ __all__ = [
     "implies_union",
     "is_satisfiable",
     "project",
-    "satisfiable_batch",
-    "submit_batch",
 ]
 
 
@@ -113,26 +108,3 @@ def implies_union(p: Problem, pieces, **kwargs) -> bool:
     if service is not None:
         return service.implies_union(p, pieces, **kwargs)
     return _implies_union(p, list(pieces), **kwargs)
-
-
-def satisfiable_batch(problems: Sequence[Problem]) -> list[bool]:
-    """Batched satisfiability: one bool per problem, in order."""
-
-    service = current_service()
-    if service is not None:
-        return service.sat_batch(problems)
-    return [_is_satisfiable(problem) for problem in problems]
-
-
-def submit_batch(queries: Sequence[SolverQuery]) -> list:
-    """Answer declarative queries; results in submission order."""
-
-    service = current_service()
-    if service is not None:
-        return service.submit_batch(queries)
-    return [
-        _is_satisfiable(query.problem)
-        if query.kind is QueryKind.SAT
-        else _project(query.problem, query.keep)
-        for query in queries
-    ]

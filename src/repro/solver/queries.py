@@ -1,11 +1,11 @@
-"""Declarative solver queries: what a batch hands the service.
+"""Declarative solver queries, and the conservative stand-in projection.
 
-A kill test asks one satisfiability question per case and then projects
-every satisfiable case onto the variables it keeps.  A
-:class:`SolverQuery` names one such question as *data*, so the call site
-can build the whole list first and hand it to
+A :class:`SolverQuery` names one SAT or PROJECT question as *data*, for
 :meth:`repro.solver.SolverService.submit_batch`, which answers each one
-through the service's governed scalar call of the same kind.
+through the service's governed scalar call of the same kind.  Nothing in
+``src/`` builds one: the analysis asks one question per call.  The query
+types stay while perfbench wraps ``submit_batch`` by name, and go with
+ROADMAP item 2's benchmark change.
 """
 
 from __future__ import annotations

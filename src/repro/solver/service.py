@@ -5,9 +5,8 @@ gist, implication — goes through one :class:`SolverService`.  The service
 is a governance shim: each query runs through one governed path,
 :meth:`SolverService._shielded`, which enforces the active resource
 budget, substitutes the sound conservative answer when it runs out, and
-notes every outcome on the audit log.  A batch is an in-order loop over
-the scalar calls, so it leaves exactly the answers, audit notes and
-degradation events the equivalent scalar calls would.
+notes every outcome on the audit log.  Callers ask one question per
+call.
 
 The service is serial: queries execute inline, in submission order, on the
 calling thread.  A service given a :class:`repro.omega.cache.SolverCache`
@@ -227,6 +226,9 @@ class SolverService:
         )
 
     # -- batches: in-order loops over the scalar calls --------------------
+    # Nothing in ``src/`` calls these: the analysis asks one question per
+    # call.  They stay while perfbench wraps them by name, and go with
+    # ROADMAP item 2's benchmark change.
     def sat_batch(self, problems: Sequence[Problem]) -> list[bool]:
         """One :meth:`sat` answer per problem, in order."""
 

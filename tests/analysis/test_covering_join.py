@@ -194,11 +194,11 @@ class TestJoinDeclines:
         anti.covers = terminates_source(anti)
         assert anti.covers
         asked = []
-        real_batch = kills.satisfiable_batch
+        real_sat = kills.is_satisfiable
         monkeypatch.setattr(
             kills,
-            "satisfiable_batch",
-            lambda probes: asked.extend(probes) or real_batch(probes),
+            "is_satisfiable",
+            lambda probe: asked.append(probe) or real_sat(probe),
         )
         tester = KillTester(plan, set())
         b_ctx = plan.instance(anti.src, "b")

@@ -116,7 +116,7 @@ def test_planner_emits_the_memoized_graph():
     for options in (AnalysisOptions(), AnalysisOptions(deadline_ms=1e9)):
         result = analyze(cholsky(), options)
         graph = result.graph()
-        assert result.graph() is graph  # memoized, built during the traversal
+        assert result.graph() is graph  # memoized on the first call
         assert result.graph(live_only=False) is not graph  # kwargs rebuild
 
 

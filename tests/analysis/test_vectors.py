@@ -10,13 +10,12 @@ from repro.analysis.vectors import (
     ZERO_PLUS,
     DirComponent,
     DirectionVector,
-    component_bounds,
     direction_vectors,
     lexicographically_bad_exists,
     restraint_vectors,
 )
 from repro.analysis.plan import QueryPlan
-from repro.omega import Problem, Variable, eq, ge, le
+from repro.omega import Problem, Variable, eq, ge, le, project
 
 d1 = Variable("d1")
 d2 = Variable("d2")
@@ -109,31 +108,29 @@ class TestDirectionVectors:
 
 
 class TestComponentBounds:
+    """One distance's constant bounds: its one-variable projection's
+    interval, read off the real shadow."""
+
     def test_constant_interval(self):
         p = Problem().add_bounds(2, d1, 7)
-        bounds = component_bounds(p, d1)
-        assert (bounds.lo, bounds.hi) == (2, 7)
+        assert project(p, [d1]).interval(d1) == (2, 7)
 
     def test_exact(self):
         p = Problem().add_eq(d1, 4)
-        bounds = component_bounds(p, d1)
-        assert bounds.is_exact and bounds.lo == 4
+        assert project(p, [d1]).interval(d1) == (4, 4)
 
     def test_symbolic_elimination(self):
         n = Variable("n", "sym")
         p = Problem().add_bounds(1, d1, n).add_bounds(5, n, 5)
-        bounds = component_bounds(p, d1)
-        assert (bounds.lo, bounds.hi) == (1, 5)
+        assert project(p, [d1]).interval(d1) == (1, 5)
 
     def test_unbounded_side(self):
         p = Problem().add_ge(d1)
-        bounds = component_bounds(p, d1)
-        assert bounds.lo == 0 and bounds.hi is None
+        assert project(p, [d1]).interval(d1) == (0, None)
 
     def test_gcd_tightening(self):
         p = Problem().add_ge(2 * d1 - 3).add_le(2 * d1, 9)
-        bounds = component_bounds(p, d1)
-        assert (bounds.lo, bounds.hi) == (2, 4)
+        assert project(p, [d1]).interval(d1) == (2, 4)
 
 
 class TestRestraintVectors:

@@ -78,6 +78,17 @@ def test_analyze_matches_direct_analysis(app):
         assert envelope["degradations"] == []
 
 
+def test_analyze_runs_on_the_apps_own_service(app):
+    # The request's analysis adopts the app's service, so its queries
+    # go through the app's cache and store.
+    before = app.service.queries
+    misses = app.cache.misses
+    http, envelope = submit(app, "kill", KILL)
+    assert http == 200 and envelope["status"] == "ok"
+    assert app.service.queries > before
+    assert app.cache.misses > misses
+
+
 def test_restart_answers_from_the_store_bit_identically(tmp_path):
     store = tmp_path / "store.db"
     first = ServeApp(store_path=store)

@@ -24,7 +24,6 @@ from repro.solver import (
     SolverService,
     current_service,
     is_satisfiable,
-    satisfiable_batch,
 )
 from repro.solver import service as service_module
 from tests.solver.test_property_identity import fingerprint
@@ -91,7 +90,7 @@ class TestFacade:
     def test_facade_falls_back_to_omega_without_a_service(self):
         assert current_service() is None
         assert is_satisfiable(bounded(x, 0, 5))
-        assert satisfiable_batch([bounded(x, 0, 5), unsat(x)]) == [True, False]
+        assert not is_satisfiable(unsat(x))
 
 
 class TestBatches:
