@@ -90,6 +90,7 @@ class _ReadSink:
         *,
         by: Dependence | None = None,
         used_omega: bool | None = None,
+        test: str | None = None,
     ) -> None:
         """Write one action on ``dep`` to the trail (a no-op when off)."""
 
@@ -101,7 +102,9 @@ class _ReadSink:
             directions = (before, dep.direction_text())
         by_subject = by.subject() if by is not None else None
         self.steps.append(
-            Step(dep.subject(), action, by_subject, used_omega, directions)
+            Step(
+                dep.subject(), action, by_subject, used_omega, directions, test
+            )
         )
 
 
@@ -688,5 +691,6 @@ class Analyzer:
                         "killed",
                         by=killer,
                         used_omega=record.used_omega,
+                        test=record.test,
                     )
                     break

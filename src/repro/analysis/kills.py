@@ -157,8 +157,16 @@ class KillRecord:
     victim: Dependence
     killer: Dependence
     killed: bool
-    used_omega: bool
+    #: The test that decided: ``"quick"`` (Section 4.5), ``"join"`` (the
+    #: covering join) or ``"general"`` (the general Omega test).
+    test: str
     elapsed: float = 0.0
+
+    @property
+    def used_omega(self) -> bool:
+        """Did the decision ask the Omega test (join or general)?"""
+
+        return self.test != "quick"
 
 
 class KillTester:
@@ -182,7 +190,7 @@ class KillTester:
             or victim.dst is not killer.dst
             or not killer.src.is_write
         ):
-            return KillRecord(victim, killer, False, False)
+            return KillRecord(victim, killer, False, "quick")
         _metrics.inc("analysis.kills_attempted")
         with _span(
             "analysis.kill",
@@ -206,17 +214,15 @@ class KillTester:
 
         if kill_quick_reject(victim, killer, self.output_pairs):
             _metrics.inc("analysis.kill_quick_rejects")
-            return KillRecord(victim, killer, False, False)
+            return KillRecord(victim, killer, False, "quick")
         if closer_cover_quick_kill(victim, killer):
-            return KillRecord(victim, killer, True, False)
+            return KillRecord(victim, killer, True, "quick")
         b_ctx = self.plan.instance(killer.src, "b")
         if self._covering_join(victim, killer, b_ctx):
             _metrics.inc("analysis.kill_joins")
-            # Recorded (and counted in kill_omega_tests) as a general
-            # test: the record cannot yet tell the two apart.
-            return KillRecord(victim, killer, True, True)
+            return KillRecord(victim, killer, True, "join")
         killed = self._general_test(victim, killer, b_ctx)
-        return KillRecord(victim, killer, killed, True)
+        return KillRecord(victim, killer, killed, "general")
 
     # ------------------------------------------------------------------
     def _covering_join(

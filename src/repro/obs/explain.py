@@ -19,11 +19,11 @@ __all__ = ["ACTIONS", "Decision", "ExplainLog", "Step", "explain_view"]
 
 #: Every action the engine takes on a dependence, in pipeline order:
 #: action -> (provenance stage, provenance detail, explain reason).  The
-#: texts are ``str.format`` templates over ``{by}``, ``{test}`` (which
-#: kill test decided) and, for ``refined``, ``{before}`` and ``{after}``
-#: (the direction text).  ``kept`` is never recorded: the engine derives
-#: it from a dependence's final state for the explain view only, so it
-#: has no provenance event.
+#: texts are ``str.format`` templates over ``{by}``, ``{test}`` (the label
+#: of the kill test that decided) and, for ``refined``, ``{before}`` and
+#: ``{after}`` (the direction text).  ``kept`` is never recorded: the
+#: engine derives it from a dependence's final state for the explain view
+#: only, so it has no provenance event.
 ACTIONS: dict[str, tuple[str | None, str | None, str]] = {
     "refined": (
         "refine",
@@ -72,10 +72,13 @@ class Step(NamedTuple):
     used_omega: bool | None = None
     #: ``(before, after)`` direction text, for ``refined`` only.
     directions: tuple[str, str] = ("", "")
+    #: For ``killed``: the test that decided, ``"quick"``, ``"join"`` (the
+    #: covering join) or ``"general"``; None reads it off ``used_omega``.
+    test: str | None = None
 
     def _format(self, template: str) -> str:
         before, after = self.directions
-        test = "general omega test" if self.used_omega else "quick test"
+        test = _kill_test(self.test, self.used_omega, "general omega test")
         return template.format(
             by=self.by, test=test, before=before, after=after
         )
@@ -89,8 +92,18 @@ class Step(NamedTuple):
     def decision(self) -> "Decision":
         reason = self._format(ACTIONS[self.action][2])
         return Decision(
-            self.subject, self.action, reason, self.by, self.used_omega
+            self.subject, self.action, reason, self.by, self.used_omega,
+            self.test,
         )
+
+
+def _kill_test(test: str | None, used_omega: bool | None, general: str) -> str:
+    """The label of the test that decided: the covering join, the
+    general Omega test (labelled ``general``) or a quick test."""
+
+    if test == "join":
+        return "covering join"
+    return general if used_omega else "quick test"
 
 
 @dataclass
@@ -108,6 +121,8 @@ class Decision:
     by: str | None = None
     #: Whether the Omega test was consulted (None when not applicable).
     used_omega: bool | None = None
+    #: The kill test that decided (see :attr:`Step.test`).
+    test: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -121,7 +136,9 @@ class Decision:
     def describe(self) -> str:
         suffix = f" [by {self.by}]" if self.by else ""
         if self.used_omega is not None:
-            verdict = "omega general test" if self.used_omega else "quick test"
+            verdict = _kill_test(
+                self.test, self.used_omega, "omega general test"
+            )
             suffix += f" ({verdict})"
         return f"{self.action}: {self.reason}{suffix}"
 

@@ -21,7 +21,7 @@ from repro.analysis.kills import KillTester
 from repro.guard import Budget, governed, injecting, plan_from_env
 from repro.ir import parse, run_program, value_based_flows
 from repro.obs import MetricsRegistry, collecting
-from repro.programs import PAPER_EXAMPLES, corpus_programs
+from repro.programs import PAPER_EXAMPLES, cholsky, corpus_programs
 from repro.solver import current_service
 
 from .test_cache_determinism import random_program
@@ -131,6 +131,30 @@ class TestJoinImpliesGeneral:
             parse(source), AnalysisOptions(partial_refine=True), faults=True
         )
         assert not unsound(attempts), source
+
+
+def test_trails_label_join_kills_as_the_covering_join():
+    # A join kill reads "covering join" in both trail views; it still
+    # consults the Omega test, so its record keeps used_omega=True.
+    registry = MetricsRegistry()
+    with collecting(registry):
+        result = analyze(cholsky(), AnalysisOptions(explain=True, audit=True))
+    joins = registry.counter("analysis.kill_joins")
+    assert joins > 0
+    labelled = [
+        record
+        for record in result.provenance
+        if any(
+            event == ("kill", f"covering join by {record.decided_by}")
+            for event in map(tuple, record.events)
+        )
+    ]
+    assert len(labelled) == joins
+    assert all(record.used_omega is True for record in labelled)
+    suffixes = [
+        d for d in result.explain if d.describe().endswith("(covering join)")
+    ]
+    assert len(suffixes) == joins
 
 
 class TestJoinDeclines:

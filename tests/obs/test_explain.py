@@ -47,6 +47,10 @@ class TestExplainLog:
         killed = Step("s", "killed", by="t", used_omega=False)
         assert killed.event() == ("kill", "quick test by t")
         assert killed.decision().reason == ACTIONS["killed"][2]
+        joined = Step("s", "killed", by="t", used_omega=True, test="join")
+        assert joined.event() == ("kill", "covering join by t")
+        general = joined._replace(test="general")
+        assert general.event() == ("kill", "general omega test by t")
         assert Step("s", "covered", by="t").event() == (
             "cover",
             "eliminated by t",
@@ -59,6 +63,8 @@ class TestExplainLog:
         assert full.describe() == "killed: why [by killer] (omega general test)"
         quick = Decision("s", "killed", "why", used_omega=False)
         assert quick.describe().endswith("(quick test)")
+        joined = Decision("s", "killed", "why", used_omega=True, test="join")
+        assert joined.describe().endswith("(covering join)")
 
     def test_render_empty(self):
         assert "(no decisions recorded)" in ExplainLog().render()
