@@ -17,8 +17,7 @@ from functools import lru_cache
 from repro.analysis import AnalysisOptions, analyze
 from repro.programs import corpus_programs
 
-#: sha256 of :func:`categorical` over the corpus, recorded before the
-#: engine wrote the records straight into the result.
+#: sha256 of :func:`categorical` over the corpus.
 CATEGORICAL_SHA256 = (
     "02bb9a3b2cc2bf44efa1affe2ae82552c73744075d84f2752729b6fc422b38b5"
 )
